@@ -20,8 +20,7 @@ from .cubic import (DirectionD, direction_from, eval_P, grad_P, q_matrix,
                     perp_basis, lambda_perp, perp_sweep, cubic_roots_check,
                     cor4_check, strata_directions)
 from .cones import (ConeParams, in_K, in_K_star, in_L, support_x,
-                    support_x_from_matrices, cone_condition,
-                    ConeConditionReport)
+                    cone_condition, ConeConditionReport)
 from .elliptic import (SigmaSample, build_sigma, sigma_from_sources,
                        validate_graph, save_cache, load_cache, CacheError,
                        GraphError, OperatorF, eval_F, g_tilde, operator_cone,
@@ -41,7 +40,7 @@ __all__ = [
     "lambda_perp", "perp_sweep", "cubic_roots_check", "cor4_check",
     "strata_directions",
     "ConeParams", "in_K", "in_K_star", "in_L", "support_x",
-    "support_x_from_matrices", "cone_condition", "ConeConditionReport",
+    "cone_condition", "ConeConditionReport",
     "SigmaSample", "build_sigma", "sigma_from_sources", "validate_graph",
     "save_cache", "load_cache", "CacheError", "GraphError", "OperatorF",
     "eval_F", "g_tilde", "operator_cone", "zero_level_curve",

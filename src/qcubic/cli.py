@@ -341,7 +341,7 @@ def operator_suite(cfg: RunConfig) -> dict:
 
     sigma = build_sigma(cfg.sigma_count, cfg.seed, cone,
                         cache_path=os.path.join(cfg.out, "sigma.cache"))
-    mats = np.stack([H(a) for a in sigma.sources[:min(500, sigma.count)]])
+    mats = H(sigma.sources[:min(500, sigma.count)])
     for label, lam in (("policy", cone.lam), ("paper", 11.0 * RATIO_BOUND)):
         rep = cone_condition(mats, ConeParams(lam))
         checks.append(_check("cone_condition_" + label, rep.passed,

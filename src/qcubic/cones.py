@@ -15,7 +15,13 @@ For an aperture lam >= 1:
 The support function x(z) measures, for a traceless matrix with
 coordinates z, the least multiple of the normalized identity
 I/sqrt(12) whose addition reaches K*.  Its graph is the boundary of K*
-in the (z, s) coordinates of symspace.
+in the (z, s) coordinates of symspace.  The membership margin is piecewise
+linear and increasing in that multiple, so x has a closed form in the
+sorted spectrum of the traceless part: no iteration and no tolerance.
+
+Every dual-cone test (K*, L, the shifted spectra of the graph invariant)
+goes through the one p/q function _in_dual, and every gauge value through
+the one kernel _gauge, both on precomputed eigenvalue rows.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 from . import symspace
 from .eigen import eigvalsh_desc
 
-SUPPORT_TOL = 1e-11
 _SQRT_N = np.sqrt(12.0)
 
 
@@ -42,10 +47,11 @@ class ConeParams:
             raise ValueError("ConeParams: aperture must be >= 1, got %r" % self.lam)
 
 
-def _pos_neg_sums(vals: np.ndarray):
+def _in_dual(vals: np.ndarray, cone: ConeParams) -> np.ndarray:
+    """Row-wise K*(lam) membership from eigenvalue rows: p >= lam^2 q."""
     p = np.sum(np.where(vals > 0, vals, 0.0), axis=-1)
     q = np.sum(np.where(vals < 0, -vals, 0.0), axis=-1)
-    return p, q
+    return p >= cone.lam**2 * q
 
 
 def in_K(mat: np.ndarray, cone: ConeParams) -> bool:
@@ -58,104 +64,61 @@ def in_K(mat: np.ndarray, cone: ConeParams) -> bool:
 
 def in_K_star(mat: np.ndarray, cone: ConeParams) -> bool:
     """Dual-cone membership by the p/q eigenvalue test (boundary included)."""
-    vals = eigvalsh_desc(np.asarray(mat, dtype=float))
-    p, q = _pos_neg_sums(vals)
-    return bool(np.all(p >= cone.lam**2 * q))
+    return bool(np.all(_in_dual(eigvalsh_desc(np.asarray(mat, dtype=float)),
+                                cone)))
 
 
 def in_L(mat: np.ndarray, cone: ConeParams) -> bool:
     """Membership in L(lam): neither mat nor -mat lies in the dual cone."""
-    mat = np.asarray(mat, dtype=float)
-    vals = eigvalsh_desc(mat)
-    p, q = _pos_neg_sums(vals)
-    lam2 = cone.lam**2
-    return bool(np.all((p < lam2 * q) & (q < lam2 * p)))
+    return bool(np.all(in_L_ratio_batch(
+        eigvalsh_desc(np.asarray(mat, dtype=float)), cone)))
 
 
 def in_L_ratio_batch(vals: np.ndarray, cone: ConeParams) -> np.ndarray:
     """Vectorized in_L from precomputed eigenvalue rows."""
-    p, q = _pos_neg_sums(vals)
-    lam2 = cone.lam**2
-    return (p < lam2 * q) & (q < lam2 * p)
+    return ~(_in_dual(vals, cone) | _in_dual(-vals, cone))
 
 
-def _support_from_eigs(mu: np.ndarray, lam: float,
-                       tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Bisection for the least c with sum((mu + c/sqrt(12))_+) >= lam^2 *
-    sum((mu + c/sqrt(12))_-), vectorized over leading axes of mu (rows
-    ascending, as eigvalsh returns them; trace sum(mu) expected ~0).
+def _gauge(mu: np.ndarray, cone: ConeParams) -> np.ndarray:
+    """Exact support gauge per eigenvalue row (rows ascending, as eigvalsh
+    returns them; any trace), vectorized over leading axes.
 
-    The predicate is monotone in c because shifting raises p and lowers q.
-    With S(c) = sum(mu) + sqrt(12) c and T(c) = sum|mu + c/sqrt(12)|,
-    membership is (1+lam^2) S >= (lam^2-1) T -- one absolute-value pass per
-    probe.  c = sqrt(12) max(-mu_min, 0) makes the shifted row nonnegative
-    and is always a member, so it brackets from above; for traceless rows
-    x >= 0 brackets from below (the -tol start and the doubling loop cover
-    inputs that stray off traceless).
+    With u = c/sqrt(12), a = lam^2 - 1 and S = sum(mu), the membership
+    margin (1+lam^2)(S + 12u) - a sum|mu_i + u| is piecewise linear and
+    strictly increasing in u, with kinks at u = -mu_j.  On the segment
+    where exactly the m smallest mu_i lie below -u its root is
+
+        u_m = -(S + a P_m) / (12 + a m),   P_m = mu_0 + ... + mu_{m-1}.
+
+    The margin at the kink u = -mu_j is 2 (12 + a j)(-mu_j - u_j), positive
+    iff S + a P_j > mu_j (12 + a j), and the kinks with a positive margin
+    are those right of the root, so m counts them.  m = 0 and m = 12 (root
+    outside the kinks) both give u = -S/12, which covers zero and
+    off-traceless rows.  Near a kink a rounding slip of m by one lands on
+    the adjacent segment, whose line meets this one at the kink.
     """
-    lam2 = lam * lam
-    mu_sum = np.sum(mu, axis=-1)
-
-    def member(c):
-        t_abs = np.sum(np.abs(mu + c[..., None] / _SQRT_N), axis=-1)
-        return (1 + lam2) * (mu_sum + _SQRT_N * c) >= (lam2 - 1) * t_abs
-
-    lo = np.full(mu.shape[:-1], -tol)
-    hi = _SQRT_N * np.maximum(-mu[..., 0], 0.0) + tol
-    for _ in range(80):
-        bad_hi = ~member(hi)
-        bad_lo = member(lo)
-        if not (np.any(bad_hi) or np.any(bad_lo)):
-            break
-        hi[bad_hi] = hi[bad_hi] * 2.0 + tol
-        lo[bad_lo] *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        good = member(mid)
-        hi = np.where(good, mid, hi)
-        lo = np.where(good, lo, mid)
-        if np.max(hi - lo) < tol:
-            break
-    return 0.5 * (lo + hi)
+    a = cone.lam * cone.lam - 1.0
+    n = mu.shape[-1]
+    prefix = np.concatenate(
+        [np.zeros(mu.shape[:-1] + (1,)), np.cumsum(mu, axis=-1)], axis=-1)
+    total = prefix[..., -1:]
+    m = np.sum(total + a * prefix[..., :n] > mu * (12.0 + a * np.arange(n)),
+               axis=-1)
+    p_m = np.take_along_axis(prefix, m[..., None], axis=-1)[..., 0]
+    return -_SQRT_N * (total[..., 0] + a * p_m) / (12.0 + a * m)
 
 
-def support_x(z: np.ndarray, cone: ConeParams, tol: float = SUPPORT_TOL):
+def support_x(z: np.ndarray, cone: ConeParams):
     """Support function x(z) for traceless coordinates z (single or stack).
 
     x(z) = inf{ c : embed(z) + c I/sqrt(12) lies in K*(lam) }.  Convex,
-    positively homogeneous, x(0) = 0.  Computed by bisection to ``tol``
-    on the monotone membership predicate, with eigenvalues of embed(z)
-    precomputed once (shifting by c only shifts the spectrum).
+    positively homogeneous, x(0) = 0.  Shifting by c only shifts the
+    spectrum, so one eigensolve of embed(z) per row settles it, and the
+    threshold is solved in closed form from the sorted spectrum (_gauge).
     """
     z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    zz = z[None, :] if single else z
-    mats = symspace.embed_traceless(zz)
-    mu = np.linalg.eigvalsh(mats)
-    norms = np.linalg.norm(zz, axis=-1)
-    out = np.zeros(zz.shape[0])
-    nz = norms > 0
-    if np.any(nz):
-        out[nz] = _support_from_eigs(mu[nz], cone.lam, tol)
-    return float(out[0]) if single else out
-
-
-def support_x_from_matrices(mats: np.ndarray, cone: ConeParams,
-                            tol: float = SUPPORT_TOL) -> np.ndarray:
-    """support_x applied to traceless symmetric matrices directly (stack).
-
-    Callers that already hold the matrices skip the coordinate round trip;
-    the trace part is NOT removed here and must be zero (or accounted for
-    by the caller adding s separately).
-    """
-    mats = np.asarray(mats, dtype=float)
-    mu = np.linalg.eigvalsh(mats)
-    norms = np.linalg.norm(mats, axis=(-2, -1))
-    out = np.zeros(mats.shape[0])
-    nz = norms > 0
-    if np.any(nz):
-        out[nz] = _support_from_eigs(mu[nz], cone.lam, tol)
-    return out
+    out = _gauge(np.linalg.eigvalsh(symspace.embed_traceless(z)), cone)
+    return float(out) if z.ndim == 1 else out
 
 
 @dataclass
@@ -182,8 +145,7 @@ def cone_condition(mats: np.ndarray, cone: ConeParams,
     for start in range(0, ii.size, chunk):
         sl = slice(start, min(start + chunk, ii.size))
         diffs = mats[ii[sl]] - mats[jj[sl]]
-        vals = np.linalg.eigvalsh(diffs)
-        ok = in_L_ratio_batch(vals, cone)
+        ok = in_L_ratio_batch(np.linalg.eigvalsh(diffs), cone)
         if not np.all(ok):
             for k in np.nonzero(~ok)[0]:
                 violations.append((int(ii[sl][k]), int(jj[sl][k])))

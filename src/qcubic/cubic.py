@@ -107,20 +107,6 @@ def matrix_2Qd(d: DirectionD) -> np.ndarray:
     return q_matrix(d.vec)
 
 
-def char_poly_CHd(d: DirectionD) -> np.ndarray:
-    """Coefficients (degree 12, highest first) of the closed-form
-    characteristic polynomial
-
-        (x^3 - 3x + 2m)(x^3 - 3x - 2m)(x^3 - 3x + 2n)^2
-    """
-    base = np.array([1.0, 0.0, -3.0])
-    f_plus = np.append(base, 2.0 * d.m)
-    f_minus = np.append(base, -2.0 * d.m)
-    f_n = np.append(base, 2.0 * d.n)
-    poly = np.polymul(np.polymul(f_plus, f_minus), np.polymul(f_n, f_n))
-    return poly
-
-
 def spectrum_closed_form(m, n) -> np.ndarray:
     """The twelve eigenvalues by the trigonometric root formulas.
 

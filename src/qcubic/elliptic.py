@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symspace
-from .cones import ConeParams, _support_from_eigs, SUPPORT_TOL
+from .cones import ConeParams, _gauge, _in_dual, in_L_ratio_batch
 from .hessian import H, RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
@@ -75,8 +75,7 @@ class SigmaSample:
 
 
 def _coords_of_sources(sources: np.ndarray):
-    mats = np.stack([H(a) for a in sources])
-    return symspace.to_coords(mats)
+    return symspace.to_coords(H(sources))
 
 
 def sigma_from_sources(sources: np.ndarray, seed: int = -1,
@@ -117,7 +116,6 @@ def validate_graph(sigma: SigmaSample, cone: ConeParams,
     n = sigma.count
     if n < 2:
         return
-    lam2 = cone.lam**2
     ii, jj = np.triu_indices(n, k=1)
     for start in range(0, ii.size, chunk):
         sl = slice(start, min(start + chunk, ii.size))
@@ -126,12 +124,7 @@ def validate_graph(sigma: SigmaSample, cone: ConeParams,
         ds = np.abs(sigma.s[i_idx] - sigma.s[j_idx])
         mu = np.linalg.eigvalsh(symspace.embed_traceless(dz))
         t = (ds - tol)[:, None] / _SQRT_N
-        bad = np.zeros(i_idx.size, dtype=bool)
-        for sign in (1.0, -1.0):
-            shifted = sign * mu + t
-            p = np.sum(np.where(shifted > 0, shifted, 0.0), axis=-1)
-            q = np.sum(np.where(shifted < 0, -shifted, 0.0), axis=-1)
-            bad |= p >= lam2 * q
+        bad = _in_dual(mu + t, cone) | _in_dual(t - mu, cone)
         bad &= ds > tol  # coincident points are never violations
         if np.any(bad):
             k = int(np.nonzero(bad)[0][0])
@@ -223,14 +216,25 @@ def load_cache(path: str) -> SigmaSample:
 # the operator
 
 
-def _x_rows(dz: np.ndarray, cone: ConeParams, tol: float = SUPPORT_TOL):
-    """Support function on a flat stack of difference rows, chunked."""
-    out = np.empty(dz.shape[0])
-    for start in range(0, dz.shape[0], _EIG_CHUNK):
-        sl = slice(start, min(start + _EIG_CHUNK, dz.shape[0]))
-        mu = np.linalg.eigvalsh(symspace.embed_traceless(dz[sl]))
-        out[sl] = _support_from_eigs(mu, cone.lam, tol)
-    return out
+def _gauge_table(z: np.ndarray, sigma: SigmaSample, cone: ConeParams,
+                 reverse: bool = False):
+    """Gauge table x(z_e - z_i) over evaluation rows e and sample points i,
+    one eigensolve per pair in blocks of at most _EIG_CHUNK pairs.  With
+    reverse, also x(z_i - z_e) from the same spectra (negated, reversed);
+    otherwise the second table is None."""
+    n_eval, n_pts = z.shape[0], sigma.count
+    block = max(1, _EIG_CHUNK // n_pts)
+    fwd = np.empty((n_eval, n_pts))
+    rev = np.empty((n_eval, n_pts)) if reverse else None
+    for start in range(0, n_eval, block):
+        stop = min(start + block, n_eval)
+        dz = (z[start:stop, None, :] - sigma.z[None, :, :]).reshape(-1, 77)
+        mu = np.linalg.eigvalsh(symspace.embed_traceless(dz))
+        fwd[start:stop] = _gauge(mu, cone).reshape(stop - start, n_pts)
+        if reverse:
+            rev[start:stop] = _gauge(-mu[:, ::-1], cone).reshape(
+                stop - start, n_pts)
+    return fwd, rev
 
 
 def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
@@ -243,14 +247,8 @@ def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     zz = z[None, :] if single else z
-    n_eval, n_pts = zz.shape[0], sigma.count
-    block = max(1, _EIG_CHUNK // n_pts)
-    out = np.empty(n_eval)
-    for start in range(0, n_eval, block):
-        stop = min(start + block, n_eval)
-        dz = (zz[start:stop, None, :] - sigma.z[None, :, :]).reshape(-1, 77)
-        xs = _x_rows(dz, cone).reshape(stop - start, n_pts)
-        out[start:stop] = np.min(sigma.s[None, :] + xs, axis=1)
+    xs, _ = _gauge_table(zz, sigma, cone)
+    out = np.min(sigma.s[None, :] + xs, axis=1)
     return float(out[0]) if single else out
 
 
@@ -321,18 +319,7 @@ def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
     held = unit_sphere(rng_for(heldout_seed, STREAM_HELDOUT), heldout_count)
     zh, sh = _coords_of_sources(held)
 
-    n_pts = sigma.count
-    x_fwd = np.empty((heldout_count, n_pts))
-    x_rev = np.empty((heldout_count, n_pts))
-    block = max(1, _EIG_CHUNK // n_pts)
-    for start in range(0, heldout_count, block):
-        stop = min(start + block, heldout_count)
-        dz = (zh[start:stop, None, :] - sigma.z[None, :, :]).reshape(-1, 77)
-        mu = np.linalg.eigvalsh(symspace.embed_traceless(dz))
-        fwd = _support_from_eigs(mu, cone.lam)
-        rev = _support_from_eigs(-mu[:, ::-1], cone.lam)
-        x_fwd[start:stop] = fwd.reshape(stop - start, n_pts)
-        x_rev[start:stop] = rev.reshape(stop - start, n_pts)
+    x_fwd, x_rev = _gauge_table(zh, sigma, cone, reverse=True)
 
     max_abs = []
     for c in counts:
@@ -390,7 +377,7 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     """
     rng = rng_for(seed, STREAM_ELLIPTIC)
     base_pts = unit_sphere(rng, trials)
-    A = np.stack([H(a) for a in base_pts])
+    A = H(base_pts)
     half = trials // 2
     A[half:] = _random_sym(rng, trials - half, scale=1.5)
     E = _random_psd(rng, trials)
@@ -406,13 +393,9 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     shift = -FA[sel] / _SQRT_N
     level = A[sel] + shift[:, None, None] * np.eye(12)
     pool = sel.size
-    cone2 = ConeParams(2 * op.cone.lam)
     ii, jj = np.triu_indices(pool, k=1)
-    vals = np.linalg.eigvalsh(level[ii] - level[jj])
-    p = np.sum(np.where(vals > 0, vals, 0.0), axis=-1)
-    q = np.sum(np.where(vals < 0, -vals, 0.0), axis=-1)
-    lam2 = cone2.lam**2
-    ok = (p < lam2 * q) & (q < lam2 * p)
+    ok = in_L_ratio_batch(np.linalg.eigvalsh(level[ii] - level[jj]),
+                          ConeParams(2 * op.cone.lam))
     viol = [(int(a), int(b)) for a, b in zip(ii[~ok], jj[~ok])]
 
     lam_paper = 11.0 * RATIO_BOUND
@@ -442,7 +425,7 @@ def monotonicity_sweep(op: OperatorF, trials: int, seed: int,
         A = _random_sym(rng, b, scale=1.0)
         third = max(1, b // 3)
         pts = unit_sphere(rng, third)
-        A[:third] = np.stack([H(a) for a in pts])
+        A[:third] = H(pts)
         E = _random_psd(rng, b) * rng.uniform(0.0, 3.0, (b, 1, 1))
         diff = op.value(A + E) - op.value(A)
         worst = min(worst, float(np.min(diff)))

@@ -46,10 +46,3 @@ def fd_hessian_from_values(f, x, h: float = 1e-4) -> np.ndarray:
             out[i, j] = out[j, i] = v
     return out
 
-
-def fd_third_directional(hess_fn, x, g, h: float = FD_STEP) -> np.ndarray:
-    """Directional derivative of a Hessian field along g, by central
-    differences: returns the matrix (hess(x+hg) - hess(x-hg)) / 2h."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    return (hess_fn(x + h * g) - hess_fn(x - h * g)) / (2.0 * h)

@@ -185,10 +185,9 @@ def test_zero_level_curve_monotone(sigma):
 def test_ellipticity_probe_small(op):
     rep = ellipticity_probe(op, 24, 5)
     assert rep.passed, rep
-    # slope measured by finite difference at t = 1e-3, so rounding in the
-    # F values shows up at the 1e-9 scale; the exact translation identity
-    # is pinned separately above
-    assert rep.identity_slope == pytest.approx(SQ, abs=1e-7)
+    # F(A + tI) - F(A) = sqrt(12) t exactly, and the gauge is exact, so the
+    # difference quotient at t = 1e-3 is off only by rounding in the F values
+    assert rep.identity_slope == pytest.approx(SQ, abs=1e-10)
     assert rep.slope_min >= -1e-9
     assert rep.slope_max <= rep.paper_chain_bound
     assert rep.level_violations == []
