@@ -27,7 +27,7 @@ import numpy as np
 from .cones import ConeParams, cone_condition
 from .cubic import (spectrum_sweep, strata_directions, verify_cor2,
                     direction_spectrum, direction_from, perp_sweep,
-                    cubic_roots_check, cor4_check, invariants_mn)
+                    cubic_roots_check, cor4_check, invariants_mn, band_slack)
 from .elliptic import (build_sigma, OperatorF, zero_level_curve,
                        ellipticity_probe, monotonicity_sweep, viscosity_probe,
                        operator_cone, load_cache, CacheError, GraphError)
@@ -206,13 +206,7 @@ def spectral_suite(cfg: RunConfig) -> dict:
                                   "direction": (dirs[wit_idx] if wit_idx >= 0
                                                 else strata[-1 - wit_idx])}))
 
-    band_tol = 1e-9
-    lam = np.concatenate([vals_r, vals_s])
-    slack = np.min(np.stack([
-        2.0 + band_tol - lam[:, 0], lam[:, 3] - 1.0 + band_tol,
-        -1.0 + band_tol - lam[:, 8], lam[:, 11] + 2.0 + band_tol,
-        lam[:, 0] - np.sqrt(3.0) + band_tol,
-        -np.sqrt(3.0) + band_tol - lam[:, 11]]), axis=0)
+    slack = band_slack(np.concatenate([vals_r, vals_s]))
     k = int(np.argmin(slack))
     checks.append(_check("eigenvalue_bands", bool(np.all(slack >= 0)),
                          float(slack.min()), witness={"index": k}))
@@ -332,12 +326,17 @@ def hessian_suite(cfg: RunConfig) -> dict:
                           "ratio": cfg.ratio_pairs, "third": cfg.third_count}})
 
 
-def operator_suite(cfg: RunConfig) -> dict:
-    checks = []
+def _policy_cone(cfg: RunConfig):
+    """(M_hat, operator cone) from the pair-ratio estimate and the policy."""
     m_hat, _, _ = ratio_bound_estimate(rng_for(cfg.seed, STREAM_HESSIAN),
                                        min(cfg.ratio_pairs, 100_000))
-    cone = operator_cone(cfg.lambda_policy,
-                         None if cfg.lambda_policy == "paper" else m_hat)
+    return m_hat, operator_cone(
+        cfg.lambda_policy, None if cfg.lambda_policy == "paper" else m_hat)
+
+
+def operator_suite(cfg: RunConfig) -> dict:
+    checks = []
+    m_hat, cone = _policy_cone(cfg)
 
     sigma = build_sigma(cfg.sigma_count, cfg.seed, cone,
                         cache_path=os.path.join(cfg.out, "sigma.cache"))
@@ -375,8 +374,7 @@ def operator_suite(cfg: RunConfig) -> dict:
                          mono_worst))
 
     vr = viscosity_probe(op, max(2, cfg.viscosity_trials // 5), cfg.seed)
-    checks.append(_check("viscosity_spot",
-                         vr.minorant_violations == 0 and vr.majorant_violations == 0,
+    checks.append(_check("viscosity_spot", vr.passed,
                          {"minorant_max_F": vr.minorant_max_F,
                           "majorant_min_F": vr.majorant_min_F}))
 
@@ -399,10 +397,7 @@ def viscosity_suite(cfg: RunConfig) -> dict:
             raise CacheError("cached sample has no usable aperture")
         cone = ConeParams(lam)
     else:
-        m_hat, _, _ = ratio_bound_estimate(rng_for(cfg.seed, STREAM_HESSIAN),
-                                           min(cfg.ratio_pairs, 100_000))
-        cone = operator_cone(cfg.lambda_policy,
-                             None if cfg.lambda_policy == "paper" else m_hat)
+        _, cone = _policy_cone(cfg)
         sigma = build_sigma(cfg.sigma_count, cfg.seed, cone, cache_path=cache)
     op = OperatorF(sigma, cone)
     vr = viscosity_probe(op, cfg.viscosity_trials, cfg.seed)

@@ -34,6 +34,7 @@ from . import symspace
 from .eigen import eigvalsh_desc
 
 _SQRT_N = np.sqrt(12.0)
+EIG_CHUNK = 200_000  # rows per batched 12x12 eigensolve (~230 MB of matrices)
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,7 @@ class ConeConditionReport:
         return not self.violations
 
 
-def cone_condition(mats: np.ndarray, cone: ConeParams,
-                   chunk: int = 200000) -> ConeConditionReport:
+def cone_condition(mats: np.ndarray, cone: ConeParams) -> ConeConditionReport:
     """All pairwise differences of a matrix family must lie in L(lam).
 
     mats: (count, 12, 12) symmetric.  Reports every violating index pair.
@@ -142,8 +142,8 @@ def cone_condition(mats: np.ndarray, cone: ConeParams,
     count = mats.shape[0]
     ii, jj = np.triu_indices(count, k=1)
     violations = []
-    for start in range(0, ii.size, chunk):
-        sl = slice(start, min(start + chunk, ii.size))
+    for start in range(0, ii.size, EIG_CHUNK):
+        sl = slice(start, min(start + EIG_CHUNK, ii.size))
         diffs = mats[ii[sl]] - mats[jj[sl]]
         ok = in_L_ratio_batch(np.linalg.eigvalsh(diffs), cone)
         if not np.all(ok):

@@ -22,6 +22,7 @@ from .quaternions import matrix_M, qmul, qnorm
 
 DIRECTION_NORM_SQ = 3.0
 NORM_TOL = 1e-12
+SLACK_TOL = 1e-9  # allowance on each band bound and growth bound
 
 
 def eval_P(v) -> np.ndarray:
@@ -119,16 +120,22 @@ def spectrum_closed_form(m, n) -> np.ndarray:
     the degenerate strata if done in float64.  Pass longdouble m, n (see
     invariants_mn) to get the full benefit.
     """
+    return _closed_rows(m, n).astype(float)
+
+
+def _closed_rows(m, n) -> np.ndarray:
+    """The twelve closed-form roots at invariants (m, n), descending, in
+    longdouble; m and n share any leading shape, which gains a last axis."""
     ld = np.longdouble
-    m = np.clip(ld(m), ld(-1), ld(1))
-    n = np.clip(ld(n), ld(-1), ld(1))
-    alpha = np.arccos(m)
-    beta = np.arccos(n)
+    m = np.clip(np.asarray(m, dtype=ld), ld(-1), ld(1))[..., None]
+    n = np.clip(np.asarray(n, dtype=ld), ld(-1), ld(1))[..., None]
     pi = ld(np.pi)
-    singles = 2.0 * np.cos(alpha / 3.0 + pi * np.arange(6, dtype=ld) / 3.0)
-    doubles = 2.0 * np.cos(beta / 3.0 + pi * (2 * np.arange(3, dtype=ld) + 1) / 3.0)
-    vals = np.concatenate([singles, np.repeat(doubles, 2)])
-    return np.sort(vals)[::-1].astype(float)
+    singles = 2.0 * np.cos(np.arccos(m) / 3.0
+                           + pi * np.arange(6, dtype=ld) / 3.0)
+    doubles = 2.0 * np.cos(np.arccos(n) / 3.0
+                           + pi * (2 * np.arange(3, dtype=ld) + 1) / 3.0)
+    vals = np.concatenate([singles, np.repeat(doubles, 2, axis=-1)], axis=-1)
+    return np.sort(vals, axis=-1)[..., ::-1]
 
 
 def invariants_mn(dirs: np.ndarray):
@@ -147,21 +154,7 @@ def invariants_mn(dirs: np.ndarray):
     na2, nb2, nc2 = (a * a).sum(-1), (b * b).sum(-1), (c * c).sum(-1)
     t = np.sqrt((na2 + nb2 + nc2) / 3.0)
     m = np.sqrt(na2 * nb2 * nc2)
-    ab = np.stack(
-        [
-            a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3],
-            a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0] + a[..., 2] * b[..., 3] - a[..., 3] * b[..., 2],
-            a[..., 0] * b[..., 2] - a[..., 1] * b[..., 3] + a[..., 2] * b[..., 0] + a[..., 3] * b[..., 1],
-            a[..., 0] * b[..., 3] + a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1] + a[..., 3] * b[..., 0],
-        ],
-        axis=-1,
-    )
-    n = (
-        ab[..., 0] * c[..., 0]
-        - ab[..., 1] * c[..., 1]
-        - ab[..., 2] * c[..., 2]
-        - ab[..., 3] * c[..., 3]
-    )
+    n = qmul(qmul(a, b), c)[..., 0]
     t3 = t ** 3
     return m / t3, n / t3, t
 
@@ -227,26 +220,31 @@ def spectrum_sweep(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mats = q_matrix(dirs)
     vals = eigvalsh_desc(mats)
     m, n, t = invariants_mn(dirs)
-    ld = np.longdouble
-    m = np.clip(m, ld(-1), ld(1))
-    n = np.clip(n, ld(-1), ld(1))
-    k6 = ld(np.pi) * np.arange(6, dtype=ld) / 3.0
-    k3 = ld(np.pi) * (2 * np.arange(3, dtype=ld) + 1) / 3.0
-    singles = 2.0 * np.cos(np.arccos(m)[:, None] / 3.0 + k6[None, :])
-    doubles = 2.0 * np.cos(np.arccos(n)[:, None] / 3.0 + k3[None, :])
-    closed = np.concatenate([singles, np.repeat(doubles, 2, axis=1)], axis=1)
-    closed = t[:, None] * np.sort(closed, axis=1)[:, ::-1]
-    return vals, closed.astype(float)
+    return vals, (t[:, None] * _closed_rows(m, n)).astype(float)
 
 
-def verify_cor2(report: SpectralReport, tol: float = 1e-9) -> dict:
+def band_slack(vals) -> np.ndarray:
+    """Worst slack of the band bounds per descending spectrum row:
+    2 >= l1, l4 >= 1, -1 >= l9, l12 >= -2, l1 >= sqrt(3), l12 <= -sqrt(3),
+    each allowed SLACK_TOL.  Nonnegative iff every bound holds."""
+    lam = np.asarray(vals, dtype=float)
+    tol = SLACK_TOL
+    return np.min(np.stack([
+        2.0 + tol - lam[..., 0], lam[..., 3] - 1.0 + tol,
+        -1.0 + tol - lam[..., 8], lam[..., 11] + 2.0 + tol,
+        lam[..., 0] - np.sqrt(3.0) + tol,
+        -np.sqrt(3.0) + tol - lam[..., 11]]), axis=0)
+
+
+def verify_cor2(report: SpectralReport) -> dict:
     """Ordering and band bounds on a direction spectrum.
 
     Checks: 2 >= l1 >= l2 >= l3 >= l4 >= 1, -1 >= l9 >= ... >= l12 >= -2,
-    l1 >= sqrt(3), l12 <= -sqrt(3).  Returns a dict of booleans plus the
-    worst slack.
+    l1 >= sqrt(3), l12 <= -sqrt(3), each allowed SLACK_TOL.  Returns a dict
+    of booleans plus the worst slack (band_slack).
     """
     lam = report.eigenvalues
+    tol = SLACK_TOL
     checks = {
         "descending": bool(np.all(np.diff(lam) <= tol)),
         "top_band": bool(lam[0] <= 2.0 + tol and lam[3] >= 1.0 - tol),
@@ -254,16 +252,8 @@ def verify_cor2(report: SpectralReport, tol: float = 1e-9) -> dict:
         "top_sqrt3": bool(lam[0] >= np.sqrt(3.0) - tol),
         "bottom_sqrt3": bool(lam[11] <= -np.sqrt(3.0) + tol),
     }
-    worst = min(
-        2.0 + tol - lam[0],
-        lam[3] - 1.0 + tol,
-        -1.0 + tol - lam[8],
-        lam[11] + 2.0 + tol,
-        lam[0] - np.sqrt(3.0) + tol,
-        -np.sqrt(3.0) + tol - lam[11],
-    )
     checks["passed"] = all(v for k, v in checks.items())
-    checks["worst_slack"] = float(worst)
+    checks["worst_slack"] = float(band_slack(lam))
     return checks
 
 
@@ -332,14 +322,14 @@ def cubic_roots_check(m: float) -> np.ndarray:
     return np.sort(roots)[::-1]
 
 
-def cor4_check(u, v, tol: float = 1e-9) -> dict:
+def cor4_check(u, v) -> dict:
     """Two-sided growth bound for the cubic form between sphere points.
 
     For u, v on the sphere of radius sqrt(3), with d = sqrt(3)(u-v)/|u-v|:
 
         3 sqrt(3) l10(d) |u-v| / 4  <=  P(u) - P(v)  <=  3 sqrt(3) l3(d) |u-v| / 4
 
-    Returns the two slacks and a pass flag.
+    Returns the two slacks and a pass flag (each bound allowed SLACK_TOL).
     """
     u = np.asarray(u, dtype=float).reshape(12)
     v = np.asarray(v, dtype=float).reshape(12)
@@ -356,7 +346,7 @@ def cor4_check(u, v, tol: float = 1e-9) -> dict:
     scale = 3.0 * np.sqrt(3.0) * gap / 4.0
     lower, upper = scale * l10, scale * l3
     return {
-        "passed": bool(lower - tol <= diff <= upper + tol),
+        "passed": bool(lower - SLACK_TOL <= diff <= upper + SLACK_TOL),
         "lower_slack": diff - lower,
         "upper_slack": upper - diff,
         "l3": l3,

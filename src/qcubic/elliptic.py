@@ -29,18 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symspace
-from .cones import ConeParams, _gauge, _in_dual, in_L_ratio_batch
+from .cones import (EIG_CHUNK, _SQRT_N, ConeParams, _gauge, _in_dual,
+                    in_L_ratio_batch)
 from .hessian import H, RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
 
 GRAPH_TOL = 1e-8
 MINORANT_MARGIN = 1e-6
+VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
 CACHE_MAGIC = "qcubic-sigma-cache"
 CACHE_VERSION = 1
-_SQRT_N = np.sqrt(12.0)
-# chunk size for batched 12x12 eigensolves (~230 MB of stacked matrices)
-_EIG_CHUNK = 200_000
 
 
 class CacheError(RuntimeError):
@@ -104,9 +103,8 @@ def build_sigma(count: int, seed: int, cone: ConeParams,
     return sig
 
 
-def validate_graph(sigma: SigmaSample, cone: ConeParams,
-                   tol: float = GRAPH_TOL, chunk: int = _EIG_CHUNK) -> None:
-    """Check |s_i - s_j| <= x(z_i - z_j) + tol over all ordered pairs.
+def validate_graph(sigma: SigmaSample, cone: ConeParams) -> None:
+    """Check |s_i - s_j| <= x(z_i - z_j) + GRAPH_TOL over all ordered pairs.
 
     Uses the membership form of the bound: x(dz) > t iff the spectrum of
     embed(dz) shifted by t/sqrt(12) still fails the dual-cone p/q test, so
@@ -117,15 +115,15 @@ def validate_graph(sigma: SigmaSample, cone: ConeParams,
     if n < 2:
         return
     ii, jj = np.triu_indices(n, k=1)
-    for start in range(0, ii.size, chunk):
-        sl = slice(start, min(start + chunk, ii.size))
+    for start in range(0, ii.size, EIG_CHUNK):
+        sl = slice(start, min(start + EIG_CHUNK, ii.size))
         i_idx, j_idx = ii[sl], jj[sl]
         dz = sigma.z[i_idx] - sigma.z[j_idx]
         ds = np.abs(sigma.s[i_idx] - sigma.s[j_idx])
         mu = np.linalg.eigvalsh(symspace.embed_traceless(dz))
-        t = (ds - tol)[:, None] / _SQRT_N
+        t = (ds - GRAPH_TOL)[:, None] / _SQRT_N
         bad = _in_dual(mu + t, cone) | _in_dual(t - mu, cone)
-        bad &= ds > tol  # coincident points are never violations
+        bad &= ds > GRAPH_TOL  # coincident points are never violations
         if np.any(bad):
             k = int(np.nonzero(bad)[0][0])
             raise GraphError(
@@ -219,11 +217,11 @@ def load_cache(path: str) -> SigmaSample:
 def _gauge_table(z: np.ndarray, sigma: SigmaSample, cone: ConeParams,
                  reverse: bool = False):
     """Gauge table x(z_e - z_i) over evaluation rows e and sample points i,
-    one eigensolve per pair in blocks of at most _EIG_CHUNK pairs.  With
+    one eigensolve per pair in blocks of at most EIG_CHUNK pairs.  With
     reverse, also x(z_i - z_e) from the same spectra (negated, reversed);
     otherwise the second table is None."""
     n_eval, n_pts = z.shape[0], sigma.count
-    block = max(1, _EIG_CHUNK // n_pts)
+    block = max(1, EIG_CHUNK // n_pts)
     fwd = np.empty((n_eval, n_pts))
     rev = np.empty((n_eval, n_pts)) if reverse else None
     for start in range(0, n_eval, block):
@@ -408,13 +406,13 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
         paper_chain_bound=float(4 * lam_paper**2 * np.sqrt(12.0)))
 
 
-def monotonicity_sweep(op: OperatorF, trials: int, seed: int,
-                       tol: float = 1e-9) -> float:
+def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:
     """Worst value of F(A+E) - F(A) over random A and full-size psd E.
 
     Nonnegative up to roundoff: the increment's trace part dominates its
     cone modulus for psd E, and g_tilde is 1-Lipschitz in that modulus.
-    Returns the worst difference (acceptance wants >= -tol).
+    Returns the worst difference; the caller sets the roundoff allowance
+    (the CLI and the acceptance sweep want >= -1e-9).
     """
     rng = rng_for(seed, STREAM_ELLIPTIC)
     worst = np.inf
@@ -448,10 +446,26 @@ class ViscosityReport:
         return self.minorant_violations == 0 and self.majorant_violations == 0
 
 
+def _lift_sizes(verif: np.ndarray, wv: np.ndarray, bases: np.ndarray,
+                hb: np.ndarray):
+    """Lift sizes (down, up) per trial k: the max of T_k - w and of w - T_k
+    over the verification points (w = wv there) and bases[k], plus
+    MINORANT_MARGIN, where T_k(x) = x.hb[k].x / 2.  One GEMM evaluates every
+    T_k at every point; its (points, trials) table dies with this frame,
+    before the caller builds the operator's gauge table."""
+    n = verif.shape[0]
+    excess = (verif[:, :, None] * verif[:, None, :]).reshape(n, 144) \
+        @ hb.reshape(-1, 144).T
+    excess *= 0.5
+    excess -= wv[:, None]
+    at_base = 0.5 * np.einsum("ni,nij,nj->n", bases, hb, bases) - eval_w(bases)
+    down = np.maximum(excess.max(axis=0), at_base) + MINORANT_MARGIN
+    up = np.maximum(-excess.min(axis=0), -at_base) + MINORANT_MARGIN
+    return down, up
+
+
 def viscosity_probe(op: OperatorF, trials: int, seed: int,
-                    verification_count: int = 10_000,
-                    margin: float = MINORANT_MARGIN,
-                    tol: float = 1e-6) -> ViscosityReport:
+                    verification_count: int = 10_000) -> ViscosityReport:
     """One-sided quadratic comparison at the Hessian level.
 
     Every trial takes a base point x' and the quadratic form with matrix
@@ -459,9 +473,10 @@ def viscosity_probe(op: OperatorF, trials: int, seed: int,
     x' collapses to exactly that form, so one-sidedness against w reduces
     to the unit sphere.  The form is then pushed strictly one-sided by an
     identity shift sized from a dense sphere verification sample (which
-    always contains x' and the graph sources), plus margin; half the
-    trials add a random psd tilt on the safe side.  Minorants must report
-    F <= tol, majorants F >= -tol.
+    always contains x' and the graph sources), plus MINORANT_MARGIN; half
+    the trials add a random psd tilt on the safe side.  All trials are
+    lifted at once (_lift_sizes).  Minorants must report F <=
+    VISCOSITY_TOL, majorants F >= -VISCOSITY_TOL.
 
     The majorant lift is never small: the verification max of w - T is at
     least half the top eigenvalue gap of D2w(x'), which the spectral band
@@ -471,7 +486,6 @@ def viscosity_probe(op: OperatorF, trials: int, seed: int,
     rng = rng_for(seed, STREAM_VISCOSITY)
     sphere = unit_sphere(rng, verification_count)
     verif = np.concatenate([sphere, op.sigma.sources], axis=0)
-    wv = eval_w(verif)
 
     n_half = trials // 2
     bases = unit_sphere(rng, trials)
@@ -480,28 +494,17 @@ def viscosity_probe(op: OperatorF, trials: int, seed: int,
     idx = rng.integers(0, op.sigma.count, n_half)
     bases[:n_half] = op.sigma.sources[idx]
 
-    minorants = np.empty((trials, 12, 12))
-    majorants = np.empty((trials, 12, 12))
     tilts = _random_psd(rng, trials) * rng.uniform(0.0, 0.5, (trials, 1, 1))
     tilt_on = rng.uniform(size=trials) < 0.5
-    for k in range(trials):
-        base = hess_w(bases[k])
-        pts = np.concatenate([verif, bases[k][None]], axis=0)
-        tvals = 0.5 * np.einsum("ni,ij,nj->n", pts, base, pts)
-        wvals = np.concatenate([wv, eval_w(bases[k])[None]])
-        down = np.max(tvals - wvals) + margin   # >= margin: base touches at x'
-        up = np.max(wvals - tvals) + margin
-        minorants[k] = base - 2.0 * down * np.eye(12)
-        majorants[k] = base + 2.0 * up * np.eye(12)
-        if tilt_on[k]:
-            minorants[k] -= tilts[k]
-            majorants[k] += tilts[k]
-    F_min = op.value(minorants)
-    F_maj = op.value(majorants)
+    tilts[~tilt_on] = 0.0
+    hb = hess_w(bases)
+    down, up = _lift_sizes(verif, eval_w(verif), bases, hb)
+    F_min = op.value(hb - 2.0 * down[:, None, None] * np.eye(12) - tilts)
+    F_maj = op.value(hb + 2.0 * up[:, None, None] * np.eye(12) + tilts)
     return ViscosityReport(
-        trials=trials, margin=margin,
+        trials=trials, margin=MINORANT_MARGIN,
         verification_count=int(verif.shape[0]),
         minorant_max_F=float(np.max(F_min)),
         majorant_min_F=float(np.min(F_maj)),
-        minorant_violations=int(np.sum(F_min > tol)),
-        majorant_violations=int(np.sum(F_maj < -tol)))
+        minorant_violations=int(np.sum(F_min > VISCOSITY_TOL)),
+        majorant_violations=int(np.sum(F_maj < -VISCOSITY_TOL)))

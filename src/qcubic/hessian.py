@@ -25,6 +25,8 @@ THIRD_DERIVATIVE_BOUND = 32.0
 
 MIN_RADIUS = 1e-12
 MIN_SEPARATION = 1e-9
+THIRD_FD_STEP = 1e-5    # central-difference step of third_derivative_sweep
+RATIO_CHUNK = 20_000    # pairs drawn per block by ratio_bound_estimate
 
 
 class WitnessError(RuntimeError):
@@ -194,11 +196,11 @@ def witness_sweep(a_pts: np.ndarray, b_pts: np.ndarray):
     return slacks[0] - thresh, -thresh - slacks[1]
 
 
-def third_derivative_sweep(rng: np.random.Generator, samples: int,
-                           h: float = 1e-5) -> np.ndarray:
+def third_derivative_sweep(rng: np.random.Generator,
+                           samples: int) -> np.ndarray:
     """|w_efg| at random unit points along random unit directions.
 
-    Central difference of the closed-form Hessian:
+    Central difference of the closed-form Hessian, h = THIRD_FD_STEP:
         w_efg(x) ~ e^T (hess_w(x + h g) - hess_w(x - h g)) e_f / 2h.
     Returns the sampled absolute values (all should be <= 32).
     """
@@ -210,23 +212,23 @@ def third_derivative_sweep(rng: np.random.Generator, samples: int,
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     g = rng.standard_normal((samples, 12))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    hp = hess_w(x + h * g)
-    hm = hess_w(x - h * g)
-    vals = np.einsum("ni,nij,nj->n", e, hp - hm, f) / (2.0 * h)
+    step = THIRD_FD_STEP * g
+    diff = hess_w(x + step) - hess_w(x - step)
+    vals = np.einsum("ni,nij,nj->n", e, diff, f) / (2.0 * THIRD_FD_STEP)
     return np.abs(vals)
 
 
-def ratio_bound_estimate(rng: np.random.Generator, pairs: int, chunk: int = 20000):
+def ratio_bound_estimate(rng: np.random.Generator, pairs: int):
     """Empirical pinch of the Hessian-difference eigenvalue ratio.
 
-    Draws random unit pairs, filters separations below 1e-9 (none in
-    practice), and returns (M_hat, r_min, r_max) where r = -mu1/mu12 and
-    M_hat = max(r_max, 1/r_min).
+    Draws random unit pairs in blocks of RATIO_CHUNK, filters separations
+    below 1e-9 (none in practice), and returns (M_hat, r_min, r_max) where
+    r = -mu1/mu12 and M_hat = max(r_max, 1/r_min).
     """
     r_min, r_max = np.inf, 0.0
     done = 0
     while done < pairs:
-        k = min(chunk, pairs - done)
+        k = min(RATIO_CHUNK, pairs - done)
         a = rng.standard_normal((k, 12))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = rng.standard_normal((k, 12))

@@ -13,9 +13,11 @@ DEGENERATE_NORM = 1e-12
 
 
 def qmul(p, q) -> np.ndarray:
-    """Hamilton product of two quaternions (broadcasting on leading axes)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    """Hamilton product of two quaternions (broadcasting on leading axes),
+    in the wider of float64 and the inputs' float type (longdouble stays)."""
+    p, q = np.asarray(p), np.asarray(q)
+    dtype = np.result_type(p, q, float)
+    p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)
     p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return np.stack(

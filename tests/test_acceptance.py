@@ -1,10 +1,14 @@
 """Acceptance sweep.
 
 One test per acceptance item, each at its stated tolerance and sample
-count, so ``pytest -v`` prints exactly one pass/fail line per item.  The
-module-scoped fixtures hold the two expensive shared objects (the pair
-ratio estimate over 1e5 pairs and the 2000-point graph sample) so the
-whole file runs in a few minutes.
+count, so ``pytest -v`` prints exactly one pass/fail line per item.  Items
+1-6 and 12 assert on the named checks of the CLI's own suites: one
+spectral and one Hessian suite report at the default RunConfig (seed 42),
+whose default counts, streams and tolerances are exactly those items'
+(each item also asserts the counts it relies on).  The module-scoped
+fixtures hold those two reports and the 2000-point graph sample, built at
+the aperture from the Hessian suite's M_hat, so the whole file runs in a
+few minutes.
 
 Item 13 (the deliberately corrupted build) is asserted exactly as
 promised: the corruption must trip BOTH the closed-form spectrum check
@@ -19,122 +23,101 @@ import numpy as np
 import pytest
 
 import qcubic.cubic as cubic_mod
+from qcubic.cli import RunConfig, hessian_suite, spectral_suite
 from qcubic.cones import ConeParams, cone_condition, support_x
-from qcubic.cubic import spectrum_sweep, strata_directions, perp_sweep
+from qcubic.cubic import spectrum_sweep
 from qcubic.elliptic import (build_sigma, OperatorF, zero_level_curve,
                              monotonicity_sweep, viscosity_probe,
                              operator_cone)
-from qcubic.hessian import (H, eval_w, grad_w, hess_w, witness_sweep,
-                            pair_ratio_sweep, third_derivative_sweep,
-                            ratio_bound_estimate, RATIO_BOUND,
-                            THIRD_DERIVATIVE_BOUND)
-from qcubic.numdiff import fd_gradient, fd_jacobian
+from qcubic.hessian import H, ratio_bound_estimate, RATIO_BOUND
 from qcubic.quaternions import matrix_M as _true_matrix_M
-from qcubic.sampling import (rng_for, unit_sphere, directions,
-                             STREAM_SPECTRAL, STREAM_PERP, STREAM_HESSIAN,
-                             STREAM_WITNESS, STREAM_THIRD, STREAM_CONE,
-                             STREAM_FDCHECK)
+from qcubic.sampling import (rng_for, directions, STREAM_SPECTRAL,
+                             STREAM_HESSIAN, STREAM_CONE)
 
 SEED = 42
 SQ12 = np.sqrt(12.0)
 
 
+def _check(report, name):
+    """The named check of a suite report."""
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
 @pytest.fixture(scope="module")
-def spectra():
-    """10^4 random directions plus all four degenerate strata, timed."""
-    dirs = directions(rng_for(SEED, STREAM_SPECTRAL), 10_000)
-    strata = strata_directions(rng_for(SEED, STREAM_SPECTRAL + 100), 50)
+def spectral():
+    """Spectral suite: 10^4 random directions plus all four degenerate
+    strata, 10^5 compression samples; returns (report, seconds taken)."""
     t0 = time.perf_counter()
-    vals_r, closed_r = spectrum_sweep(dirs)
-    vals_s, closed_s = spectrum_sweep(strata)
-    elapsed = time.perf_counter() - t0
-    return {
-        "vals": np.concatenate([vals_r, vals_s]),
-        "closed": np.concatenate([closed_r, closed_s]),
-        "elapsed": elapsed,
-    }
+    report = spectral_suite(RunConfig(seed=SEED))
+    return report, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def ratio_data():
-    """Pinch estimate over 1e5 random pairs plus 500 antipodal pairs."""
-    m_hat, r_min, r_max = ratio_bound_estimate(
-        rng_for(SEED, STREAM_HESSIAN), 100_000)
-    anti = unit_sphere(rng_for(SEED, STREAM_HESSIAN + 300), 500)
-    rows = pair_ratio_sweep(anti, -anti)
-    r_min = min(r_min, float(rows[:, 2].min()))
-    r_max = max(r_max, float(rows[:, 2].max()))
-    return {"m_hat": max(m_hat, r_max, 1.0 / r_min),
-            "r_min": r_min, "r_max": r_max}
+def hessian():
+    """Hessian suite: 10^3 FD points, 10^5 witness pairs, the pinch
+    estimate over 10^5 random pairs plus 500 antipodal pairs, 10^4 third
+    derivative samples."""
+    return hessian_suite(RunConfig(seed=SEED))
 
 
 @pytest.fixture(scope="module")
-def sigma2000(ratio_data):
-    cone = operator_cone("empirical", ratio_data["m_hat"])
+def sigma2000(hessian):
+    cone = operator_cone("empirical", hessian["constants"]["M_hat"])
     return build_sigma(2000, SEED, cone), cone
 
 
-def test_a01_closed_form_spectrum_oracle(spectra):
-    worst = float(np.max(np.abs(spectra["vals"] - spectra["closed"])))
-    assert worst <= 1e-8, "max eigenvalue mismatch %.3e over 1e-8" % worst
-    assert spectra["elapsed"] < 30.0, \
-        "sweep took %.1fs (budget 30s)" % spectra["elapsed"]
+def test_a01_closed_form_spectrum_oracle(spectral):
+    report, elapsed = spectral
+    assert report["counts"]["directions"] == 10_000
+    assert report["counts"]["strata"] == 200
+    assert report["constants"]["spectrum_tolerance"] == 1e-8
+    check = _check(report, "closed_form_spectrum")
+    assert check["passed"], \
+        "max eigenvalue mismatch %.3e over 1e-8" % check["worst"]
+    assert elapsed < 30.0, "spectral suite took %.1fs (budget 30s)" % elapsed
 
 
-def test_a02_eigenvalue_band_bounds(spectra):
-    lam, tol = spectra["vals"], 1e-9
-    slack = np.min(np.stack([
-        2.0 + tol - lam[:, 0], lam[:, 3] - 1.0 + tol,
-        -1.0 + tol - lam[:, 8], lam[:, 11] + 2.0 + tol,
-        lam[:, 0] - np.sqrt(3.0) + tol,
-        -np.sqrt(3.0) + tol - lam[:, 11]]), axis=0)
-    assert np.all(slack >= 0.0), \
+def test_a02_eigenvalue_band_bounds(spectral):
+    check = _check(spectral[0], "eigenvalue_bands")
+    assert check["passed"], \
         "band violation, worst slack %.3e at sample %d" % (
-            slack.min(), int(np.argmin(slack)))
+            check["worst"], check["witness"]["index"])
 
 
-def test_a03_complement_compression_ratio():
-    rows = perp_sweep(directions(rng_for(SEED, STREAM_PERP), 100_000))
-    ratios = np.maximum(rows[:, 2] / rows[:, 0], rows[:, 3] / rows[:, 1])
-    delta_hat = float(np.max(ratios))
-    assert delta_hat < 1.5, "delta_hat = %.4f" % delta_hat
-    print("a03 delta_hat = %.4f" % delta_hat)
+def test_a03_complement_compression_ratio(spectral):
+    assert spectral[0]["counts"]["perp"] == 100_000
+    check = _check(spectral[0], "compression_ratio")
+    assert check["passed"], "delta_hat = %.4f" % check["worst"]
+    print("a03 delta_hat = %.4f" % check["worst"])
 
 
-def test_a04_witness_slopes():
-    rng = rng_for(SEED, STREAM_WITNESS)
-    worst = np.inf
-    done = 0
-    while done < 100_000:
-        k = min(20_000, 100_000 - done)
-        a = unit_sphere(rng, k)
-        b = unit_sphere(rng, k)
-        keep = np.linalg.norm(a - b, axis=1) >= 1e-6
-        top, bottom = witness_sweep(a[keep], b[keep])
-        worst = min(worst, float(top.min()), float(bottom.min()))
-        done += k
-    assert worst >= -1e-9, "worst witness slack %.3e" % worst
+def test_a04_witness_slopes(hessian):
+    assert hessian["counts"]["witness"] == 100_000
+    check = _check(hessian, "witness_slopes")
+    assert check["passed"], "worst witness slack %.3e" % check["worst"]
 
 
-def test_a05_pair_ratio_pinch(ratio_data):
-    r_min, r_max = ratio_data["r_min"], ratio_data["r_max"]
+def test_a05_pair_ratio_pinch(hessian):
+    assert hessian["counts"]["ratio"] == 100_000
+    check = _check(hessian, "pair_ratio_pinch")
+    r_min, r_max = check["worst"]["r_min"], check["worst"]["r_max"]
     print("a05 ratio extremes: [%.6f, %.6f]" % (r_min, r_max))
-    assert r_max <= RATIO_BOUND, "r_max %.4f over bound" % r_max
-    assert r_min >= 1.0 / RATIO_BOUND, "r_min %.3e under bound" % r_min
+    assert check["passed"], \
+        "ratio extremes [%.4e, %.4f] leave [1/B, B], B = %.4f" % (
+            r_min, r_max, RATIO_BOUND)
 
 
-def test_a06_third_derivative_bound():
-    vals = third_derivative_sweep(rng_for(SEED, STREAM_THIRD), 10_000)
-    worst = float(np.max(vals))
-    assert worst <= THIRD_DERIVATIVE_BOUND + 1e-3, \
-        "third derivative sample %.4f over %.1f" % (
-            worst, THIRD_DERIVATIVE_BOUND)
+def test_a06_third_derivative_bound(hessian):
+    assert hessian["counts"]["third"] == 10_000
+    check = _check(hessian, "third_derivative")
+    assert check["passed"], \
+        "third derivative sample %.4f over 32" % check["worst"]
 
 
-def test_a07_pairwise_cone_condition(sigma2000, ratio_data):
+def test_a07_pairwise_cone_condition(sigma2000, hessian):
     sigma, _ = sigma2000
     mats = np.stack([H(a) for a in sigma.sources[:500]])
-    for lam in (11.0 * ratio_data["m_hat"], 11.0 * RATIO_BOUND):
+    for lam in (11.0 * hessian["constants"]["M_hat"], 11.0 * RATIO_BOUND):
         rep = cone_condition(mats, ConeParams(lam))
         assert rep.passed, \
             "lam=%.3f: %d violating pairs, first %s" % (
@@ -198,21 +181,13 @@ def test_a11_viscosity_quadratics(sigma2000):
         "touching majorant with F = %.3e < -1e-6" % rep.majorant_min_F
 
 
-def test_a12_finite_difference_oracles():
-    rng = rng_for(SEED, STREAM_FDCHECK)
-    pts = unit_sphere(rng, 1000) * rng.uniform(0.5, 2.0, (1000, 1))
-    worst_g = worst_h = 0.0
-    for x in pts:
-        g = grad_w(x)
-        gf = fd_gradient(eval_w, x)
-        worst_g = max(worst_g, float(np.max(np.abs(g - gf))
-                                     / max(1.0, np.max(np.abs(g)))))
-        hm = hess_w(x)
-        hf = fd_jacobian(grad_w, x)
-        worst_h = max(worst_h, float(np.max(np.abs(hm - 0.5 * (hf + hf.T)))
-                                     / max(1.0, np.max(np.abs(hm)))))
-    assert worst_g < 1e-6, "gradient FD relative error %.3e" % worst_g
-    assert worst_h < 1e-6, "hessian FD relative error %.3e" % worst_h
+def test_a12_finite_difference_oracles(hessian):
+    assert hessian["counts"]["fd"] == 1000
+    assert hessian["constants"]["fd_tolerance"] == 1e-6
+    for name, what in (("fd_gradient", "gradient"), ("fd_hessian", "hessian")):
+        check = _check(hessian, name)
+        assert check["passed"], \
+            "%s FD relative error %.3e" % (what, check["worst"])
 
 
 def test_a13_negative_control(monkeypatch):

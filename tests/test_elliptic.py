@@ -13,9 +13,10 @@ from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              CacheError, GraphError, OperatorF, eval_F,
                              g_tilde, operator_cone, zero_level_curve,
                              ellipticity_probe, monotonicity_sweep,
-                             viscosity_probe)
-from qcubic.hessian import H, RATIO_BOUND
-from qcubic.sampling import rng_for, unit_sphere, STREAM_ELLIPTIC
+                             viscosity_probe, MINORANT_MARGIN, _random_psd)
+from qcubic.hessian import H, RATIO_BOUND, eval_w, hess_w
+from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
+                             STREAM_VISCOSITY)
 
 CONE = ConeParams(33.0)
 SQ = np.sqrt(12.0)
@@ -205,3 +206,55 @@ def test_viscosity_probe_small(op):
     assert rep.majorant_violations == 0
     assert rep.minorant_max_F <= 1e-6
     assert rep.majorant_min_F >= -1e-6
+
+
+class _RecordingOperator:
+    """Stands in for OperatorF in viscosity_probe: keeps every matrix stack
+    it is asked to evaluate and reports F = 0."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.seen = []
+
+    def value(self, mats):
+        self.seen.append(np.array(mats))
+        return np.zeros(len(mats))
+
+
+def test_viscosity_lifts_match_per_trial_reference(sigma):
+    trials, seed, count = 12, 7, 3000
+    stub = _RecordingOperator(sigma)
+    viscosity_probe(stub, trials, seed, verification_count=count)
+    minorants, majorants = stub.seen
+
+    # the same draws as viscosity_probe, in its order
+    rng = rng_for(seed, STREAM_VISCOSITY)
+    verif = np.concatenate([unit_sphere(rng, count), sigma.sources], axis=0)
+    wv = eval_w(verif)
+    bases = unit_sphere(rng, trials)
+    bases[:trials // 2] = sigma.sources[
+        rng.integers(0, sigma.count, trials // 2)]
+    tilts = _random_psd(rng, trials) * rng.uniform(0.0, 0.5, (trials, 1, 1))
+    tilt_on = rng.uniform(size=trials) < 0.5
+
+    # reference: one quadratic at a time, the base point appended
+    for k in range(trials):
+        base = hess_w(bases[k])
+        pts = np.concatenate([verif, bases[k][None]], axis=0)
+        tvals = 0.5 * np.einsum("ni,ij,nj->n", pts, base, pts)
+        wvals = np.concatenate([wv, eval_w(bases[k])[None]])
+        down = np.max(tvals - wvals) + MINORANT_MARGIN
+        up = np.max(wvals - tvals) + MINORANT_MARGIN
+        lo = base - 2.0 * down * np.eye(12) - tilt_on[k] * tilts[k]
+        hi = base + 2.0 * up * np.eye(12) + tilt_on[k] * tilts[k]
+        np.testing.assert_allclose(minorants[k], lo, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(majorants[k], hi, rtol=0.0, atol=1e-12)
+
+    # one-sided by at least the margin at every verification point and base
+    # (all unit vectors, so x.M.x/2 is the quadratic's value there)
+    pts = np.concatenate([verif, bases], axis=0)
+    w = eval_w(pts)
+    q_lo = 0.5 * np.einsum("ni,kij,nj->kn", pts, minorants, pts)
+    q_hi = 0.5 * np.einsum("ni,kij,nj->kn", pts, majorants, pts)
+    assert np.min(w - q_lo) >= MINORANT_MARGIN - 1e-12
+    assert np.min(q_hi - w) >= MINORANT_MARGIN - 1e-12
