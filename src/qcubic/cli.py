@@ -112,7 +112,7 @@ def load_config(args) -> RunConfig:
         cfg = replace(cfg, **file_vals)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.tolerance is not None:
+    if getattr(args, "tolerance", None) is not None:
         cfg.tolerance = args.tolerance
     if args.lambda_policy is not None:
         cfg.lambda_policy = args.lambda_policy
@@ -512,7 +512,9 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int)
         p.add_argument("--count", type=int,
                        help="headline sample count for this suite")
-        p.add_argument("--tolerance", type=float)
+        if name in ("verify-spectral", "verify-hessian"):
+            # the only suites that read cfg.tolerance
+            p.add_argument("--tolerance", type=float)
         p.add_argument("--lambda-policy", dest="lambda_policy",
                        choices=["paper", "empirical"])
         p.add_argument("--out", help="output directory (default qcubic-out)")

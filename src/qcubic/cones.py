@@ -22,6 +22,24 @@ sorted spectrum of the traceless part: no iteration and no tolerance.
 Every dual-cone test (K*, L, the shifted spectra of the graph invariant)
 goes through the one p/q function _in_dual, and every gauge value through
 the one kernel _gauge, both on precomputed eigenvalue rows.
+
+Pinch lemma.  For traceless Z with nu = lambda_max(-Z) and
+kappa = (lam^2 - 1)/(lam^2 + 11),
+
+    kappa sqrt(12) nu  <=  x(Z)  <=  sqrt(12) nu.
+
+Proof: the shift c = sqrt(12) nu makes the spectrum psd (q = 0, inside K*),
+so x <= sqrt(12) nu.  At c = x the shifted spectrum nu_i = mu_i + c/sqrt(12)
+lies on the boundary p = lam^2 q, and p - q = sum nu_i = sqrt(12) c, so
+(lam^2 - 1) q = sqrt(12) c.  As q >= (nu - c/sqrt(12))_+, this gives
+sqrt(12) c >= (lam^2 - 1)(nu - c/sqrt(12)), which is c >= kappa sqrt(12) nu.
+
+With Rayleigh quotients this bounds a pair's gauge or dual test from below
+without solving it: for unit u, v, lambda_max(A - B) >= u.(A - B).u and
+>= v.(A - B).v, and with u the top eigenvector of A and v the bottom one of
+B these read lambda_max(A) - u.B.u and v.A.v - lambda_min(B).  _PairBounds
+caches each matrix's extreme eigenvectors, bounds every pair of two stacks
+with two GEMMs, and eigensolves only the pairs no bound settles.
 """
 
 from __future__ import annotations
@@ -35,6 +53,7 @@ from .eigen import eigvalsh_desc
 
 _SQRT_N = np.sqrt(12.0)
 EIG_CHUNK = 200_000  # rows per batched 12x12 eigensolve (~230 MB of matrices)
+_GUARD = 1e-9  # relative slack of every pruning certificate (_PairBounds)
 
 
 @dataclass(frozen=True)
@@ -109,6 +128,74 @@ def _gauge(mu: np.ndarray, cone: ConeParams) -> np.ndarray:
     return -_SQRT_N * (total[..., 0] + a * p_m) / (12.0 + a * m)
 
 
+def _kappa(cone: ConeParams) -> float:
+    """Lower pinch factor: x(Z) >= kappa sqrt(12) lambda_max(-Z), Z traceless."""
+    lam2 = cone.lam * cone.lam
+    return (lam2 - 1.0) / (lam2 + 11.0)
+
+
+class _PairBounds:
+    """Certified pruning of pairwise eigensolves over stacks of symmetric
+    12x12 matrices.
+
+    One eigh of the stack caches each matrix's top and bottom eigenpair.
+    lower(other) is the table of Rayleigh lower bounds on
+    lambda_max(a_i - b_j) over every pair of this stack (a) and other (b,
+    this stack again when None), from two (n, 144) @ (144, m) GEMMs; the
+    bound on lambda_max(b_j - a_i) = -lambda_min(a_i - b_j) is lower() of
+    the reversed pair.  A caller certifies a pair when its test holds with a
+    margin of guard(other) = _GUARD (|a_i|_F + |b_j|_F), scaled to the
+    test's units.  Every rounding error on either side of a certificate --
+    the cached eigenpairs, the GEMMs, the matrix a pair's difference is
+    formed as, its eigenvalues (backward stable), the p/q sums and the
+    gauge's closed form -- is below 1e3 eps (|a_i|_F + |b_j|_F), eps =
+    2.2e-16, so the guard covers it more than four thousand times over and
+    a certified pair is one whose full computation returns the same verdict.
+
+    solve() eigensolves the pairs left open in EIG_CHUNK blocks.  A pair's
+    eigenvalue row does not depend on which pairs share its block: LAPACK
+    solves each matrix alone, and the blocked matrix product that embeds
+    coordinates rounds every row alike once a block has two rows (a block
+    of one is padded; tests/test_cones.py checks all of this).  So each
+    solved row, and every verdict, minimum and violation list built from
+    the rows, is bitwise that of a pass over all pairs.
+    """
+
+    def __init__(self, mats: np.ndarray):
+        mats = np.asarray(mats, dtype=float)
+        n = mats.shape[0]
+        vals, vecs = np.linalg.eigh(mats)
+        top, bottom = vecs[..., -1], vecs[..., 0]
+        self.flat = mats.reshape(n, 144)
+        self.norm = np.linalg.norm(self.flat, axis=1)
+        self.top, self.bottom = vals[:, -1], vals[:, 0]
+        self.top_outer = (top[:, :, None] * top[:, None, :]).reshape(n, 144)
+        self.bottom_outer = (bottom[:, :, None]
+                             * bottom[:, None, :]).reshape(n, 144)
+
+    def lower(self, other: "_PairBounds | None" = None) -> np.ndarray:
+        b = self if other is None else other
+        return np.maximum(self.top[:, None] - self.top_outer @ b.flat.T,
+                          self.flat @ b.bottom_outer.T - b.bottom[None, :])
+
+    def guard(self, other: "_PairBounds | None" = None) -> np.ndarray:
+        b = self if other is None else other
+        return _GUARD * (self.norm[:, None] + b.norm[None, :])
+
+    @staticmethod
+    def solve(diff, ii: np.ndarray, jj: np.ndarray):
+        """Yield (slice, ascending eigenvalue rows of diff(ii, jj) there) over
+        the index pairs, in blocks of at most EIG_CHUNK."""
+        for start in range(0, ii.size, EIG_CHUNK):
+            sl = slice(start, min(start + EIG_CHUNK, ii.size))
+            i, j = ii[sl], jj[sl]
+            if i.size == 1:
+                # one row would take BLAS's matrix-vector path, which rounds
+                # differently from the blocked product of larger blocks
+                i, j = np.repeat(i, 2), np.repeat(j, 2)
+            yield sl, np.linalg.eigvalsh(diff(i, j))[:sl.stop - sl.start]
+
+
 def support_x(z: np.ndarray, cone: ConeParams):
     """Support function x(z) for traceless coordinates z (single or stack).
 
@@ -136,18 +223,35 @@ class ConeConditionReport:
 def cone_condition(mats: np.ndarray, cone: ConeParams) -> ConeConditionReport:
     """All pairwise differences of a matrix family must lie in L(lam).
 
-    mats: (count, 12, 12) symmetric.  Reports every violating index pair.
+    mats: (count, 12, 12) symmetric.  Reports every violating index pair,
+    in row-major pair order.
+
+    D = M_i - M_j lies outside K* when lam^2 q > p, and since p - q = tr D
+    and q >= -lambda_min(D), that holds once
+    tr D < (lam^2 - 1) lambda_max(M_j - M_i); likewise outside -K* once
+    -tr D < (lam^2 - 1) lambda_max(M_i - M_j).  A pair whose Rayleigh lower
+    bounds (_PairBounds) meet both with (lam^2 + 1) guard to spare -- the
+    p/q test's rounding grows with lam^2 + 1 -- is in L; only the others are
+    eigensolved.  Certified pairs are never violations, and the rest are
+    tested on bitwise the eigenvalues a full pass computes, so the report is
+    unchanged.
     """
     mats = np.asarray(mats, dtype=float)
     count = mats.shape[0]
     ii, jj = np.triu_indices(count, k=1)
     violations = []
-    for start in range(0, ii.size, EIG_CHUNK):
-        sl = slice(start, min(start + EIG_CHUNK, ii.size))
-        diffs = mats[ii[sl]] - mats[jj[sl]]
-        ok = in_L_ratio_batch(np.linalg.eigvalsh(diffs), cone)
-        if not np.all(ok):
-            for k in np.nonzero(~ok)[0]:
-                violations.append((int(ii[sl][k]), int(jj[sl][k])))
+    if count >= 2:
+        bounds = _PairBounds(mats)
+        lower = bounds.lower()
+        slack = (cone.lam**2 + 1.0) * bounds.guard()[ii, jj]
+        a = cone.lam**2 - 1.0
+        tr = np.trace(mats, axis1=1, axis2=2)
+        tr_d = tr[ii] - tr[jj]
+        sure = ((tr_d < a * lower[jj, ii] - slack)
+                & (-tr_d < a * lower[ii, jj] - slack))
+        oi, oj = ii[~sure], jj[~sure]
+        for sl, vals in bounds.solve(lambda i, j: mats[i] - mats[j], oi, oj):
+            bad = ~in_L_ratio_batch(vals, cone)
+            violations.extend(zip(oi[sl][bad].tolist(), oj[sl][bad].tolist()))
     return ConeConditionReport(lam=cone.lam, pairs_checked=int(ii.size),
                                violations=violations)

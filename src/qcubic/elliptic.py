@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symspace
-from .cones import (EIG_CHUNK, _SQRT_N, ConeParams, _gauge, _in_dual,
-                    in_L_ratio_batch)
+from .cones import (EIG_CHUNK, _GUARD, _SQRT_N, ConeParams, _PairBounds,
+                    _gauge, _in_dual, _kappa, cone_condition)
 from .hessian import H, RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
@@ -38,6 +38,7 @@ from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
 GRAPH_TOL = 1e-8
 MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
+_PRUNE_CANDIDATES = 8  # g_tilde's first round: sample points solved per row
 CACHE_MAGIC = "qcubic-sigma-cache"
 CACHE_VERSION = 1
 
@@ -110,26 +111,38 @@ def validate_graph(sigma: SigmaSample, cone: ConeParams) -> None:
     embed(dz) shifted by t/sqrt(12) still fails the dual-cone p/q test, so
     one eigendecomposition per unordered pair settles both orders (the
     reversed difference has the negated spectrum).
+
+    Most pairs need none: by the pinch lemma (cones) x(dz) >=
+    kappa sqrt(12) lambda_max(-embed(dz)), so a pair with
+    (|ds| - GRAPH_TOL)/sqrt(12) below kappa times the Rayleigh lower bounds
+    (cones._PairBounds) on lambda_max(Z_j - Z_i) and lambda_max(Z_i - Z_j),
+    less the guard, satisfies the invariant in both orders.  Only the rest
+    are eigensolved, in pair order and on bitwise the spectra a full pass
+    computes, so the raised pair and its message are unchanged.
     """
     n = sigma.count
     if n < 2:
         return
     ii, jj = np.triu_indices(n, k=1)
-    for start in range(0, ii.size, EIG_CHUNK):
-        sl = slice(start, min(start + EIG_CHUNK, ii.size))
-        i_idx, j_idx = ii[sl], jj[sl]
-        dz = sigma.z[i_idx] - sigma.z[j_idx]
-        ds = np.abs(sigma.s[i_idx] - sigma.s[j_idx])
-        mu = np.linalg.eigvalsh(symspace.embed_traceless(dz))
-        t = (ds - GRAPH_TOL)[:, None] / _SQRT_N
-        bad = _in_dual(mu + t, cone) | _in_dual(t - mu, cone)
-        bad &= ds > GRAPH_TOL  # coincident points are never violations
+    ds = np.abs(sigma.s[ii] - sigma.s[jj])
+    t = (ds - GRAPH_TOL) / _SQRT_N
+    bounds = _PairBounds(symspace.embed_traceless(sigma.z))
+    lower = bounds.lower()
+    sure = t < (_kappa(cone) * np.minimum(lower[ii, jj], lower[jj, ii])
+                - bounds.guard()[ii, jj])
+    open_ = ~sure & (ds > GRAPH_TOL)  # coincident points are never violations
+    ii, jj, ds, t = ii[open_], jj[open_], ds[open_], t[open_]
+    for sl, mu in bounds.solve(
+            lambda i, j: symspace.embed_traceless(sigma.z[i] - sigma.z[j]),
+            ii, jj):
+        tt = t[sl, None]
+        bad = _in_dual(mu + tt, cone) | _in_dual(tt - mu, cone)
         if np.any(bad):
-            k = int(np.nonzero(bad)[0][0])
+            k = sl.start + int(np.nonzero(bad)[0][0])
             raise GraphError(
                 "graph invariant violated by pair (%d, %d): |ds|=%.6g "
                 "exceeds the cone modulus at aperture %.6g"
-                % (i_idx[k], j_idx[k], ds[k], cone.lam))
+                % (ii[k], jj[k], ds[k], cone.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +232,9 @@ def _gauge_table(z: np.ndarray, sigma: SigmaSample, cone: ConeParams,
     """Gauge table x(z_e - z_i) over evaluation rows e and sample points i,
     one eigensolve per pair in blocks of at most EIG_CHUNK pairs.  With
     reverse, also x(z_i - z_e) from the same spectra (negated, reversed);
-    otherwise the second table is None."""
+    otherwise the second table is None.  zero_level_curve needs every
+    entry (prefix minima and the reverse table), so nothing is pruned here;
+    the tests hold the pruned g_tilde against this table."""
     n_eval, n_pts = z.shape[0], sigma.count
     block = max(1, EIG_CHUNK // n_pts)
     fwd = np.empty((n_eval, n_pts))
@@ -241,13 +256,45 @@ def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
     Accepts one 77-vector or a stack; two-sided bound
     -x(z2 - z1) <= g_tilde(z1) - g_tilde(z2) <= x(z1 - z2) holds for any
     point set by subadditivity of x.
+
+    Each pair's gauge is bounded below without an eigensolve: by the pinch
+    lemma (cones), x(z - z_i) >= kappa sqrt(12) lambda_max(Z_i - Z), and
+    _PairBounds bounds that eigenvalue for every pair at once.  Two batched
+    rounds then solve few pairs: first the _PRUNE_CANDIDATES points with the
+    lowest s_i + bound per row, then every point whose s_i + bound, less the
+    guard (sqrt(12) _GUARD (|z_i| + |z|) + _GUARD |s_i|, which covers the
+    rounding of the bound, of the gauge and of the sum), is at most the
+    row's best value so far.  An unsolved point's s_i + x therefore cannot
+    be the minimum, the solved ones are bitwise the full pass's values
+    (_PairBounds.solve), and min is exact, so the result is bitwise that of
+    the full gauge table.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     zz = z[None, :] if single else z
-    xs, _ = _gauge_table(zz, sigma, cone)
-    out = np.min(sigma.s[None, :] + xs, axis=1)
-    return float(out[0]) if single else out
+    n_eval, n = zz.shape[0], sigma.count
+    pts = _PairBounds(symspace.embed_traceless(sigma.z))
+    rows = _PairBounds(symspace.embed_traceless(zz))
+    floor = sigma.s[None, :] + _kappa(cone) * _SQRT_N * pts.lower(rows).T
+
+    def solve(e, i):
+        x = np.empty(e.size)
+        for sl, mu in _PairBounds.solve(
+                lambda a, b: symspace.embed_traceless(zz[a] - sigma.z[b]),
+                e, i):
+            x[sl] = _gauge(mu, cone)
+        return sigma.s[i] + x
+
+    k = min(_PRUNE_CANDIDATES, n)
+    e1 = np.repeat(np.arange(n_eval), k)
+    i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
+    best = solve(e1, i1).reshape(n_eval, k).min(axis=1)
+    slack = _SQRT_N * pts.guard(rows).T + _GUARD * np.abs(sigma.s)[None, :]
+    open_ = floor - slack <= best[:, None]
+    open_[e1, i1] = False
+    e2, i2 = np.nonzero(open_)
+    np.minimum.at(best, e2, solve(e2, i2))
+    return float(best[0]) if single else best
 
 
 @dataclass(frozen=True)
@@ -390,11 +437,7 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     sel = np.concatenate([np.arange(k), np.arange(half, half + k)])
     shift = -FA[sel] / _SQRT_N
     level = A[sel] + shift[:, None, None] * np.eye(12)
-    pool = sel.size
-    ii, jj = np.triu_indices(pool, k=1)
-    ok = in_L_ratio_batch(np.linalg.eigvalsh(level[ii] - level[jj]),
-                          ConeParams(2 * op.cone.lam))
-    viol = [(int(a), int(b)) for a, b in zip(ii[~ok], jj[~ok])]
+    level_rep = cone_condition(level, ConeParams(2 * op.cone.lam))
 
     lam_paper = 11.0 * RATIO_BOUND
     return EllipticityReport(
@@ -402,7 +445,8 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
         slope_min=float(np.min(slopes)), slope_max=float(np.max(slopes)),
         identity_slope=idn,
         monotone_worst=float(np.min(FAE - FA)),
-        level_pairs=int(ii.size), level_violations=viol,
+        level_pairs=level_rep.pairs_checked,
+        level_violations=level_rep.violations,
         paper_chain_bound=float(4 * lam_paper**2 * np.sqrt(12.0)))
 
 

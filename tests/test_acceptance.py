@@ -116,7 +116,7 @@ def test_a06_third_derivative_bound(hessian):
 
 def test_a07_pairwise_cone_condition(sigma2000, hessian):
     sigma, _ = sigma2000
-    mats = np.stack([H(a) for a in sigma.sources[:500]])
+    mats = H(sigma.sources[:500])
     for lam in (11.0 * hessian["constants"]["M_hat"], 11.0 * RATIO_BOUND):
         rep = cone_condition(mats, ConeParams(lam))
         assert rep.passed, \

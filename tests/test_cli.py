@@ -61,6 +61,15 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["build-operator", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["build-operator", "viscosity-test", "report"])
+def test_tolerance_rejected_where_unused(tmp_path, cmd, capsys):
+    # only verify-spectral and verify-hessian read a tolerance
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--tolerance", "1e-3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
 def test_spectral_suite(tmp_path):
     code, out = _run(tmp_path, "verify-spectral")
     assert code == 0

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from qcubic import symspace
-from qcubic.cones import (ConeParams, in_K, in_K_star, in_L,
-                          in_L_ratio_batch, support_x, cone_condition)
-from qcubic.hessian import H
+from qcubic.cones import (ConeParams, _PairBounds, _kappa, in_K, in_K_star,
+                          in_L, in_L_ratio_batch, support_x, cone_condition)
+from qcubic.hessian import H, RATIO_BOUND
 from qcubic.sampling import rng_for, unit_sphere, STREAM_CONE
 
 SQ = np.sqrt(12.0)
@@ -235,11 +235,75 @@ def test_support_batch_matches_single():
         assert abs(batch[k] - float(support_x(z[k], cone))) < 1e-10
 
 
+# --- pruning bounds ------------------------------------------------------------
+
+@pytest.mark.parametrize("lam", [1.5, 33.0, 11.0 * RATIO_BOUND])
+def test_gauge_pinched_by_top_eigenvalue(lam):
+    # kappa sqrt(12) nu <= x(Z) <= sqrt(12) nu with nu = lambda_max(-Z)
+    rng = rng_for(96, STREAM_CONE)
+    kappa = _kappa(ConeParams(lam))
+    assert kappa == pytest.approx((lam**2 - 1) / (lam**2 + 11), rel=1e-15)
+    z = rng.standard_normal((40, 77))
+    z[:10] *= rng.uniform(0.0, 1.0, (10, 77)) < 0.1   # sparse, low-rank-ish
+    for scale in (1e-6, 1.0, 1e8):
+        for mu in np.linalg.eigvalsh(symspace.embed_traceless(scale * z)):
+            x = exact_support(mu, lam)
+            nu = -mu[0]
+            assert kappa * SQ * nu <= x * (1 + 1e-12)
+            assert x <= SQ * nu * (1 + 1e-12)
+
+
+def test_rayleigh_bounds_never_exceed_extreme_eigenvalues():
+    rng = rng_for(97, STREAM_CONE)
+    hess = H(unit_sphere(rng, 30))
+    eps = np.finfo(float).eps
+    for scale in (1e-6, 1.0, 1e8):
+        a = np.concatenate([hess, _traceless(rng, 30)]) * scale
+        b = np.concatenate([_traceless(rng, 20), hess[:20] + np.eye(12)]) * scale
+        pa, pb = _PairBounds(a), _PairBounds(b)
+        # within the rounding allowance of the _PairBounds docstring
+        spec = np.linalg.eigvalsh(a[:, None] - b[None, :])
+        allow = 1e3 * eps * (pa.norm[:, None] + pb.norm[None, :])
+        assert np.all(pa.lower(pb) <= spec[..., -1] + allow)
+        own = np.linalg.eigvalsh(a[:, None] - a[None, :])
+        allow = 1e3 * eps * (pa.norm[:, None] + pa.norm[None, :])
+        assert np.all(pa.lower() <= own[..., -1] + allow)
+        # the reversed pair bounds -lambda_min
+        assert np.all(pa.lower().T <= -own[..., 0] + allow)
+
+
+def test_pair_solve_rows_do_not_depend_on_block(monkeypatch):
+    # each pair's eigenvalues are bitwise those of one pass over all pairs,
+    # whatever block it is solved in: what keeps pruned outputs unchanged
+    rng = rng_for(98, STREAM_CONE)
+    z = rng.standard_normal((40, 77)) * rng.uniform(1e-3, 1e3, (40, 1))
+    ii, jj = np.triu_indices(40, k=1)
+    full = np.linalg.eigvalsh(symspace.embed_traceless(z[ii] - z[jj]))
+
+    def diff(i, j):
+        return symspace.embed_traceless(z[i] - z[j])
+
+    monkeypatch.setattr("qcubic.cones.EIG_CHUNK", 4)
+    for size in (1, 2, 3, 9):
+        pick = np.sort(rng.choice(ii.size, size, replace=False))
+        rows = np.empty((size, 12))
+        for sl, vals in _PairBounds.solve(diff, ii[pick], jj[pick]):
+            rows[sl] = vals
+        assert rows.tobytes() == full[pick].tobytes(), size
+
+
 # --- pairwise cone condition --------------------------------------------------
+
+def _full_violations(mats, cone):
+    """Every pair outside L, eigensolving all pairs: the reference."""
+    ii, jj = np.triu_indices(len(mats), k=1)
+    ok = in_L_ratio_batch(np.linalg.eigvalsh(mats[ii] - mats[jj]), cone)
+    return [(int(i), int(j)) for i, j in zip(ii[~ok], jj[~ok])]
+
 
 def test_cone_condition_on_hessian_sample():
     pts = unit_sphere(rng_for(94, STREAM_CONE), 60)
-    mats = np.stack([H(a) for a in pts])
+    mats = H(pts)
     rep = cone_condition(mats, ConeParams(33.0))
     assert rep.passed
     assert rep.pairs_checked == 60 * 59 // 2
@@ -248,8 +312,24 @@ def test_cone_condition_on_hessian_sample():
 
 def test_cone_condition_detects_planted_violation():
     pts = unit_sphere(rng_for(95, STREAM_CONE), 20)
-    mats = np.stack([H(a) for a in pts])
+    mats = H(pts)
+    cone = ConeParams(33.0)
     mats[3] = mats[7] + np.eye(12)  # difference is a multiple of identity
-    rep = cone_condition(mats, ConeParams(33.0))
+    rep = cone_condition(mats, cone)
     assert not rep.passed
     assert (3, 7) in [tuple(sorted(v)) for v in rep.violations]
+    assert rep.violations == _full_violations(mats, cone)
+
+    # near the boundary: M_5 - M_11 = Z + c I/sqrt(12) with c just past the
+    # gauge x(Z), so the difference sits barely inside K* and no bound can
+    # certify it
+    mats = H(pts)
+    z = symspace.to_coords(mats[5] - mats[11])[0]
+    c = float(support_x(z, cone)) * (1 + 1e-9)
+    mats[5] = mats[11] + symspace.embed_traceless(z) + c * np.eye(12) / SQ
+    rep = cone_condition(mats, cone)
+    assert (5, 11) in rep.violations
+    assert rep.violations == _full_violations(mats, cone)
+    # and just short of it the pair is in L
+    mats[5] -= 2e-9 * c * np.eye(12) / SQ
+    assert (5, 11) not in cone_condition(mats, cone).violations

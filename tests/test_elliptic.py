@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from qcubic import symspace
-from qcubic.cones import ConeParams
+from qcubic.cones import ConeParams, _in_dual, support_x
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
                              CacheError, GraphError, OperatorF, eval_F,
                              g_tilde, operator_cone, zero_level_curve,
                              ellipticity_probe, monotonicity_sweep,
-                             viscosity_probe, MINORANT_MARGIN, _random_psd)
+                             viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
+                             _gauge_table, _random_psd, _random_sym)
 from qcubic.hessian import H, RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
                              STREAM_VISCOSITY)
@@ -68,14 +69,56 @@ def test_sigma_from_sources_validates():
         sigma_from_sources(2.0 * pts)
 
 
-def test_validate_graph_flags_planted_violation(sigma):
+def _graph_violations(sig, cone):
+    """Every pair breaking the graph invariant, eigensolving all pairs in
+    one pass: the reference for validate_graph."""
+    ii, jj = np.triu_indices(sig.count, k=1)
+    ds = np.abs(sig.s[ii] - sig.s[jj])
+    mu = np.linalg.eigvalsh(symspace.embed_traceless(sig.z[ii] - sig.z[jj]))
+    t = (ds - GRAPH_TOL)[:, None] / SQ
+    bad = (_in_dual(mu + t, cone) | _in_dual(t - mu, cone)) & (ds > GRAPH_TOL)
+    return [(int(i), int(j)) for i, j in zip(ii[bad], jj[bad])]
+
+
+def _raised_pair(sig, cone):
+    with pytest.raises(GraphError) as err:
+        validate_graph(sig, cone)
+    return str(err.value).split("pair ", 1)[1].split(":", 1)[0]
+
+
+def test_validate_graph_flags_planted_violation(sigma, monkeypatch):
     s_bad = sigma.s.copy()
     s_bad[3] += 50.0      # way past any cone gap
     bad = SigmaSample(sources=sigma.sources, z=sigma.z, s=s_bad,
                       seed=sigma.seed, lam=sigma.lam)
-    with pytest.raises(GraphError) as err:
-        validate_graph(bad, CONE)
-    assert "3" in str(err.value)
+    ref = _graph_violations(bad, CONE)
+    assert 3 in ref[0]
+    assert _raised_pair(bad, CONE) == "(%d, %d)" % ref[0]
+
+    # near the boundary: |s_0 - s_1| just past the modulus, which no bound
+    # can certify.  With z_1 = -z_0 the Rayleigh bounds of the pair are
+    # exact, so a certificate that dropped kappa or took the wrong order's
+    # bound would pass it.
+    z_bad = sigma.z.copy()
+    z_bad[1] = -z_bad[0]
+    x = min(float(support_x(2 * z_bad[0], CONE)),
+            float(support_x(-2 * z_bad[0], CONE)))
+    s_bad = sigma.s.copy()
+    s_bad[0] = s_bad[1] + (x + GRAPH_TOL) * (1 + 1e-9)
+    bad = SigmaSample(sources=sigma.sources, z=z_bad, s=s_bad,
+                      seed=sigma.seed, lam=sigma.lam)
+    ref = _graph_violations(bad, CONE)
+    assert ref[0] == (0, 1)
+    assert _raised_pair(bad, CONE) == "(0, 1)"
+
+    # the intact sample passes, and the bounds settle almost every pair
+    assert _graph_violations(sigma, CONE) == []
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: rows.append(len(a)) or eigvalsh(a))
+    validate_graph(sigma, CONE)
+    assert sum(rows) < 0.01 * sigma.count * (sigma.count - 1) // 2
 
 
 def test_cache_roundtrip_exact(tmp_path, sigma):
@@ -127,6 +170,31 @@ def test_g_tilde_interpolates_stored_values(sigma):
     assert np.max(np.abs(g - sigma.s)) == 0.0
 
 
+def test_g_tilde_pruned_equals_full_table(sigma, monkeypatch):
+    # the pruned min is bitwise the min over the full gauge table
+    rng = rng_for(8, STREAM_ELLIPTIC)
+    far = symspace.to_coords(_random_sym(rng, 60, scale=1.5))[0]
+    near = symspace.to_coords(
+        H(unit_sphere(rng, 60)) + 2.0 * rng.uniform(-0.3, 0.3, (60, 1, 1))
+        * np.eye(12) + _random_psd(rng, 60) * rng.uniform(0, 0.5, (60, 1, 1)))[0]
+    cases = {"far": far, "near": near, "sigma": sigma.z,
+             "tiny": 1e-6 * far, "huge": 1e8 * far, "one": far[:1]}
+    for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
+        for name, z in cases.items():
+            full = np.min(sigma.s[None, :] + _gauge_table(z, sigma, cone)[0],
+                          axis=1)
+            assert g_tilde(z, sigma, cone).tobytes() == full.tobytes(), name
+    assert g_tilde(far[0], sigma, CONE) == float(
+        np.min(sigma.s + _gauge_table(far[:1], sigma, CONE)[0]))
+
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: rows.append(len(a)) or eigvalsh(a))
+    g_tilde(far, sigma, CONE)
+    assert sum(rows) < 0.2 * far.shape[0] * sigma.count
+
+
 def test_g_tilde_single_matches_batch(sigma):
     z = sigma.z[:5] + 0.1
     batch = g_tilde(z, sigma, CONE)
@@ -135,8 +203,7 @@ def test_g_tilde_single_matches_batch(sigma):
 
 
 def test_operator_zero_on_stored_graph(op, sigma):
-    mats = np.stack([H(a) for a in sigma.sources[:20]])
-    vals = op.value(mats)
+    vals = op.value(H(sigma.sources[:20]))
     assert np.max(np.abs(vals)) == 0.0
 
 
@@ -150,7 +217,7 @@ def test_operator_identity_translation(op, sigma):
 
 def test_operator_nonpositive_on_true_graph(op):
     held = unit_sphere(rng_for(7, STREAM_ELLIPTIC), 50)
-    vals = op.value(np.stack([H(a) for a in held]))
+    vals = op.value(H(held))
     assert np.max(vals) <= 1e-12
 
 
