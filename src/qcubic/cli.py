@@ -35,9 +35,10 @@ from .hessian import (H, hess_w, grad_w, eval_w, witness_sweep,
                       third_derivative_sweep, ratio_bound_estimate,
                       pair_ratio_sweep, RATIO_BOUND, THIRD_DERIVATIVE_BOUND)
 from .numdiff import fd_gradient, fd_jacobian
-from .sampling import (rng_for, unit_sphere, directions, STREAM_SPECTRAL,
-                       STREAM_PERP, STREAM_HESSIAN, STREAM_WITNESS,
-                       STREAM_THIRD, STREAM_FDCHECK)
+from .sampling import (rng_for, unit_pairs, unit_sphere, directions,
+                       PAIR_CHUNK, STREAM_SPECTRAL, STREAM_PERP,
+                       STREAM_HESSIAN, STREAM_WITNESS, STREAM_THIRD,
+                       STREAM_FDCHECK)
 
 SCHEMA_VERSION = 1
 
@@ -226,26 +227,19 @@ def spectral_suite(cfg: RunConfig) -> dict:
                          witness={"index": int(np.argmax(ratios))}))
 
     grid = np.linspace(-1.0, 1.0, 41)
-    lemma_err = 0.0
-    for m in grid:
-        r = cubic_roots_check(float(m))
-        lemma_err = max(lemma_err, float(np.max(np.abs(r**3 - 3 * r - 2 * m))))
+    r = cubic_roots_check(grid)
+    lemma_err = float(np.max(np.abs(r**3 - 3 * r - 2 * grid[:, None])))
     checks.append(_check("depressed_cubic_roots", lemma_err <= 1e-12, lemma_err))
 
     rng4 = rng_for(cfg.seed, STREAM_SPECTRAL + 200)
     pts = unit_sphere(rng4, 2 * cfg.cor4_pairs) * np.sqrt(3.0)
-    worst4 = np.inf
-    wit4 = None
-    for i in range(cfg.cor4_pairs):
-        u, v = pts[2 * i], pts[2 * i + 1]
-        if np.linalg.norm(u - v) < 1e-6:
-            continue
-        res = cor4_check(u, v)
-        lo = min(res["lower_slack"], res["upper_slack"])
-        if lo < worst4:
-            worst4, wit4 = lo, i
-    checks.append(_check("growth_bound", worst4 >= -1e-9, float(worst4),
-                         witness={"pair_index": wit4}))
+    u, v = pts[0::2], pts[1::2]
+    kept = np.nonzero(np.linalg.norm(u - v, axis=1) >= 1e-6)[0]
+    res = cor4_check(u[kept], v[kept])
+    lo = np.minimum(res["lower_slack"], res["upper_slack"])
+    k = int(np.argmin(lo))  # the first minimal pair
+    checks.append(_check("growth_bound", lo[k] >= -1e-9, float(lo[k]),
+                         witness={"pair_index": int(kept[k])}))
 
     m_s, n_s, t_s = invariants_mn(dirs[:16])
     sample = np.concatenate([np.asarray(m_s, dtype=float)[:, None],
@@ -267,29 +261,23 @@ def hessian_suite(cfg: RunConfig) -> dict:
 
     rng = rng_for(cfg.seed, STREAM_FDCHECK)
     pts = unit_sphere(rng, cfg.fd_count) * rng.uniform(0.5, 2.0, (cfg.fd_count, 1))
-    worst_g = worst_h = 0.0
-    for x in pts:
-        g = grad_w(x)
-        gf = fd_gradient(eval_w, x)
-        worst_g = max(worst_g, float(np.max(np.abs(g - gf)) / max(1.0, np.max(np.abs(g)))))
-        hm = hess_w(x)
-        hf = fd_jacobian(grad_w, x)
-        worst_h = max(worst_h, float(np.max(np.abs(hm - 0.5 * (hf + hf.T)))
-                                     / max(1.0, np.max(np.abs(hm)))))
+    g = grad_w(pts)
+    gf = fd_gradient(eval_w, pts)
+    worst_g = float(np.max(np.max(np.abs(g - gf), axis=1)
+                           / np.maximum(1.0, np.max(np.abs(g), axis=1))))
+    hm = hess_w(pts)
+    hf = fd_jacobian(grad_w, pts)
+    worst_h = float(np.max(
+        np.max(np.abs(hm - 0.5 * (hf + np.swapaxes(hf, 1, 2))), axis=(1, 2))
+        / np.maximum(1.0, np.max(np.abs(hm), axis=(1, 2)))))
     checks.append(_check("fd_gradient", worst_g < fd_tol, worst_g))
     checks.append(_check("fd_hessian", worst_h < fd_tol, worst_h))
 
     rngw = rng_for(cfg.seed, STREAM_WITNESS)
     worst_w = np.inf
-    done = 0
-    while done < cfg.witness_pairs:
-        k = min(20_000, cfg.witness_pairs - done)
-        a = unit_sphere(rngw, k)
-        b = unit_sphere(rngw, k)
-        keep = np.linalg.norm(a - b, axis=1) >= 1e-6
-        top, bot = witness_sweep(a[keep], b[keep])
+    for a, b in unit_pairs(rngw, cfg.witness_pairs, 1e-6):
+        top, bot = witness_sweep(a, b)
         worst_w = min(worst_w, float(top.min()), float(bot.min()))
-        done += k
     checks.append(_check("witness_slopes", worst_w >= -1e-9, float(worst_w)))
 
     m_hat, r_min, r_max = ratio_bound_estimate(
@@ -311,7 +299,7 @@ def hessian_suite(cfg: RunConfig) -> dict:
                          t_max <= THIRD_DERIVATIVE_BOUND + 1e-3, t_max))
 
     edges = np.linspace(0.0, 3.5, 71)
-    sample_pairs = min(cfg.ratio_pairs, 20_000)
+    sample_pairs = min(cfg.ratio_pairs, PAIR_CHUNK)
     aa = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 301), sample_pairs)
     bb = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 302), sample_pairs)
     keep = np.linalg.norm(aa - bb, axis=1) >= 1e-9

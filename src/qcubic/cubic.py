@@ -89,10 +89,6 @@ class DirectionD:
         object.__setattr__(self, "m", float(qnorm(a) * qnorm(b) * qnorm(c)))
         object.__setattr__(self, "n", float(eval_P(v)))
 
-    @property
-    def blocks(self):
-        return self.vec[0:4], self.vec[4:8], self.vec[8:12]
-
 
 def direction_from(v) -> DirectionD:
     """Explicitly rescale an arbitrary nonzero 12-vector to norm sqrt(3)."""
@@ -101,11 +97,6 @@ def direction_from(v) -> DirectionD:
     if nrm < 1e-12:
         raise ValueError("direction_from: zero vector")
     return DirectionD(v * (np.sqrt(3.0) / nrm))
-
-
-def matrix_2Qd(d: DirectionD) -> np.ndarray:
-    """The symmetric 12x12 matrix of 2*Q_d for a norm-sqrt(3) direction."""
-    return q_matrix(d.vec)
 
 
 def spectrum_closed_form(m, n) -> np.ndarray:
@@ -197,7 +188,7 @@ def direction_spectrum(d: DirectionD, solver: str = "jacobi") -> SpectralReport:
     solver="jacobi" uses the self-contained reference solver; "lapack"
     uses the batched production path (identical to 1e-12, see tests).
     """
-    mat = matrix_2Qd(d)
+    mat = q_matrix(d.vec)
     if solver == "jacobi":
         vals, vecs = jacobi_eigh(mat)
     elif solver == "lapack":
@@ -257,96 +248,80 @@ def verify_cor2(report: SpectralReport) -> dict:
     return checks
 
 
-def perp_basis(d: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of d, as columns (12 x 11).
+def perp_basis(d) -> np.ndarray:
+    """Orthonormal bases of the complements of direction rows d (..., 12),
+    as columns (..., 12, 11).
 
-    Householder construction: reflect d/|d| onto +-e1 and keep the other
+    Householder construction: reflect d/|d| onto -+e1 and keep the other
     eleven columns of the reflector.
     """
-    d = np.asarray(d, dtype=float).reshape(12)
-    u = d / np.linalg.norm(d)
-    sign = 1.0 if u[0] >= 0 else -1.0
+    d = np.asarray(d, dtype=float)
+    u = d / np.linalg.norm(d, axis=-1, keepdims=True)
     v = u.copy()
-    v[0] += sign
-    h = np.eye(12) - 2.0 * np.outer(v, v) / (v @ v)
-    # First column of h is -sign*u; the rest span the complement.
-    return h[:, 1:]
-
-
-def lambda_perp(d: DirectionD) -> tuple[float, float]:
-    """Extreme eigenvalues of the direction matrix compressed to the
-    complement of d: (lambda_plus_perp, lambda_minus_perp)."""
-    p = perp_basis(d.vec)
-    b = p.T @ matrix_2Qd(d) @ p
-    vals = eigvalsh_desc(b)
-    return float(vals[0]), float(vals[-1])
+    v[..., 0] += np.where(u[..., 0] >= 0, 1.0, -1.0)
+    vv = (np.einsum("...i,...j->...ij", v, v)
+          / np.einsum("...i,...i->...", v, v)[..., None, None])
+    # First column of the reflector is -+u; the rest span the complement.
+    return (np.eye(12) - 2.0 * vv)[..., 1:]
 
 
 def perp_sweep(dirs: np.ndarray) -> np.ndarray:
-    """Vectorized ratio data for the compression bound.
+    """Ratio data for the compression bound over direction rows.
 
-    For each direction row returns (l3, l10, lperp_plus, lperp_minus).
+    For each row returns (l3, l10, lperp_plus, lperp_minus), the last two
+    the extreme eigenvalues of the direction matrix compressed to the
+    complement of the direction (perp_basis).
     """
     dirs = np.asarray(dirs, dtype=float)
-    count = dirs.shape[0]
     mats = q_matrix(dirs)
     vals = eigvalsh_desc(mats)
-
-    u = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    sign = np.where(u[:, 0] >= 0, 1.0, -1.0)
-    v = u.copy()
-    v[:, 0] += sign
-    vv = np.einsum("ni,nj->nij", v, v) / np.einsum("ni,ni->n", v, v)[:, None, None]
-    h = np.eye(12)[None] - 2.0 * vv
-    p = h[:, :, 1:]
-    comp = np.einsum("nji,njk,nkl->nil", p, mats, p)
-    cvals = np.linalg.eigvalsh(comp)
-    out = np.empty((count, 4))
-    out[:, 0] = vals[:, 2]
-    out[:, 1] = vals[:, 9]
-    out[:, 2] = cvals[:, -1]
-    out[:, 3] = cvals[:, 0]
-    return out
+    p = perp_basis(dirs)
+    cvals = np.linalg.eigvalsh(np.einsum("nji,njk,nkl->nil", p, mats, p))
+    return np.stack([vals[:, 2], vals[:, 9], cvals[:, -1], cvals[:, 0]],
+                    axis=1)
 
 
-def cubic_roots_check(m: float) -> np.ndarray:
-    """Roots of x^3 - 3x - 2m for |m| <= 1, descending.
+def cubic_roots_check(m) -> np.ndarray:
+    """Roots of x^3 - 3x - 2m for |m| <= 1, descending along a new last
+    axis; m is a scalar or an array.
 
     Trigonometric form 2 cos(arccos(m)/3 + 2 pi k/3).  Raises outside the
     domain.
     """
-    if abs(m) > 1.0 + 1e-12:
-        raise ValueError("cubic_roots_check: need |m| <= 1, got %r" % m)
-    m = float(np.clip(m, -1.0, 1.0))
+    m = np.asarray(m, dtype=float)
+    if np.any(np.abs(m) > 1.0 + 1e-12):
+        raise ValueError("cubic_roots_check: need |m| <= 1")
+    m = np.clip(m, -1.0, 1.0)[..., None]
     roots = 2.0 * np.cos(np.arccos(m) / 3.0 + 2.0 * np.pi * np.arange(3) / 3.0)
-    return np.sort(roots)[::-1]
+    return np.sort(roots, axis=-1)[..., ::-1]
 
 
 def cor4_check(u, v) -> dict:
     """Two-sided growth bound for the cubic form between sphere points.
 
-    For u, v on the sphere of radius sqrt(3), with d = sqrt(3)(u-v)/|u-v|:
+    For point rows u, v (..., 12) on the sphere of radius sqrt(3), with
+    d = sqrt(3)(u-v)/|u-v|:
 
         3 sqrt(3) l10(d) |u-v| / 4  <=  P(u) - P(v)  <=  3 sqrt(3) l3(d) |u-v| / 4
 
-    Returns the two slacks and a pass flag (each bound allowed SLACK_TOL).
+    Returns arrays of the two slacks, l3, l10 and a pass flag per pair
+    (each bound allowed SLACK_TOL).
     """
-    u = np.asarray(u, dtype=float).reshape(12)
-    v = np.asarray(v, dtype=float).reshape(12)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     for w in (u, v):
-        if abs(float(w @ w) - 3.0) > 1e-9:
+        if np.any(np.abs(np.einsum("...i,...i->...", w, w) - 3.0) > 1e-9):
             raise ValueError("cor4_check: points must lie on the sphere of radius sqrt(3)")
-    gap = float(np.linalg.norm(u - v))
-    if gap < 1e-9:
+    gap = np.linalg.norm(u - v, axis=-1)
+    if np.any(gap < 1e-9):
         raise ValueError("cor4_check: points too close")
-    d = DirectionD((u - v) * (np.sqrt(3.0) / gap))
-    lam = eigvalsh_desc(matrix_2Qd(d))
-    l3, l10 = float(lam[2]), float(lam[9])
-    diff = float(eval_P(u) - eval_P(v))
+    lam = eigvalsh_desc(q_matrix((u - v) * (np.sqrt(3.0) / gap)[..., None]))
+    l3, l10 = lam[..., 2], lam[..., 9]
+    diff = eval_P(u) - eval_P(v)
     scale = 3.0 * np.sqrt(3.0) * gap / 4.0
     lower, upper = scale * l10, scale * l3
     return {
-        "passed": bool(lower - SLACK_TOL <= diff <= upper + SLACK_TOL),
+        "passed": (lower - SLACK_TOL <= diff) & (diff <= upper + SLACK_TOL),
         "lower_slack": diff - lower,
         "upper_slack": upper - diff,
         "l3": l3,

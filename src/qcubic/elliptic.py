@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,12 @@ class SigmaSample:
     @property
     def count(self) -> int:
         return int(self.sources.shape[0])
+
+    @cached_property
+    def bounds(self) -> _PairBounds:
+        """Extreme eigenpairs of the sample's traceless parts, built once
+        and shared by validate_graph and every g_tilde call."""
+        return _PairBounds(symspace.embed_traceless(self.z))
 
     def prefix(self, count: int) -> "SigmaSample":
         if not 1 <= count <= self.count:
@@ -126,7 +133,7 @@ def validate_graph(sigma: SigmaSample, cone: ConeParams) -> None:
     ii, jj = np.triu_indices(n, k=1)
     ds = np.abs(sigma.s[ii] - sigma.s[jj])
     t = (ds - GRAPH_TOL) / _SQRT_N
-    bounds = _PairBounds(symspace.embed_traceless(sigma.z))
+    bounds = sigma.bounds
     lower = bounds.lower()
     sure = t < (_kappa(cone) * np.minimum(lower[ii, jj], lower[jj, ii])
                 - bounds.guard()[ii, jj])
@@ -273,7 +280,7 @@ def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
     single = z.ndim == 1
     zz = z[None, :] if single else z
     n_eval, n = zz.shape[0], sigma.count
-    pts = _PairBounds(symspace.embed_traceless(sigma.z))
+    pts = sigma.bounds
     rows = _PairBounds(symspace.embed_traceless(zz))
     floor = sigma.s[None, :] + _kappa(cone) * _SQRT_N * pts.lower(rows).T
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cubic import DirectionD, eval_P, grad_P, matrix_2Qd, q_matrix
-from .eigen import eigh_desc, eigvalsh_desc, jacobi_eigh
+from .cubic import eval_P, grad_P, q_matrix
+from .eigen import eigh_desc, eigvalsh_desc
+from .sampling import unit_pairs, unit_sphere
 
 # Pinch constant for the extreme-eigenvalue ratio of Hessian differences.
 RATIO_BOUND = 1536.0 * np.sqrt(3.0)
@@ -26,7 +27,6 @@ THIRD_DERIVATIVE_BOUND = 32.0
 MIN_RADIUS = 1e-12
 MIN_SEPARATION = 1e-9
 THIRD_FD_STEP = 1e-5    # central-difference step of third_derivative_sweep
-RATIO_CHUNK = 20_000    # pairs drawn per block by ratio_bound_estimate
 
 
 class WitnessError(RuntimeError):
@@ -86,19 +86,6 @@ def H(a) -> np.ndarray:
     return hess_w(a)
 
 
-def pair_spectrum(a, b, solver: str = "jacobi") -> np.ndarray:
-    """Descending eigenvalues of H(a) - H(b) for distinct unit points."""
-    a = np.asarray(a, dtype=float).reshape(12)
-    b = np.asarray(b, dtype=float).reshape(12)
-    if np.linalg.norm(a - b) < MIN_SEPARATION:
-        raise ValueError("pair_spectrum: points closer than 1e-9")
-    diff = H(a) - H(b)
-    if solver == "jacobi":
-        vals, _ = jacobi_eigh(diff)
-        return vals
-    return eigvalsh_desc(diff)
-
-
 def pair_ratio_sweep(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
     """Extreme-eigenvalue data for stacks of unit-point pairs.
 
@@ -112,8 +99,8 @@ def pair_ratio_sweep(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
     return np.stack([mu1, mu12, -mu1 / mu12], axis=1)
 
 
-def witness_pair(a, b):
-    """Witness directions (e, f) for a pair of unit sphere points.
+def witness_directions(a, b):
+    """Witness directions (e, f) for stacks of unit-point pairs (..., 12).
 
     With d = sqrt(3)(a-b)/|a-b| and the direction matrix of d:
 
@@ -125,75 +112,39 @@ def witness_pair(a, b):
     system (inner products against a and b); its null space is the cross
     product of the two rows.  Degenerate projections raise WitnessError.
     """
-    a = np.asarray(a, dtype=float).reshape(12)
-    b = np.asarray(b, dtype=float).reshape(12)
-    gap = float(np.linalg.norm(a - b))
-    if gap < MIN_SEPARATION:
-        raise ValueError("witness_pair: points closer than 1e-9")
-    d = DirectionD((a - b) * (np.sqrt(3.0) / gap))
-    _, vecs = eigh_desc(matrix_2Qd(d))
-
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    gap = np.linalg.norm(a - b, axis=-1)
+    if np.any(gap < MIN_SEPARATION):
+        raise ValueError("witness_directions: pairs closer than 1e-9")
+    _, vecs = eigh_desc(q_matrix((a - b) * (np.sqrt(3.0) / gap)[..., None]))
     out = []
-    for cols in (vecs[:, 0:3], vecs[:, 9:12]):
-        rows = np.stack([a @ cols, b @ cols])  # 2 x 3
-        y = np.cross(rows[0], rows[1])
-        nrm = float(np.linalg.norm(y))
-        if nrm < 1e-10:
-            raise WitnessError("degenerate witness projection (|y| = %.2e)" % nrm)
-        e = cols @ (y / nrm)
-        e = e / np.linalg.norm(e)
-        out.append(e)
+    for cols in (vecs[..., 0:3], vecs[..., 9:12]):
+        y = np.cross(np.einsum("...i,...ik->...k", a, cols),
+                     np.einsum("...i,...ik->...k", b, cols))
+        nrm = np.linalg.norm(y, axis=-1)
+        if np.any(nrm < 1e-10):
+            raise WitnessError("degenerate witness projection")
+        e = np.einsum("...ik,...k->...i", cols, y / nrm[..., None])
+        out.append(e / np.linalg.norm(e, axis=-1, keepdims=True))
     return out[0], out[1]
 
 
-def witness_gaps(a, b) -> dict:
-    """Quantitative two-sided Hessian separation along witness directions.
+def witness_sweep(a_pts: np.ndarray, b_pts: np.ndarray):
+    """Quantitative two-sided Hessian separation along the witness
+    directions (witness_directions) of stacks of unit-point pairs.
 
-    Returns the two slacks (each should be >= 0 up to tolerance):
+    Returns the two slack arrays (each should be >= 0 up to tolerance):
         top:    w_ee(a) - w_ee(b) - |a-b|/(4 sqrt 3)
         bottom: -|a-b|/(4 sqrt 3) - (w_ff(a) - w_ff(b))
     """
-    e, f = witness_pair(a, b)
-    gap = float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-    ha, hb = H(a), H(b)
-    top = float(e @ ha @ e - e @ hb @ e) - gap * WITNESS_SLOPE
-    bottom = -gap * WITNESS_SLOPE - float(f @ ha @ f - f @ hb @ f)
-    return {"top_slack": top, "bottom_slack": bottom, "separation": gap}
-
-
-def witness_sweep(a_pts: np.ndarray, b_pts: np.ndarray):
-    """Vectorized witness construction over stacks of unit-point pairs.
-
-    Returns (top_slack, bottom_slack) arrays; see witness_gaps.
-    Raises WitnessError if any projection degenerates.
-    """
     a_pts = np.asarray(a_pts, dtype=float)
     b_pts = np.asarray(b_pts, dtype=float)
-    diff = a_pts - b_pts
-    gap = np.linalg.norm(diff, axis=1)
-    if np.any(gap < MIN_SEPARATION):
-        raise ValueError("witness_sweep: pairs closer than 1e-9")
-    dirs = diff * (np.sqrt(3.0) / gap)[:, None]
-    _, vecs = eigh_desc(q_matrix(dirs))
-
-    ha = hess_w(a_pts)
-    hb = hess_w(b_pts)
-    hd = ha - hb
-
-    slacks = []
-    for sl in (np.s_[:, :, 0:3], np.s_[:, :, 9:12]):
-        cols = vecs[sl]
-        ra = np.einsum("ni,nik->nk", a_pts, cols)
-        rb = np.einsum("ni,nik->nk", b_pts, cols)
-        y = np.cross(ra, rb)
-        nrm = np.linalg.norm(y, axis=1)
-        if np.any(nrm < 1e-10):
-            raise WitnessError("degenerate witness projection in sweep")
-        e = np.einsum("nik,nk->ni", cols, y / nrm[:, None])
-        e = e / np.linalg.norm(e, axis=1, keepdims=True)
-        slacks.append(np.einsum("ni,nij,nj->n", e, hd, e))
-    thresh = gap * WITNESS_SLOPE
-    return slacks[0] - thresh, -thresh - slacks[1]
+    e, f = witness_directions(a_pts, b_pts)
+    hd = hess_w(a_pts) - hess_w(b_pts)
+    thresh = np.linalg.norm(a_pts - b_pts, axis=-1) * WITNESS_SLOPE
+    return (np.einsum("...i,...ij,...j->...", e, hd, e) - thresh,
+            -thresh - np.einsum("...i,...ij,...j->...", f, hd, f))
 
 
 def third_derivative_sweep(rng: np.random.Generator,
@@ -204,14 +155,7 @@ def third_derivative_sweep(rng: np.random.Generator,
         w_efg(x) ~ e^T (hess_w(x + h g) - hess_w(x - h g)) e_f / 2h.
     Returns the sampled absolute values (all should be <= 32).
     """
-    x = rng.standard_normal((samples, 12))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    e = rng.standard_normal((samples, 12))
-    e /= np.linalg.norm(e, axis=1, keepdims=True)
-    f = rng.standard_normal((samples, 12))
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    g = rng.standard_normal((samples, 12))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    x, e, f, g = (unit_sphere(rng, samples) for _ in range(4))
     step = THIRD_FD_STEP * g
     diff = hess_w(x + step) - hess_w(x - step)
     vals = np.einsum("ni,nij,nj->n", e, diff, f) / (2.0 * THIRD_FD_STEP)
@@ -221,21 +165,13 @@ def third_derivative_sweep(rng: np.random.Generator,
 def ratio_bound_estimate(rng: np.random.Generator, pairs: int):
     """Empirical pinch of the Hessian-difference eigenvalue ratio.
 
-    Draws random unit pairs in blocks of RATIO_CHUNK, filters separations
-    below 1e-9 (none in practice), and returns (M_hat, r_min, r_max) where
+    Draws random unit pairs with unit_pairs (pairs closer than 1e-9 are
+    dropped; none in practice) and returns (M_hat, r_min, r_max) where
     r = -mu1/mu12 and M_hat = max(r_max, 1/r_min).
     """
     r_min, r_max = np.inf, 0.0
-    done = 0
-    while done < pairs:
-        k = min(RATIO_CHUNK, pairs - done)
-        a = rng.standard_normal((k, 12))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        b = rng.standard_normal((k, 12))
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        keep = np.linalg.norm(a - b, axis=1) >= MIN_SEPARATION
-        data = pair_ratio_sweep(a[keep], b[keep])
+    for a, b in unit_pairs(rng, pairs, MIN_SEPARATION):
+        data = pair_ratio_sweep(a, b)
         r_min = min(r_min, float(data[:, 2].min()))
         r_max = max(r_max, float(data[:, 2].max()))
-        done += k
     return max(r_max, 1.0 / r_min), r_min, r_max

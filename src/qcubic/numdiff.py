@@ -1,4 +1,4 @@
-"""Central finite differences on unit-scale inputs."""
+"""Central finite differences on unit-scale inputs, over stacks of points."""
 
 from __future__ import annotations
 
@@ -7,26 +7,26 @@ import numpy as np
 FD_STEP = 1e-5
 
 
-def fd_gradient(f, x, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
+def _central(f, x, h: float) -> np.ndarray:
+    """(f(x + h e_i) - f(x - h e_i)) / 2h at points x of shape (..., n),
+    indexed (..., i) for scalar f and (..., i, out) for vector f.  f is
+    called once per sign, on all n shifted copies of every point."""
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+    step = h * np.eye(x.shape[-1])
+    plus = np.asarray(f(x[..., None, :] + step))
+    minus = np.asarray(f(x[..., None, :] - step))
+    return (plus - minus) / (2.0 * h)
+
+
+def fd_gradient(f, x, h: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of a scalar function at points (..., n)."""
+    return _central(f, x, h)
 
 
 def fd_jacobian(f, x, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of a vector function (rows = outputs)."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    """Central-difference Jacobian of a vector function at points (..., n);
+    rows are outputs, columns inputs."""
+    return np.swapaxes(_central(f, x, h), -1, -2)
 
 
 def fd_hessian_from_values(f, x, h: float = 1e-4) -> np.ndarray:
@@ -45,4 +45,3 @@ def fd_hessian_from_values(f, x, h: float = 1e-4) -> np.ndarray:
             v = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h * h)
             out[i, j] = out[j, i] = v
     return out
-

@@ -22,6 +22,8 @@ STREAM_VISCOSITY = 9
 STREAM_CONE = 10
 STREAM_FDCHECK = 11
 
+PAIR_CHUNK = 20_000  # pairs drawn per block by unit_pairs
+
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
     """Deterministic per-stream generator derived from the master seed."""
@@ -44,3 +46,14 @@ def unit_sphere(rng: np.random.Generator, count: int, dim: int = 12) -> np.ndarr
 def directions(rng: np.random.Generator, count: int) -> np.ndarray:
     """Random direction vectors in R^12 of norm sqrt(3)."""
     return unit_sphere(rng, count, 12) * np.sqrt(3.0)
+
+
+def unit_pairs(rng: np.random.Generator, count: int, min_sep: float):
+    """Yield blocks (a, b) of uniform unit-point pairs, count pairs in all,
+    PAIR_CHUNK at a time (a block's a, then its b), less the pairs closer
+    than min_sep."""
+    for start in range(0, count, PAIR_CHUNK):
+        a = unit_sphere(rng, min(PAIR_CHUNK, count - start))
+        b = unit_sphere(rng, a.shape[0])
+        keep = np.linalg.norm(a - b, axis=1) >= min_sep
+        yield a[keep], b[keep]

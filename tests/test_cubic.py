@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from qcubic.cubic import (DirectionD, direction_from, eval_P, grad_P,
-                          q_matrix, matrix_2Qd, invariants_mn,
-                          spectrum_closed_form, direction_spectrum,
-                          spectrum_sweep, verify_cor2, perp_basis,
-                          lambda_perp, perp_sweep, cubic_roots_check,
+                          q_matrix, invariants_mn, spectrum_closed_form,
+                          direction_spectrum, spectrum_sweep, verify_cor2,
+                          perp_basis, perp_sweep, cubic_roots_check,
                           cor4_check, strata_directions)
-from qcubic.eigen import eigvalsh_desc
+from qcubic.eigen import eigvalsh_desc, jacobi_eigh
 from qcubic.numdiff import fd_gradient
 from qcubic.quaternions import qmul
 from qcubic.sampling import rng_for, directions, STREAM_SPECTRAL
@@ -94,7 +93,7 @@ def test_direction_spectrum_vector_contract():
     rep = direction_spectrum(d)
     norms = np.linalg.norm(rep.eigenvectors, axis=0)
     assert np.max(np.abs(norms - np.sqrt(3.0))) < 1e-12
-    mat = matrix_2Qd(d)
+    mat = q_matrix(d.vec)
     res = mat @ rep.eigenvectors - rep.eigenvectors * rep.eigenvalues[None, :]
     assert np.max(np.abs(res)) < 1e-10
 
@@ -145,34 +144,42 @@ def test_spectrum_closed_form_degenerate_arccos():
 # --- complement compression --------------------------------------------------
 
 def test_perp_basis_orthonormal_complement():
+    # a (4, 5) stack of rows, both signs of the leading entry, and one row
     rng = np.random.default_rng(51)
-    d = rng.standard_normal(12)
+    d = rng.standard_normal((4, 5, 12))
+    assert np.any(d[..., 0] < 0) and np.any(d[..., 0] > 0)
     p = perp_basis(d)
-    assert p.shape == (12, 11)
-    assert np.max(np.abs(p.T @ p - np.eye(11))) < 1e-12
-    assert np.max(np.abs(d @ p)) < 1e-12
+    assert p.shape == (4, 5, 12, 11)
+    gram = np.swapaxes(p, -1, -2) @ p
+    assert np.max(np.abs(gram - np.eye(11))) < 1e-12
+    assert np.max(np.abs(np.einsum("...i,...ik->...k", d, p))) < 1e-12
+    assert np.array_equal(perp_basis(d[2, 3]), p[2, 3])
 
 
 def test_lambda_perp_interlaces():
-    d = direction_from(rng_for(12, STREAM_SPECTRAL).standard_normal(12))
-    lp, lm = lambda_perp(d)
-    vals = eigvalsh_desc(matrix_2Qd(d))
-    # Cauchy interlacing for a codimension-1 compression
-    assert vals[1] - 1e-12 <= lp <= vals[0] + 1e-12
-    assert vals[11] - 1e-12 <= lm <= vals[10] + 1e-12
+    # Cauchy interlacing for a codimension-1 compression, on every row
+    dirs = directions(rng_for(12, STREAM_SPECTRAL), 200)
+    rows = perp_sweep(dirs)
+    vals = eigvalsh_desc(q_matrix(dirs))
+    assert np.all(vals[:, 1] - 1e-12 <= rows[:, 2])
+    assert np.all(rows[:, 2] <= vals[:, 0] + 1e-12)
+    assert np.all(vals[:, 11] - 1e-12 <= rows[:, 3])
+    assert np.all(rows[:, 3] <= vals[:, 10] + 1e-12)
 
 
 def test_perp_sweep_matches_single_route():
+    # one row at a time: matmul compression and the Jacobi solver
     dirs = directions(rng_for(13, STREAM_SPECTRAL), 40)
     rows = perp_sweep(dirs)
     for k in (0, 13, 39):
-        d = DirectionD(dirs[k])
-        lp, lm = lambda_perp(d)
-        vals = eigvalsh_desc(matrix_2Qd(d))
+        mat = q_matrix(dirs[k])
+        p = perp_basis(dirs[k])
+        comp, _ = jacobi_eigh(p.T @ mat @ p)
+        vals, _ = jacobi_eigh(mat)
         assert abs(rows[k, 0] - vals[2]) < 1e-12
         assert abs(rows[k, 1] - vals[9]) < 1e-12
-        assert abs(rows[k, 2] - lp) < 1e-10
-        assert abs(rows[k, 3] - lm) < 1e-10
+        assert abs(rows[k, 2] - comp[0]) < 1e-10
+        assert abs(rows[k, 3] - comp[-1]) < 1e-10
 
 
 def test_compression_ratio_below_three_halves():
@@ -190,20 +197,34 @@ def test_cubic_roots_check():
         assert np.max(np.abs(r ** 3 - 3.0 * r - 2.0 * m)) < 1e-12
     with pytest.raises(ValueError):
         cubic_roots_check(1.2)
+    with pytest.raises(ValueError):
+        cubic_roots_check(np.array([0.0, -1.2]))
+    # an array of m gives bitwise the one-point rows
+    grid = np.linspace(-1.0, 1.0, 41).reshape(1, 41)
+    rows = cubic_roots_check(grid)
+    assert rows.shape == (1, 41, 3)
+    for k in range(41):
+        assert np.array_equal(rows[0, k], cubic_roots_check(grid[0, k]))
 
 
 def test_cor4_growth_bound():
     rng = np.random.default_rng(52)
-    for _ in range(25):
-        u = rng.standard_normal(12)
-        u *= np.sqrt(3.0) / np.linalg.norm(u)
-        v = rng.standard_normal(12)
-        v *= np.sqrt(3.0) / np.linalg.norm(v)
-        res = cor4_check(u, v)
-        assert res["passed"], res
+    u, v = rng.standard_normal((2, 5, 5, 12))
+    u *= np.sqrt(3.0) / np.linalg.norm(u, axis=-1, keepdims=True)
+    v *= np.sqrt(3.0) / np.linalg.norm(v, axis=-1, keepdims=True)
+    res = cor4_check(u, v)
+    assert res["passed"].shape == (5, 5) and np.all(res["passed"]), res
+    assert np.all(res["l10"] <= res["l3"])
+    # a (5, 5) stack of pairs gives bitwise the one-pair results
+    for i, k in ((0, 0), (2, 3), (4, 4)):
+        one = cor4_check(u[i, k], v[i, k])
+        for key, val in res.items():
+            assert val[i, k] == one[key], key
     with pytest.raises(ValueError):
         cor4_check(np.ones(12), np.ones(12))  # off-sphere
-    u = np.zeros(12)
-    u[0] = np.sqrt(3.0)
     with pytest.raises(ValueError):
-        cor4_check(u, u)  # zero separation
+        cor4_check(u, np.ones((5, 5, 12)))  # off-sphere, in a stack
+    w = u.copy()
+    w[1, 2] = v[1, 2]
+    with pytest.raises(ValueError):
+        cor4_check(w, v)  # zero separation in one row

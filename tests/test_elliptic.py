@@ -195,6 +195,24 @@ def test_g_tilde_pruned_equals_full_table(sigma, monkeypatch):
     assert sum(rows) < 0.2 * far.shape[0] * sigma.count
 
 
+def test_sample_bounds_built_once(monkeypatch):
+    # validate_graph builds the sample's extreme eigenpairs; every g_tilde
+    # call reuses them and eigh-solves only its own evaluation rows
+    rows = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: rows.append(len(a)) or eigh(a))
+    sig = build_sigma(60, 9, CONE)
+    z = sig.z[:7] + 0.05
+    first = g_tilde(z, sig, CONE)
+    second = g_tilde(z, sig, CONE)
+    assert rows == [60, 7, 7]
+    assert first.tobytes() == second.tobytes()
+    fresh = SigmaSample(sig.sources, sig.z, sig.s, sig.seed, sig.lam)
+    assert g_tilde(z, fresh, CONE).tobytes() == first.tobytes()
+    assert rows == [60, 7, 7, 60, 7]
+
+
 def test_g_tilde_single_matches_batch(sigma):
     z = sigma.z[:5] + 0.1
     batch = g_tilde(z, sigma, CONE)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from qcubic.cubic import eval_P
-from qcubic.hessian import (eval_w, grad_w, hess_w, H, pair_spectrum,
-                            pair_ratio_sweep, witness_pair, witness_gaps,
-                            witness_sweep, third_derivative_sweep,
-                            ratio_bound_estimate, RATIO_BOUND,
-                            THIRD_DERIVATIVE_BOUND, WITNESS_SLOPE)
+from qcubic.eigen import jacobi_eigh
+from qcubic.hessian import (eval_w, grad_w, hess_w, H, pair_ratio_sweep,
+                            witness_directions, witness_sweep,
+                            third_derivative_sweep, ratio_bound_estimate,
+                            RATIO_BOUND, THIRD_DERIVATIVE_BOUND,
+                            WITNESS_SLOPE)
 from qcubic.numdiff import (fd_gradient, fd_jacobian, fd_hessian_from_values)
-from qcubic.sampling import rng_for, unit_sphere, STREAM_HESSIAN
+from qcubic.sampling import (rng_for, unit_pairs, unit_sphere, PAIR_CHUNK,
+                             STREAM_HESSIAN)
 
 
 def _units(seed, count):
@@ -55,6 +57,22 @@ def test_hess_w_finite_difference():
         assert np.max(np.abs(hm - hv)) < 1e-5
 
 
+def test_fd_stack_matches_single_points():
+    # one stencil over a (3, 4) stack of points equals the one-point calls
+    pts = np.random.default_rng(79).standard_normal((3, 4, 12))
+    g = fd_gradient(eval_w, pts)
+    jac = fd_jacobian(grad_w, pts)
+    assert g.shape == (3, 4, 12) and jac.shape == (3, 4, 12, 12)
+    for i in range(3):
+        for k in range(4):
+            assert np.array_equal(g[i, k], fd_gradient(eval_w, pts[i, k]))
+            assert np.array_equal(jac[i, k], fd_jacobian(grad_w, pts[i, k]))
+    # rows are outputs, columns inputs: the Jacobian of a linear map
+    lin = np.random.default_rng(80).standard_normal((5, 12))
+    assert np.max(np.abs(fd_jacobian(lambda x: x @ lin.T, pts[0, 0])
+                         - lin)) < 1e-9
+
+
 def test_hess_w_zero_homogeneous():
     rng = np.random.default_rng(66)
     x = rng.standard_normal(12)
@@ -89,44 +107,51 @@ def test_hess_w_batch_matches_single():
 
 
 def test_pair_spectrum_matches_ratio_sweep():
-    a, b = _units(71, 2)
-    vals = pair_spectrum(a, b)
-    row = pair_ratio_sweep(a[None], b[None])[0]
-    assert abs(vals[0] - row[0]) < 1e-10
-    assert abs(vals[-1] - row[1]) < 1e-10
-    assert abs(-vals[0] / vals[-1] - row[2]) < 1e-10
-    with pytest.raises(ValueError):
-        pair_spectrum(a, a)
+    a = _units(71, 3)
+    b = _units(81, 3)
+    rows = pair_ratio_sweep(a, b)
+    for k in range(3):
+        vals, _ = jacobi_eigh(H(a[k]) - H(b[k]))
+        assert abs(vals[0] - rows[k, 0]) < 1e-10
+        assert abs(vals[-1] - rows[k, 1]) < 1e-10
+        assert abs(-vals[0] / vals[-1] - rows[k, 2]) < 1e-10
 
 
 def test_witness_pair_properties():
-    a, b = _units(72, 2)
-    e, f = witness_pair(a, b)
-    assert abs(np.linalg.norm(e) - 1.0) < 1e-12
-    assert abs(np.linalg.norm(f) - 1.0) < 1e-12
-    # witnesses are orthogonal to both sphere points
+    # unit witnesses orthogonal to both sphere points, on a (2, 5) stack
+    a = _units(72, 10).reshape(2, 5, 12)
+    b = _units(82, 10).reshape(2, 5, 12)
+    e, f = witness_directions(a, b)
+    assert e.shape == f.shape == (2, 5, 12)
     for v in (e, f):
-        assert abs(v @ a) < 1e-9
-        assert abs(v @ b) < 1e-9
+        assert np.max(np.abs(np.linalg.norm(v, axis=-1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.einsum("...i,...i->...", v, a))) < 1e-9
+        assert np.max(np.abs(np.einsum("...i,...i->...", v, b))) < 1e-9
+    e1, f1 = witness_directions(a[1, 3], b[1, 3])
+    assert np.array_equal(e1, e[1, 3]) and np.array_equal(f1, f[1, 3])
+    with pytest.raises(ValueError):
+        witness_directions(a, a)
 
 
 def test_witness_gaps_positive():
-    rng = rng_for(73, STREAM_HESSIAN)
-    pts = unit_sphere(rng, 40)
-    for k in range(20):
-        res = witness_gaps(pts[2 * k], pts[2 * k + 1])
-        assert res["top_slack"] >= -1e-9, res
-        assert res["bottom_slack"] >= -1e-9, res
+    pts = unit_sphere(rng_for(73, STREAM_HESSIAN), 40)
+    top, bottom = witness_sweep(pts[0::2], pts[1::2])
+    assert top.shape == bottom.shape == (20,)
+    assert np.all(top >= -1e-9) and np.all(bottom >= -1e-9)
 
 
 def test_witness_sweep_matches_pairs():
     a = _units(74, 30)
     b = _units(75, 30)
     top, bottom = witness_sweep(a, b)
+    e, f = witness_directions(a, b)
     for k in (0, 11, 29):
-        res = witness_gaps(a[k], b[k])
-        assert abs(top[k] - res["top_slack"]) < 1e-10
-        assert abs(bottom[k] - res["bottom_slack"]) < 1e-10
+        hd = H(a[k]) - H(b[k])
+        thresh = np.linalg.norm(a[k] - b[k]) * WITNESS_SLOPE
+        assert abs(top[k] - (e[k] @ hd @ e[k] - thresh)) < 1e-10
+        assert abs(bottom[k] - (-thresh - f[k] @ hd @ f[k])) < 1e-10
+        one = witness_sweep(a[k:k + 1], b[k:k + 1])
+        assert one[0][0] == top[k] and one[1][0] == bottom[k]
     with pytest.raises(ValueError):
         witness_sweep(a, a)
 
@@ -158,3 +183,20 @@ def test_ratio_bound_estimate():
     # and same-seed determinism
     again = ratio_bound_estimate(rng_for(78, STREAM_HESSIAN), 4000)
     assert again[0] == m_hat
+
+
+def test_unit_pairs_reproduces_inline_draw():
+    # reference draw: per block, a then b, each standard normal divided by
+    # its norm, then the separation filter
+    count = 2 * PAIR_CHUNK + 7
+    blocks = list(unit_pairs(rng_for(83, STREAM_HESSIAN), count, 1.3))
+    rng = rng_for(83, STREAM_HESSIAN)
+    assert len(blocks) == 3
+    for k, (a, b) in zip((PAIR_CHUNK, PAIR_CHUNK, 7), blocks):
+        ra = rng.standard_normal((k, 12))
+        ra /= np.linalg.norm(ra, axis=1, keepdims=True)
+        rb = rng.standard_normal((k, 12))
+        rb /= np.linalg.norm(rb, axis=1, keepdims=True)
+        keep = np.linalg.norm(ra - rb, axis=1) >= 1.3
+        assert 0 < keep.sum() < k
+        assert np.array_equal(a, ra[keep]) and np.array_equal(b, rb[keep])
