@@ -16,7 +16,7 @@ The package is organized bottom-up:
 
 from .cubic import (DirectionD, direction_from, eval_P, grad_P, q_matrix,
                     invariants_mn, spectrum_closed_form, direction_spectrum,
-                    spectrum_sweep, verify_cor2, perp_basis, perp_sweep,
+                    spectrum_sweep, perp_basis, perp_sweep,
                     cubic_roots_check, cor4_check, strata_directions)
 from .cones import (ConeParams, in_K, in_K_star, in_L, support_x,
                     cone_condition, ConeConditionReport)
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DirectionD", "direction_from", "eval_P", "grad_P", "q_matrix",
     "invariants_mn", "spectrum_closed_form", "direction_spectrum",
-    "spectrum_sweep", "verify_cor2", "perp_basis", "perp_sweep",
+    "spectrum_sweep", "perp_basis", "perp_sweep",
     "cubic_roots_check", "cor4_check", "strata_directions",
     "ConeParams", "in_K", "in_K_star", "in_L", "support_x",
     "cone_condition", "ConeConditionReport",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import eigh_desc, eigvalsh_desc, jacobi_eigh
+from .eigen import eigvalsh_desc, jacobi_eigh
 from .quaternions import matrix_M, qmul, qnorm
 
 DIRECTION_NORM_SQ = 3.0
@@ -182,19 +182,10 @@ def _fix_vector_signs(vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
     return vecs * sign
 
 
-def direction_spectrum(d: DirectionD, solver: str = "jacobi") -> SpectralReport:
-    """Full spectral report for one direction.
-
-    solver="jacobi" uses the self-contained reference solver; "lapack"
-    uses the batched production path (identical to 1e-12, see tests).
-    """
-    mat = q_matrix(d.vec)
-    if solver == "jacobi":
-        vals, vecs = jacobi_eigh(mat)
-    elif solver == "lapack":
-        vals, vecs = eigh_desc(mat)
-    else:
-        raise ValueError("unknown solver %r" % solver)
+def direction_spectrum(d: DirectionD) -> SpectralReport:
+    """Full spectral report for one direction, by the reference solver
+    (jacobi_eigh); tests pin it against the batched LAPACK path."""
+    vals, vecs = jacobi_eigh(q_matrix(d.vec))
     m, n, t = invariants_mn(d.vec)
     return SpectralReport(
         direction=d,
@@ -225,27 +216,6 @@ def band_slack(vals) -> np.ndarray:
         -1.0 + tol - lam[..., 8], lam[..., 11] + 2.0 + tol,
         lam[..., 0] - np.sqrt(3.0) + tol,
         -np.sqrt(3.0) + tol - lam[..., 11]]), axis=0)
-
-
-def verify_cor2(report: SpectralReport) -> dict:
-    """Ordering and band bounds on a direction spectrum.
-
-    Checks: 2 >= l1 >= l2 >= l3 >= l4 >= 1, -1 >= l9 >= ... >= l12 >= -2,
-    l1 >= sqrt(3), l12 <= -sqrt(3), each allowed SLACK_TOL.  Returns a dict
-    of booleans plus the worst slack (band_slack).
-    """
-    lam = report.eigenvalues
-    tol = SLACK_TOL
-    checks = {
-        "descending": bool(np.all(np.diff(lam) <= tol)),
-        "top_band": bool(lam[0] <= 2.0 + tol and lam[3] >= 1.0 - tol),
-        "bottom_band": bool(lam[8] <= -1.0 + tol and lam[11] >= -2.0 - tol),
-        "top_sqrt3": bool(lam[0] >= np.sqrt(3.0) - tol),
-        "bottom_sqrt3": bool(lam[11] <= -np.sqrt(3.0) + tol),
-    }
-    checks["passed"] = all(v for k, v in checks.items())
-    checks["worst_slack"] = float(band_slack(lam))
-    return checks
 
 
 def perp_basis(d) -> np.ndarray:

@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from . import symspace
-from .cones import (EIG_CHUNK, _GUARD, _SQRT_N, ConeParams, _PairBounds,
-                    _gauge, _in_dual, _kappa, cone_condition)
+from .cones import (_GUARD, _SQRT_N, ConeParams, _PairBounds, _gauge,
+                    _in_dual, _kappa, cone_condition)
 from .hessian import H, RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
@@ -39,7 +39,7 @@ from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
 GRAPH_TOL = 1e-8
 MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
-_PRUNE_CANDIDATES = 8  # g_tilde's first round: sample points solved per row
+_PRUNE_CANDIDATES = 8  # _pruned_min's first round: points solved per row
 CACHE_MAGIC = "qcubic-sigma-cache"
 CACHE_VERSION = 1
 
@@ -234,27 +234,52 @@ def load_cache(path: str) -> SigmaSample:
 # the operator
 
 
-def _gauge_table(z: np.ndarray, sigma: SigmaSample, cone: ConeParams,
-                 reverse: bool = False):
-    """Gauge table x(z_e - z_i) over evaluation rows e and sample points i,
-    one eigensolve per pair in blocks of at most EIG_CHUNK pairs.  With
-    reverse, also x(z_i - z_e) from the same spectra (negated, reversed);
-    otherwise the second table is None.  zero_level_curve needs every
-    entry (prefix minima and the reverse table), so nothing is pruned here;
-    the tests hold the pruned g_tilde against this table."""
-    n_eval, n_pts = z.shape[0], sigma.count
-    block = max(1, EIG_CHUNK // n_pts)
-    fwd = np.empty((n_eval, n_pts))
-    rev = np.empty((n_eval, n_pts)) if reverse else None
-    for start in range(0, n_eval, block):
-        stop = min(start + block, n_eval)
-        dz = (z[start:stop, None, :] - sigma.z[None, :, :]).reshape(-1, 77)
-        mu = np.linalg.eigvalsh(symspace.embed_traceless(dz))
-        fwd[start:stop] = _gauge(mu, cone).reshape(stop - start, n_pts)
-        if reverse:
-            rev[start:stop] = _gauge(-mu[:, ::-1], cone).reshape(
-                stop - start, n_pts)
-    return fwd, rev
+def _pruned_min(z: np.ndarray, sigma: SigmaSample, floor: np.ndarray,
+                slack: np.ndarray, value) -> np.ndarray:
+    """Row minima over sample points i of value(mu, i), mu the ascending
+    eigenvalue rows of embed(z_e - z_i), given floor - slack <= value for
+    every entry, rounding included.
+
+    Two batched rounds: first the _PRUNE_CANDIDATES entries with the lowest
+    floor in each row, then every entry whose floor less the slack is at most
+    the row's best value so far.  An unsolved entry therefore cannot be the
+    minimum, the solved ones are bitwise the full pass's values
+    (_PairBounds.solve), and min is exact, so the minima are bitwise those
+    of the full table.
+    """
+    def solve(e, i):
+        out = np.empty(e.size)
+        for sl, mu in _PairBounds.solve(
+                lambda a, b: symspace.embed_traceless(z[a] - sigma.z[b]), e, i):
+            out[sl] = value(mu, i[sl])
+        return out
+
+    n_eval, n = floor.shape
+    k = min(_PRUNE_CANDIDATES, n)
+    e1 = np.repeat(np.arange(n_eval), k)
+    i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
+    best = solve(e1, i1).reshape(n_eval, k).min(axis=1)
+    open_ = floor - slack <= best[:, None]
+    open_[e1, i1] = False
+    e2, i2 = np.nonzero(open_)
+    np.minimum.at(best, e2, solve(e2, i2))
+    return best
+
+
+def _extension_parts(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
+    """The evaluation rows' _PairBounds, and the floor, slack and value
+    (_pruned_min) of the table s_i + x(z_e - z_i).
+
+    By the pinch lemma (cones), x(z - z_i) >= kappa sqrt(12)
+    lambda_max(Z_i - Z), and _PairBounds bounds that eigenvalue for every
+    pair at once.  The slack, sqrt(12) _GUARD (|z_i| + |z|) + _GUARD |s_i|,
+    covers the rounding of the bound, of the gauge and of the sum.
+    """
+    pts = sigma.bounds
+    rows = _PairBounds(symspace.embed_traceless(z))
+    floor = sigma.s[None, :] + _kappa(cone) * _SQRT_N * pts.lower(rows).T
+    slack = _SQRT_N * pts.guard(rows).T + _GUARD * np.abs(sigma.s)[None, :]
+    return rows, floor, slack, lambda mu, i: sigma.s[i] + _gauge(mu, cone)
 
 
 def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
@@ -264,43 +289,14 @@ def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
     -x(z2 - z1) <= g_tilde(z1) - g_tilde(z2) <= x(z1 - z2) holds for any
     point set by subadditivity of x.
 
-    Each pair's gauge is bounded below without an eigensolve: by the pinch
-    lemma (cones), x(z - z_i) >= kappa sqrt(12) lambda_max(Z_i - Z), and
-    _PairBounds bounds that eigenvalue for every pair at once.  Two batched
-    rounds then solve few pairs: first the _PRUNE_CANDIDATES points with the
-    lowest s_i + bound per row, then every point whose s_i + bound, less the
-    guard (sqrt(12) _GUARD (|z_i| + |z|) + _GUARD |s_i|, which covers the
-    rounding of the bound, of the gauge and of the sum), is at most the
-    row's best value so far.  An unsolved point's s_i + x therefore cannot
-    be the minimum, the solved ones are bitwise the full pass's values
-    (_PairBounds.solve), and min is exact, so the result is bitwise that of
-    the full gauge table.
+    Each pair's gauge is bounded below without an eigensolve
+    (_extension_parts), so the minimum is pruned (_pruned_min): few pairs
+    are solved, and the result is bitwise that of the full gauge table.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     zz = z[None, :] if single else z
-    n_eval, n = zz.shape[0], sigma.count
-    pts = sigma.bounds
-    rows = _PairBounds(symspace.embed_traceless(zz))
-    floor = sigma.s[None, :] + _kappa(cone) * _SQRT_N * pts.lower(rows).T
-
-    def solve(e, i):
-        x = np.empty(e.size)
-        for sl, mu in _PairBounds.solve(
-                lambda a, b: symspace.embed_traceless(zz[a] - sigma.z[b]),
-                e, i):
-            x[sl] = _gauge(mu, cone)
-        return sigma.s[i] + x
-
-    k = min(_PRUNE_CANDIDATES, n)
-    e1 = np.repeat(np.arange(n_eval), k)
-    i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
-    best = solve(e1, i1).reshape(n_eval, k).min(axis=1)
-    slack = _SQRT_N * pts.guard(rows).T + _GUARD * np.abs(sigma.s)[None, :]
-    open_ = floor - slack <= best[:, None]
-    open_[e1, i1] = False
-    e2, i2 = np.nonzero(open_)
-    np.minimum.at(best, e2, solve(e2, i2))
+    best = _pruned_min(zz, sigma, *_extension_parts(zz, sigma, cone)[1:])
     return float(best[0]) if single else best
 
 
@@ -364,6 +360,14 @@ def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
     adding points can only lower g_tilde toward the true extension, and F
     on the true graph satisfies F <= 0 exactly, so |F| shrinks pointwise.
     The per-point certificate min_i (x(z - z_i) + x(z_i - z)) bounds |F|.
+
+    Every minimum is g_tilde's pruned one (_pruned_min), the prefix minima
+    on the leading columns of one floor table.  The certificate's floor is
+    the summed pinch bound kappa sqrt(12) (lambda_max(Z_i - Z) +
+    lambda_max(Z - Z_i)), both gauges come from one eigenvalue row, and its
+    slack is both orders' guards: each covers its order's Rayleigh bound
+    and gauge, as in g_tilde, and the two sums round below 1e3 eps of the
+    same scale, far inside either guard.
     """
     counts = sorted(int(c) for c in counts)
     if counts[-1] > sigma.count:
@@ -371,17 +375,22 @@ def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
     held = unit_sphere(rng_for(heldout_seed, STREAM_HELDOUT), heldout_count)
     zh, sh = _coords_of_sources(held)
 
-    x_fwd, x_rev = _gauge_table(zh, sigma, cone, reverse=True)
-
+    rows, floor, slack, value = _extension_parts(zh, sigma, cone)
     max_abs = []
     for c in counts:
-        g = np.min(sigma.s[None, :c] + x_fwd[:, :c], axis=1)
+        g = _pruned_min(zh, sigma, floor[:, :c], slack[:, :c], value)
         max_abs.append(float(np.max(np.abs(sh - g))))
-    g_full = np.min(sigma.s[None, :] + x_fwd, axis=1)
+    if counts[-1] < sigma.count:
+        g = _pruned_min(zh, sigma, floor, slack, value)
+    pts = sigma.bounds
+    nn = _pruned_min(
+        zh, sigma,
+        _kappa(cone) * _SQRT_N * (pts.lower(rows).T + rows.lower(pts)),
+        2.0 * _SQRT_N * pts.guard(rows).T,
+        lambda mu, i: _gauge(mu, cone) + _gauge(-mu[:, ::-1], cone))
     return ZeroLevelReport(
-        counts=list(counts), max_abs_F=max_abs,
-        nn_bound=np.min(x_fwd + x_rev, axis=1),
-        F_full=sh - g_full, heldout_seed=heldout_seed)
+        counts=list(counts), max_abs_F=max_abs, nn_bound=nn,
+        F_full=sh - g, heldout_seed=heldout_seed)
 
 
 def _random_psd(rng: np.random.Generator, count: int) -> np.ndarray:

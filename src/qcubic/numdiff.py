@@ -28,20 +28,3 @@ def fd_jacobian(f, x, h: float = FD_STEP) -> np.ndarray:
     rows are outputs, columns inputs."""
     return np.swapaxes(_central(f, x, h), -1, -2)
 
-
-def fd_hessian_from_values(f, x, h: float = 1e-4) -> np.ndarray:
-    """Second differences of function values.  Coarse (roundoff ~ eps/h^2)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    out = np.zeros((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            v = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h * h)
-            out[i, j] = out[j, i] = v
-    return out

@@ -61,6 +61,19 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["build-operator", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("line", ["spectral_count = 100.5", "tolerance = abc",
+                                  "seed = 1.5"])
+def test_mistyped_config_value_exits_2(tmp_path, line, capsys):
+    # a config error, not a crash mid-suite
+    path = os.path.join(tmp_path, "d.cfg")
+    with open(path, "w") as fh:
+        fh.write(line + "\n")
+    out = os.path.join(tmp_path, "out")
+    assert main(["verify-spectral", "--config", path, "--out", out]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("cmd", ["build-operator", "viscosity-test", "report"])
 def test_tolerance_rejected_where_unused(tmp_path, cmd, capsys):
     # only verify-spectral and verify-hessian read a tolerance

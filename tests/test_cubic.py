@@ -5,10 +5,10 @@ import pytest
 
 from qcubic.cubic import (DirectionD, direction_from, eval_P, grad_P,
                           q_matrix, invariants_mn, spectrum_closed_form,
-                          direction_spectrum, spectrum_sweep, verify_cor2,
+                          direction_spectrum, spectrum_sweep, band_slack,
                           perp_basis, perp_sweep, cubic_roots_check,
                           cor4_check, strata_directions)
-from qcubic.eigen import eigvalsh_desc, jacobi_eigh
+from qcubic.eigen import eigh_desc, eigvalsh_desc, jacobi_eigh
 from qcubic.numdiff import fd_gradient
 from qcubic.quaternions import qmul
 from qcubic.sampling import rng_for, directions, STREAM_SPECTRAL
@@ -79,13 +79,12 @@ def test_closed_form_spectrum_matches_eigensolver():
 
 
 def test_direction_spectrum_solvers_agree():
+    # the reference (Jacobi) report against the batched LAPACK path
     d = direction_from(np.arange(1.0, 13.0))
-    rj = direction_spectrum(d, solver="jacobi")
-    rl = direction_spectrum(d, solver="lapack")
-    assert np.max(np.abs(rj.eigenvalues - rl.eigenvalues)) < 1e-12
-    assert rj.max_mismatch < 1e-10
-    with pytest.raises(ValueError):
-        direction_spectrum(d, solver="cholesky")
+    rep = direction_spectrum(d)
+    vals, _ = eigh_desc(q_matrix(d.vec))
+    assert np.max(np.abs(rep.eigenvalues - vals)) < 1e-12
+    assert rep.max_mismatch < 1e-10
 
 
 def test_direction_spectrum_vector_contract():
@@ -108,10 +107,11 @@ def test_spectrum_traceless_and_extremes_paired():
 
 
 def test_verify_cor2_on_random_direction():
+    # Corollary 2's band bounds and the descending order on one report
     d = direction_from(rng_for(10, STREAM_SPECTRAL).standard_normal(12))
-    res = verify_cor2(direction_spectrum(d))
-    assert res["passed"], res
-    assert res["worst_slack"] >= 0.0
+    lam = direction_spectrum(d).eigenvalues
+    assert band_slack(lam) >= 0.0
+    assert np.all(np.diff(lam) <= 0.0)
 
 
 def test_strata_spectra_hit_band_edges():

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from qcubic import symspace
-from qcubic.cones import ConeParams, _in_dual, support_x
+from qcubic import elliptic, symspace
+from qcubic.cones import ConeParams, _gauge, _in_dual, support_x
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
@@ -14,13 +14,23 @@ from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              g_tilde, operator_cone, zero_level_curve,
                              ellipticity_probe, monotonicity_sweep,
                              viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
-                             _gauge_table, _random_psd, _random_sym)
+                             _random_psd, _random_sym)
 from qcubic.hessian import H, RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
-                             STREAM_VISCOSITY)
+                             STREAM_HELDOUT, STREAM_VISCOSITY)
 
 CONE = ConeParams(33.0)
 SQ = np.sqrt(12.0)
+
+
+def full_gauges(z, zs, cone):
+    """x(z_e - zs_i) and x(zs_i - z_e) over every pair, from one unchunked
+    eigensolve of the whole table.  Test oracle for the pruned minima."""
+    dz = (z[:, None, :] - zs[None, :, :]).reshape(-1, 77)
+    mu = np.linalg.eigvalsh(symspace.embed_traceless(dz))
+    shape = (z.shape[0], zs.shape[0])
+    return (_gauge(mu, cone).reshape(shape),
+            _gauge(-mu[:, ::-1], cone).reshape(shape))
 
 
 @pytest.fixture(scope="module")
@@ -181,11 +191,11 @@ def test_g_tilde_pruned_equals_full_table(sigma, monkeypatch):
              "tiny": 1e-6 * far, "huge": 1e8 * far, "one": far[:1]}
     for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
         for name, z in cases.items():
-            full = np.min(sigma.s[None, :] + _gauge_table(z, sigma, cone)[0],
+            full = np.min(sigma.s[None, :] + full_gauges(z, sigma.z, cone)[0],
                           axis=1)
             assert g_tilde(z, sigma, cone).tobytes() == full.tobytes(), name
     assert g_tilde(far[0], sigma, CONE) == float(
-        np.min(sigma.s + _gauge_table(far[:1], sigma, CONE)[0]))
+        np.min(sigma.s + full_gauges(far[:1], sigma.z, CONE)[0]))
 
     rows = []
     eigvalsh = np.linalg.eigvalsh
@@ -266,6 +276,71 @@ def test_zero_level_curve_monotone(sigma):
     assert np.all(rep.F_full <= 1e-12)
     with pytest.raises(ValueError):
         zero_level_curve(sigma, CONE, counts=(20, 200))
+
+
+def test_zero_level_curve_equals_full_table(sigma, monkeypatch):
+    # prefix minima, F_full and the pruned nn_bound are bitwise those of the
+    # full gauge table, and most pairs are never eigensolved
+    zh, sh = symspace.to_coords(H(unit_sphere(rng_for(7, STREAM_HELDOUT), 40)))
+    rows, solved = [], []
+    eigvalsh, pruned_min = np.linalg.eigvalsh, elliptic._pruned_min
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: rows.append(len(a)) or eigvalsh(a))
+
+    def counted(*args):
+        rows.clear()
+        out = pruned_min(*args)
+        solved.append(sum(rows))
+        return out
+    monkeypatch.setattr(elliptic, "_pruned_min", counted)
+    for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
+        fwd, rev = full_gauges(zh, sigma.z, cone)
+        g = sigma.s[None, :] + fwd
+        for counts in ((20, 40, 80, 150), (10, 75)):
+            solved.clear()
+            rep = zero_level_curve(sigma, cone, counts=counts,
+                                   heldout_count=40, heldout_seed=7)
+            assert rep.max_abs_F == [float(np.max(np.abs(sh - g[:, :c].min(1))))
+                                     for c in counts]
+            assert rep.F_full.tobytes() == (sh - g.min(axis=1)).tobytes()
+            assert rep.nn_bound.tobytes() == np.min(fwd + rev, 1).tobytes()
+            # one pruned minimum per count, one for F_full past the last
+            # count, one for nn_bound: together fewer rows than one table
+            assert len(solved) == len(counts) + (counts[-1] < 150) + 1
+            assert sum(solved) < fwd.size
+            assert solved[-1] < 0.3 * fwd.size
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
+    # the floors zero_level_curve prunes with never exceed the entries they
+    # bound: s_i + kappa sqrt(12) lambda_max(Z_i - Z) <= s_i + x(z - z_i), and
+    # the summed kappa sqrt(12) (lambda_max(Z_i - Z) + lambda_max(Z - Z_i))
+    # <= x(z - z_i) + x(z_i - z).  Generic and near-graph evaluation rows
+    # (in place of the held-out points) bring the floors within 1% of the
+    # gauges, closer than 1 - kappa at lam = 33.
+    rng = rng_for(9, STREAM_ELLIPTIC)
+    z = scale * np.concatenate([
+        symspace.to_coords(_random_sym(rng, 30))[0],
+        sigma.z[:30] + 0.01 * rng.standard_normal((30, 77))])
+    scaled = SigmaSample(sigma.sources, scale * sigma.z, scale * sigma.s,
+                         sigma.seed)
+    held_s = np.zeros(len(z))
+    monkeypatch.setattr(elliptic, "_coords_of_sources",
+                        lambda _: (z, held_s))
+    floors, pruned_min = [], elliptic._pruned_min
+    monkeypatch.setattr(elliptic, "_pruned_min",
+                        lambda *args: floors.append(args[2]) or pruned_min(*args))
+    for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
+        floors.clear()
+        rep = zero_level_curve(scaled, cone, counts=(150,), heldout_count=60)
+        fwd, rev = full_gauges(z, scaled.z, cone)
+        g_floor, nn_floor = floors
+        assert np.all(g_floor <= scaled.s + fwd)
+        assert np.all(nn_floor <= fwd + rev)
+        assert rep.nn_bound.tobytes() == np.min(fwd + rev, 1).tobytes()
+        g = np.min(scaled.s + fwd, axis=1)
+        assert rep.F_full.tobytes() == (held_s - g).tobytes()
 
 
 def test_ellipticity_probe_small(op):
