@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,27 +43,32 @@ from .sampling import (rng_for, unit_pairs, unit_sphere, directions,
 SCHEMA_VERSION = 1
 
 
+def _count(default: int, least: int):
+    """A RunConfig sample count; validate() enforces the minimum."""
+    return field(default=default, metadata={"min": least})
+
+
 @dataclass
 class RunConfig:
     seed: int = 42
     tolerance: float | None = None
     lambda_policy: str = "empirical"
     out: str = "qcubic-out"
-    # per-suite sample counts (minimums in parentheses are enforced)
-    spectral_count: int = 10_000        # random directions (>= 10)
-    strata_count: int = 50              # per stratum class (>= 2)
-    perp_count: int = 100_000           # compression-ratio samples (>= 100)
-    cor4_pairs: int = 200               # growth-bound pairs (>= 2)
-    fd_count: int = 1_000               # finite-difference points (>= 10)
-    witness_pairs: int = 100_000        # witness pairs (>= 10)
-    ratio_pairs: int = 100_000          # pinch-estimate pairs (>= 100)
-    third_count: int = 10_000           # third-derivative samples (>= 10)
-    sigma_count: int = 500              # graph sample size (>= 2)
-    heldout_count: int = 200            # held-out graph points (>= 10)
+    # per-suite sample counts
+    spectral_count: int = _count(10_000, 10)      # random directions
+    strata_count: int = _count(50, 2)             # per stratum class
+    perp_count: int = _count(100_000, 100)        # compression-ratio samples
+    cor4_pairs: int = _count(200, 2)              # growth-bound pairs
+    fd_count: int = _count(1_000, 10)             # finite-difference points
+    witness_pairs: int = _count(100_000, 10)      # witness pairs
+    ratio_pairs: int = _count(100_000, 100)       # pinch-estimate pairs
+    third_count: int = _count(10_000, 10)         # third-derivative samples
+    sigma_count: int = _count(500, 2)             # graph sample size
+    heldout_count: int = _count(200, 10)          # held-out graph points
     heldout_seed: int = 7
-    elliptic_trials: int = 400          # slope probes (>= 4)
-    monotonicity_trials: int = 2_000    # psd-increment trials (>= 10)
-    viscosity_trials: int = 1_000       # one-sided quadratics (>= 2)
+    elliptic_trials: int = _count(400, 4)         # slope probes
+    monotonicity_trials: int = _count(2_000, 10)  # psd-increment trials
+    viscosity_trials: int = _count(1_000, 2)      # one-sided quadratics
 
     def validate(self):
         for f in fields(self):
@@ -73,14 +78,9 @@ class RunConfig:
             if not unset and type(val) not in want:
                 raise ValueError("config: %s must be of type %s, got %r" % (
                     f.name, " or ".join(t.__name__ for t in want), val))
-        mins = dict(spectral_count=10, strata_count=2, perp_count=100,
-                    cor4_pairs=2, fd_count=10, witness_pairs=10,
-                    ratio_pairs=100, third_count=10, sigma_count=2,
-                    heldout_count=10, elliptic_trials=4,
-                    monotonicity_trials=10, viscosity_trials=2)
-        for name, lo in mins.items():
-            if getattr(self, name) < lo:
-                raise ValueError("config: %s must be >= %d" % (name, lo))
+            if "min" in f.metadata and val < f.metadata["min"]:
+                raise ValueError("config: %s must be >= %d" % (
+                    f.name, f.metadata["min"]))
         if self.lambda_policy not in ("paper", "empirical"):
             raise ValueError("config: lambda_policy must be paper|empirical")
         if self.tolerance is not None and not self.tolerance > 0:
@@ -110,33 +110,17 @@ def parse_config_file(path: str) -> dict:
 
 
 def load_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        file_vals = parse_config_file(args.config)
-        known = {f.name for f in fields(RunConfig)}
-        bad = set(file_vals) - known
-        if bad:
-            raise ValueError("config: unknown keys %s" % sorted(bad))
-        cfg = replace(cfg, **file_vals)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "tolerance", None) is not None:
-        cfg.tolerance = args.tolerance
-    if args.lambda_policy is not None:
-        cfg.lambda_policy = args.lambda_policy
-    if args.out is not None:
-        cfg.out = args.out
+    known = {f.name for f in fields(RunConfig)}
+    vals = parse_config_file(args.config) if args.config else {}
+    bad = set(vals) - known
+    if bad:
+        raise ValueError("config: unknown keys %s" % sorted(bad))
+    # flags override the file; --count sets the fields _SUITES names
+    vals.update((k, v) for k, v in vars(args).items()
+                if k in known and v is not None)
     if getattr(args, "count", None) is not None:
-        # --count steers the invoked suite's headline sample size
-        cmd = args.command
-        if cmd == "verify-spectral":
-            cfg.spectral_count = args.count
-        elif cmd == "verify-hessian":
-            cfg.witness_pairs = cfg.ratio_pairs = args.count
-        elif cmd == "build-operator":
-            cfg.sigma_count = args.count
-        elif cmd == "viscosity-test":
-            cfg.viscosity_trials = args.count
+        vals.update(dict.fromkeys(_SUITES[args.command].count, args.count))
+    cfg = RunConfig(**vals)
     cfg.validate()
     return cfg
 
@@ -145,33 +129,19 @@ def load_config(args) -> RunConfig:
 # serialization helpers
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _write_json(path: str, obj) -> None:
-    text = json.dumps(_plain(obj), sort_keys=True, indent=2)
+    # every non-JSON value a suite reports is an ndarray or numpy scalar
+    text = json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda a: a.tolist())
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")
 
 
 def _check(name: str, passed: bool, worst, witness=None) -> dict:
-    entry = {"name": name, "passed": bool(passed), "worst": _plain(worst)}
+    entry = {"name": name, "passed": bool(passed), "worst": worst}
     if not passed and witness is not None:
-        entry["witness"] = _plain(witness)
+        entry["witness"] = witness
     return entry
 
 
@@ -184,10 +154,10 @@ def _suite_report(name: str, cfg: RunConfig, checks: list, constants: dict,
         "lambda_policy": cfg.lambda_policy,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
-        "constants": _plain(constants),
+        "constants": constants,
     }
     if extra:
-        rep.update(_plain(extra))
+        rep.update(extra)
     return rep
 
 
@@ -202,19 +172,17 @@ def spectral_suite(cfg: RunConfig) -> dict:
     dirs = directions(rng_for(cfg.seed, STREAM_SPECTRAL), cfg.spectral_count)
     strata = strata_directions(rng_for(cfg.seed, STREAM_SPECTRAL + 100),
                                cfg.strata_count)
-    vals_r, closed_r = spectrum_sweep(dirs)
-    vals_s, closed_s = spectrum_sweep(strata)
-    err_r = np.max(np.abs(vals_r - closed_r), axis=1)
-    err_s = np.max(np.abs(vals_s - closed_s), axis=1)
-    worst = float(max(err_r.max(), err_s.max()))
-    wit_idx = int(np.argmax(err_r)) if err_r.max() >= err_s.max() \
-        else -1 - int(np.argmax(err_s))
+    both = np.concatenate([dirs, strata])
+    vals, closed = spectrum_sweep(both)
+    err = np.max(np.abs(vals - closed), axis=1)
+    k = int(np.argmax(err))  # strata rows are witnessed as -1, -2, ...
+    worst = float(err[k])
+    n = len(dirs)
     checks.append(_check("closed_form_spectrum", worst <= tol, worst,
-                         witness={"index": wit_idx,
-                                  "direction": (dirs[wit_idx] if wit_idx >= 0
-                                                else strata[-1 - wit_idx])}))
+                         witness={"index": k if k < n else n - 1 - k,
+                                  "direction": both[k]}))
 
-    slack = band_slack(np.concatenate([vals_r, vals_s]))
+    slack = band_slack(vals)
     k = int(np.argmin(slack))
     checks.append(_check("eigenvalue_bands", bool(np.all(slack >= 0)),
                          float(slack.min()), witness={"index": k}))
@@ -249,7 +217,7 @@ def spectral_suite(cfg: RunConfig) -> dict:
     m_s, n_s, t_s = invariants_mn(dirs[:16])
     sample = np.concatenate([np.asarray(m_s, dtype=float)[:, None],
                              np.asarray(n_s, dtype=float)[:, None],
-                             closed_r[:16]], axis=1)
+                             closed[:min(16, n)]], axis=1)
     return _suite_report(
         "spectral", cfg, checks,
         {"delta_hat": delta_hat, "spectrum_tolerance": tol,
@@ -385,10 +353,9 @@ def viscosity_suite(cfg: RunConfig) -> dict:
     cache = os.path.join(cfg.out, "sigma.cache")
     if os.path.exists(cache):
         sigma = load_cache(cache)
-        lam = sigma.lam
-        if lam <= 1.0:
+        if sigma.lam <= 1.0:
             raise CacheError("cached sample has no usable aperture")
-        cone = ConeParams(lam)
+        cone = ConeParams(sigma.lam)
     else:
         _, cone = _policy_cone(cfg)
         sigma = build_sigma(cfg.sigma_count, cfg.seed, cone, cache_path=cache)
@@ -406,6 +373,33 @@ def viscosity_suite(cfg: RunConfig) -> dict:
          "majorant_min_F": vr.majorant_min_F,
          "trials": vr.trials, "margin": vr.margin,
          "lambda_used": cone.lam})
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """A suite subcommand: run(cfg) makes <output>.json, --count sets the
+    RunConfig fields in count, tolerance says whether it reads --tolerance,
+    and report.json lifts the named constants from its output."""
+    output: str
+    run: object
+    count: tuple
+    tolerance: bool
+    constants: tuple
+
+
+_SUITES = {
+    "verify-spectral": _Suite("spectral", spectral_suite, ("spectral_count",),
+                              True, ("delta_hat",)),
+    "verify-hessian": _Suite("hessian", hessian_suite,
+                             ("witness_pairs", "ratio_pairs"), True,
+                             ("M_hat", "ratio_min", "third_max")),
+    "build-operator": _Suite("operator", operator_suite, ("sigma_count",),
+                             False, ("Lambda_hat", "Lambda_paper_chain",
+                                     "lambda_used", "maxF_curve")),
+    "viscosity-test": _Suite("viscosity", viscosity_suite,
+                             ("viscosity_trials",), False,
+                             ("minorant_max_F", "majorant_min_F")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -426,32 +420,22 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def report_cmd(cfg: RunConfig) -> int:
-    need = ["spectral", "hessian", "operator"]
     suites = {}
-    for name in need + ["viscosity"]:
-        path = os.path.join(cfg.out, name + ".json")
+    for suite in _SUITES.values():
+        path = os.path.join(cfg.out, suite.output + ".json")
         if os.path.exists(path):
             with open(path) as fh:
-                suites[name] = json.load(fh)
-    missing = [n for n in need if n not in suites]
+                suites[suite.output] = json.load(fh)
+    missing = [n for n in ("spectral", "hessian", "operator")
+               if n not in suites]
     if missing:
         print("report: missing suite outputs: %s (run the verify/build "
               "commands first)" % ", ".join(missing), file=sys.stderr)
         return 2
 
-    constants = {
-        "delta_hat": suites["spectral"]["constants"]["delta_hat"],
-        "M_hat": suites["hessian"]["constants"]["M_hat"],
-        "ratio_min": suites["hessian"]["constants"]["ratio_min"],
-        "third_max": suites["hessian"]["constants"]["third_max"],
-        "Lambda_hat": suites["operator"]["constants"]["Lambda_hat"],
-        "Lambda_paper_chain": suites["operator"]["constants"]["Lambda_paper_chain"],
-        "lambda_used": suites["operator"]["constants"]["lambda_used"],
-        "maxF_curve": suites["operator"]["constants"]["maxF_curve"],
-    }
-    if "viscosity" in suites:
-        constants["minorant_max_F"] = suites["viscosity"]["constants"]["minorant_max_F"]
-        constants["majorant_min_F"] = suites["viscosity"]["constants"]["majorant_min_F"]
+    constants = {key: suites[s.output]["constants"][key]
+                 for s in _SUITES.values() if s.output in suites
+                 for key in s.constants}
     merged = {
         "schema_version": SCHEMA_VERSION,
         "passed": all(s["passed"] for s in suites.values()),
@@ -485,31 +469,23 @@ def report_cmd(cfg: RunConfig) -> int:
 # entry point
 
 
-_SUITES = {
-    "verify-spectral": ("spectral", spectral_suite),
-    "verify-hessian": ("hessian", hessian_suite),
-    "build-operator": ("operator", operator_suite),
-    "viscosity-test": ("viscosity", viscosity_suite),
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qcubic",
         description="Verification suites for the twelve-variable cubic-form "
                     "potential and its Hessian-graph elliptic operator.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_SUITES) + ["report"]:
+    for name, suite in [*_SUITES.items(), ("report", None)]:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--count", type=int,
-                       help="headline sample count for this suite")
-        if name in ("verify-spectral", "verify-hessian"):
-            # the only suites that read cfg.tolerance
-            p.add_argument("--tolerance", type=float)
-        p.add_argument("--lambda-policy", dest="lambda_policy",
-                       choices=["paper", "empirical"])
+        if suite:
+            p.add_argument("--seed", type=int)
+            p.add_argument("--count", type=int,
+                           help="sets " + " and ".join(suite.count))
+            if suite.tolerance:
+                p.add_argument("--tolerance", type=float)
+            p.add_argument("--lambda-policy", dest="lambda_policy",
+                           choices=["paper", "empirical"])
         p.add_argument("--out", help="output directory (default qcubic-out)")
     args = parser.parse_args(argv)
 
@@ -523,14 +499,14 @@ def main(argv=None) -> int:
     if args.command == "report":
         return report_cmd(cfg)
 
-    name, fn = _SUITES[args.command]
+    suite = _SUITES[args.command]
     t0 = time.time()
     try:
-        rep = fn(cfg)
+        rep = suite.run(cfg)
     except (CacheError, GraphError) as exc:
         print("qcubic %s: %s" % (args.command, exc), file=sys.stderr)
         return 2
-    _write_json(os.path.join(cfg.out, name + ".json"), rep)
+    _write_json(os.path.join(cfg.out, suite.output + ".json"), rep)
     status = "PASS" if rep["passed"] else "FAIL"
     print("%s: %s (%d checks, %.1fs)" % (args.command, status,
                                          len(rep["checks"]), time.time() - t0))

@@ -183,17 +183,19 @@ class _PairBounds:
         return _GUARD * (self.norm[:, None] + b.norm[None, :])
 
     @staticmethod
-    def solve(diff, ii: np.ndarray, jj: np.ndarray):
-        """Yield (slice, ascending eigenvalue rows of diff(ii, jj) there) over
-        the index pairs, in blocks of at most EIG_CHUNK."""
+    def solve(diff, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalue rows of diff(ii, jj), aligned with the index
+        pairs, solved in blocks of at most EIG_CHUNK."""
+        out = np.empty((ii.size, 12))
         for start in range(0, ii.size, EIG_CHUNK):
-            sl = slice(start, min(start + EIG_CHUNK, ii.size))
-            i, j = ii[sl], jj[sl]
+            sl = slice(start, start + EIG_CHUNK)
+            rows, i, j = out[sl], ii[sl], jj[sl]
             if i.size == 1:
                 # one row would take BLAS's matrix-vector path, which rounds
                 # differently from the blocked product of larger blocks
                 i, j = np.repeat(i, 2), np.repeat(j, 2)
-            yield sl, np.linalg.eigvalsh(diff(i, j))[:sl.stop - sl.start]
+            rows[:] = np.linalg.eigvalsh(diff(i, j))[:len(rows)]
+        return out
 
 
 def support_x(z: np.ndarray, cone: ConeParams):
@@ -250,8 +252,8 @@ def cone_condition(mats: np.ndarray, cone: ConeParams) -> ConeConditionReport:
         sure = ((tr_d < a * lower[jj, ii] - slack)
                 & (-tr_d < a * lower[ii, jj] - slack))
         oi, oj = ii[~sure], jj[~sure]
-        for sl, vals in bounds.solve(lambda i, j: mats[i] - mats[j], oi, oj):
-            bad = ~in_L_ratio_batch(vals, cone)
-            violations.extend(zip(oi[sl][bad].tolist(), oj[sl][bad].tolist()))
+        bad = ~in_L_ratio_batch(
+            bounds.solve(lambda i, j: mats[i] - mats[j], oi, oj), cone)
+        violations = list(zip(oi[bad].tolist(), oj[bad].tolist()))
     return ConeConditionReport(lam=cone.lam, pairs_checked=int(ii.size),
                                violations=violations)

@@ -139,17 +139,15 @@ def validate_graph(sigma: SigmaSample, cone: ConeParams) -> None:
                 - bounds.guard()[ii, jj])
     open_ = ~sure & (ds > GRAPH_TOL)  # coincident points are never violations
     ii, jj, ds, t = ii[open_], jj[open_], ds[open_], t[open_]
-    for sl, mu in bounds.solve(
-            lambda i, j: symspace.embed_traceless(sigma.z[i] - sigma.z[j]),
-            ii, jj):
-        tt = t[sl, None]
-        bad = _in_dual(mu + tt, cone) | _in_dual(tt - mu, cone)
-        if np.any(bad):
-            k = sl.start + int(np.nonzero(bad)[0][0])
-            raise GraphError(
-                "graph invariant violated by pair (%d, %d): |ds|=%.6g "
-                "exceeds the cone modulus at aperture %.6g"
-                % (ii[k], jj[k], ds[k], cone.lam))
+    mu = bounds.solve(
+        lambda i, j: symspace.embed_traceless(sigma.z[i] - sigma.z[j]), ii, jj)
+    bad = _in_dual(mu + t[:, None], cone) | _in_dual(t[:, None] - mu, cone)
+    if np.any(bad):
+        k = int(np.argmax(bad))  # the first bad pair
+        raise GraphError(
+            "graph invariant violated by pair (%d, %d): |ds|=%.6g "
+            "exceeds the cone modulus at aperture %.6g"
+            % (ii[k], jj[k], ds[k], cone.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +246,8 @@ def _pruned_min(z: np.ndarray, sigma: SigmaSample, floor: np.ndarray,
     of the full table.
     """
     def solve(e, i):
-        out = np.empty(e.size)
-        for sl, mu in _PairBounds.solve(
-                lambda a, b: symspace.embed_traceless(z[a] - sigma.z[b]), e, i):
-            out[sl] = value(mu, i[sl])
-        return out
+        return value(_PairBounds.solve(
+            lambda a, b: symspace.embed_traceless(z[a] - sigma.z[b]), e, i), i)
 
     n_eval, n = floor.shape
     k = min(_PRUNE_CANDIDATES, n)

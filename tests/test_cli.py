@@ -196,11 +196,36 @@ def test_seed_changes_measurements(tmp_path):
     assert a["constants"]["delta_hat"] != b["constants"]["delta_hat"]
 
 
-def test_count_flag_overrides_headline(tmp_path):
+# per suite subcommand: --count N, its output, and the entries N must set
+# while the other counts keep their SMALL values
+COUNTED = {
+    "verify-spectral": (333, "spectral.json", "counts",
+                        {"directions": 333, "perp": 500}),
+    "verify-hessian": (333, "hessian.json", "counts",
+                       {"fd": 20, "witness": 333, "ratio": 333, "third": 100}),
+    "build-operator": (70, "operator.json", "counts",
+                       {"sigma": 70, "heldout": 20}),
+    "viscosity-test": (8, "viscosity.json", "constants", {"trials": 8}),
+}
+
+
+@pytest.mark.parametrize("cmd", list(COUNTED))
+def test_count_flag_overrides_headline(tmp_path, cmd):
+    count, output, key, want = COUNTED[cmd]
     cfg = _write_config(tmp_path)
     out = os.path.join(tmp_path, "cnt")
-    assert main(["verify-spectral", "--config", cfg, "--count", "333",
+    assert main([cmd, "--config", cfg, "--count", str(count),
                  "--out", out]) == 0
-    with open(os.path.join(out, "spectral.json")) as fh:
+    with open(os.path.join(out, output)) as fh:
         rep = json.load(fh)
-    assert rep["counts"]["directions"] == 333
+    assert {k: rep[key][k] for k in want} == want
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "5"), ("--seed", "3"),
+                                         ("--lambda-policy", "paper")])
+def test_report_rejects_unread_flags(tmp_path, flag, value, capsys):
+    # report only merges suite outputs: it has no count, seed or aperture
+    with pytest.raises(SystemExit) as exc:
+        main(["report", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

@@ -286,9 +286,8 @@ def test_pair_solve_rows_do_not_depend_on_block(monkeypatch):
     monkeypatch.setattr("qcubic.cones.EIG_CHUNK", 4)
     for size in (1, 2, 3, 9):
         pick = np.sort(rng.choice(ii.size, size, replace=False))
-        rows = np.empty((size, 12))
-        for sl, vals in _PairBounds.solve(diff, ii[pick], jj[pick]):
-            rows[sl] = vals
+        rows = _PairBounds.solve(diff, ii[pick], jj[pick])
+        assert rows.shape == (size, 12)
         assert rows.tobytes() == full[pick].tobytes(), size
 
 
