@@ -246,7 +246,7 @@ def perp_sweep(dirs: np.ndarray) -> np.ndarray:
     mats = q_matrix(dirs)
     vals = eigvalsh_desc(mats)
     p = perp_basis(dirs)
-    cvals = np.linalg.eigvalsh(np.einsum("nji,njk,nkl->nil", p, mats, p))
+    cvals = np.linalg.eigvalsh(np.swapaxes(p, -1, -2) @ mats @ p)
     return np.stack([vals[:, 2], vals[:, 9], cvals[:, -1], cvals[:, 0]],
                     axis=1)
 

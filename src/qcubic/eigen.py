@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Convergence threshold on the off-diagonal Frobenius norm.
+# Jacobi's off-diagonal stop at |mat|_F in (4, 8], where sqrt(24) lies.
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 40
 
@@ -30,7 +30,8 @@ def jacobi_eigh(mat, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEP
 
     Returns ``(values, vectors)`` with eigenvalues sorted in descending
     order and eigenvectors as the matching columns of an orthogonal matrix.
-    Sweeps stop once the off-diagonal Frobenius norm drops below ``tol``.
+    Sweeps stop at off-diagonal Frobenius norm <= ``tol * 2**(e - 3)``, with
+    ``2**(e-1) <= |mat|_F < 2**e``, so ``2**k * mat`` rotates as ``mat``.
 
     Raises ValueError on non-square or non-symmetric input.
     """
@@ -42,21 +43,22 @@ def jacobi_eigh(mat, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEP
     a = (a + a.T) / 2.0
     n = a.shape[0]
     v = np.eye(n)
+    stop = np.ldexp(tol, int(np.frexp(np.linalg.norm(a))[1]) - 3)
 
     for _ in range(max_sweeps):
-        if _offdiag_norm(a) < tol:
+        if _offdiag_norm(a) <= stop:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
                 if abs(apq) < 1e-300:
                     continue
-                # Classical rotation: pick the smaller-angle root.
+                # Smaller-angle root t = sign(tau) / (|tau| + sqrt(1 + tau^2));
+                # past |tau| = 1e150 the root is |tau| and tau^2 would overflow.
                 tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                at = abs(tau)
+                t = 1.0 / (at + (np.sqrt(1.0 + at * at) if at < 1e150 else at))
+                t = -t if tau < 0 else t
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
 

@@ -57,24 +57,30 @@ def hess_w(x) -> np.ndarray:
 
     D2w = D2P/r - (gP ox x + x ox gP)/r^3 - P I/r^3 + 3 P (x ox x)/r^5,
     with D2P(x) the direction matrix of x itself (q_matrix is linear).
+    One q_matrix gives D2P and gP = D2P x / 2 (as grad_P does); the terms
+    are summed in place left to right, so every element rounds as above.
     """
     x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
+    r = np.linalg.norm(x, axis=-1)[..., None, None]
     if np.any(r < MIN_RADIUS):
         raise ValueError("hess_w: undefined at the origin")
-    p = eval_P(x)
-    gp = grad_P(x)
-    gx = gp[..., :, None] * x[..., None, :]
-    xx = x[..., :, None] * x[..., None, :]
-    eye = np.eye(12)
-    r = r[..., None, None]
-    p = p[..., None, None]
-    return (
-        q_matrix(x) / r
-        - (gx + np.swapaxes(gx, -1, -2)) / r**3
-        - p * eye / r**3
-        + 3.0 * p * xx / r**5
-    )
+    p = eval_P(x)[..., None, None]
+    out = q_matrix(x)
+    gp = 0.5 * np.einsum("...ij,...j->...i", out, x)
+    out /= r
+    r3 = r**3
+    term = gp[..., :, None] * x[..., None, :]
+    term = term + np.swapaxes(term, -1, -2)
+    term /= r3
+    out -= term
+    # (P/r^3) I equals (P I)/r^3 elementwise, signed zeros included (r > 0)
+    np.multiply(p / r3, np.eye(12), out=term)
+    out -= term
+    np.multiply(x[..., :, None], x[..., None, :], out=term)
+    term *= 3.0 * p
+    term /= r**5
+    out += term
+    return out
 
 
 def H(a) -> np.ndarray:

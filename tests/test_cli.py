@@ -193,7 +193,10 @@ def test_seed_changes_measurements(tmp_path):
         a = json.load(fh)
     with open(os.path.join(out2, "spectral.json")) as fh:
         b = json.load(fh)
+    # delta_hat is 1 plus rounding noise, so it differs by chance; the
+    # closed-form sample rows are drawn from the seed
     assert a["constants"]["delta_hat"] != b["constants"]["delta_hat"]
+    assert a["eigen_sample"] != b["eigen_sample"]
 
 
 # per suite subcommand: --count N, its output, and the entries N must set

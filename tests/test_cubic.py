@@ -182,6 +182,25 @@ def test_perp_sweep_matches_single_route():
         assert abs(rows[k, 3] - comp[-1]) < 1e-10
 
 
+def test_perp_sweep_matches_einsum_oracle():
+    # the compressed extremes against the 3-operand einsum pT M p
+    dirs = directions(rng_for(15, STREAM_SPECTRAL), 2000)
+    rows = perp_sweep(dirs)
+    mats = q_matrix(dirs)
+    p = perp_basis(dirs)
+    comp = np.linalg.eigvalsh(np.einsum("nji,njk,nkl->nil", p, mats, p))
+    assert np.max(np.abs(rows[:, 2] - comp[:, -1])) <= 1e-13
+    assert np.max(np.abs(rows[:, 3] - comp[:, 0])) <= 1e-13
+    vals = eigvalsh_desc(mats)
+    assert np.array_equal(rows[:, 0], vals[:, 2])
+    assert np.array_equal(rows[:, 1], vals[:, 9])
+    # Cauchy interlacing on every row
+    assert np.all((vals[:, 1] - 1e-12 <= rows[:, 2])
+                  & (rows[:, 2] <= vals[:, 0] + 1e-12))
+    assert np.all((vals[:, 11] - 1e-12 <= rows[:, 3])
+                  & (rows[:, 3] <= vals[:, 10] + 1e-12))
+
+
 def test_compression_ratio_below_three_halves():
     rows = perp_sweep(directions(rng_for(14, STREAM_SPECTRAL), 3000))
     ratios = np.maximum(rows[:, 2] / rows[:, 0], rows[:, 3] / rows[:, 1])

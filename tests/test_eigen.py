@@ -1,9 +1,15 @@
 """Reference Jacobi solver against LAPACK, both directions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from qcubic.eigen import jacobi_eigh, eigvalsh_desc, eigh_desc
+import qcubic.eigen as eigen_mod
+from qcubic.cubic import q_matrix
+from qcubic.eigen import (jacobi_eigh, eigvalsh_desc, eigh_desc,
+                          JACOBI_MAX_SWEEPS)
+from qcubic.sampling import rng_for, directions, STREAM_SPECTRAL
 
 
 def _random_sym(rng, n=12):
@@ -69,3 +75,33 @@ def test_eigh_desc_vectors_consistent():
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_jacobi_scale_aware(scale, monkeypatch):
+    # the stop follows the input's scale: relative error at rounding level,
+    # no overflow warning, and the stop is met before the sweep cap
+    sweeps = []
+    norm = eigen_mod._offdiag_norm
+    monkeypatch.setattr(eigen_mod, "_offdiag_norm",
+                        lambda a: sweeps.append(1) or norm(a))
+    for d in directions(rng_for(16, STREAM_SPECTRAL), 4):
+        m = q_matrix(d) * scale
+        sweeps.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = jacobi_eigh(m)
+        ref = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-12 * scale
+        assert len(sweeps) < JACOBI_MAX_SWEEPS
+
+
+def test_jacobi_power_of_two_scaling_is_exact():
+    # 2^k mat takes the same rotations as mat and stops at the same sweep
+    m = q_matrix(directions(rng_for(17, STREAM_SPECTRAL), 1)[0])
+    vals, vecs = jacobi_eigh(m)
+    for k in (-40, 30):
+        vk, wk = jacobi_eigh(np.ldexp(m, k))
+        assert np.array_equal(vk, np.ldexp(vals, k))
+        assert np.array_equal(wk, vecs)

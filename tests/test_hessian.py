@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcubic.cubic import eval_P
+from qcubic.cubic import eval_P, grad_P, q_matrix
 from qcubic.eigen import jacobi_eigh
 from qcubic.hessian import (eval_w, grad_w, hess_w, H, pair_ratio_sweep,
                             witness_directions, witness_sweep,
@@ -72,6 +72,40 @@ def test_fd_stack_matches_single_points():
     lin = np.random.default_rng(80).standard_normal((5, 12))
     assert np.max(np.abs(fd_jacobian(lambda x: x @ lin.T, pts[0, 0])
                          - lin)) < 1e-9
+
+
+def _hess_w_unfused(x):
+    # the closed form term by term, each term its own array
+    x = np.asarray(x, dtype=float)
+    r = np.linalg.norm(x, axis=-1)[..., None, None]
+    p = eval_P(x)[..., None, None]
+    gx = grad_P(x)[..., :, None] * x[..., None, :]
+    xx = x[..., :, None] * x[..., None, :]
+    return (q_matrix(x) / r
+            - (gx + np.swapaxes(gx, -1, -2)) / r**3
+            - p * np.eye(12) / r**3
+            + 3.0 * p * xx / r**5)
+
+
+def _bitwise_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+def test_hess_w_bitwise_matches_unfused(scale):
+    rng = np.random.default_rng(84)
+    big = rng.standard_normal((64, 12)) * scale
+    for x in (big, big.reshape(4, 16, 12)[:, :5], big[7], big[::2]):
+        assert _bitwise_equal(hess_w(x), _hess_w_unfused(x))
+    # exact zeros, signed zeros and P < 0: every signed zero must survive
+    sparse = np.zeros((3, 12))
+    sparse[:, [0, 4, 8]] = [[1.0, 1.0, -1.0], [2.0, -0.5, 1.0],
+                            [-1.0, 1.0, 1.0]]
+    sparse[1, [1, 6]] = -0.0
+    assert np.any(eval_P(sparse) < 0)
+    assert _bitwise_equal(hess_w(sparse * scale),
+                          _hess_w_unfused(sparse * scale))
 
 
 def test_hess_w_zero_homogeneous():
