@@ -49,10 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symspace
-from .eigen import eigvalsh_desc
+from .eigen import _row_blocked, eigvalsh_desc
 
 _SQRT_N = np.sqrt(12.0)
-EIG_CHUNK = 200_000  # rows per batched 12x12 eigensolve (~230 MB of matrices)
 _GUARD = 1e-9  # relative slack of every pruning certificate (_PairBounds)
 
 
@@ -152,11 +151,8 @@ class _PairBounds:
     2.2e-16, so the guard covers it more than four thousand times over and
     a certified pair is one whose full computation returns the same verdict.
 
-    solve() eigensolves the pairs left open in EIG_CHUNK blocks.  A pair's
-    eigenvalue row does not depend on which pairs share its block: LAPACK
-    solves each matrix alone, and the blocked matrix product that embeds
-    coordinates rounds every row alike once a block has two rows (a block
-    of one is padded; tests/test_cones.py checks all of this).  So each
+    solve() eigensolves the pairs left open in eigen._row_blocked blocks,
+    whose rows do not depend on the block (tests/test_cones.py), so each
     solved row, and every verdict, minimum and violation list built from
     the rows, is bitwise that of a pass over all pairs.
     """
@@ -185,17 +181,9 @@ class _PairBounds:
     @staticmethod
     def solve(diff, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """Ascending eigenvalue rows of diff(ii, jj), aligned with the index
-        pairs, solved in blocks of at most EIG_CHUNK."""
-        out = np.empty((ii.size, 12))
-        for start in range(0, ii.size, EIG_CHUNK):
-            sl = slice(start, start + EIG_CHUNK)
-            rows, i, j = out[sl], ii[sl], jj[sl]
-            if i.size == 1:
-                # one row would take BLAS's matrix-vector path, which rounds
-                # differently from the blocked product of larger blocks
-                i, j = np.repeat(i, 2), np.repeat(j, 2)
-            rows[:] = np.linalg.eigvalsh(diff(i, j))[:len(rows)]
-        return out
+        pairs, solved in blocks of eigen.ROW_BLOCK."""
+        return _row_blocked(lambda i, j: np.linalg.eigvalsh(diff(i, j)))(
+            ii, jj)
 
 
 def support_x(z: np.ndarray, cone: ConeParams):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import eigvalsh_desc, jacobi_eigh
+from .eigen import _row_blocked, eigvalsh_desc, jacobi_eigh
 from .quaternions import matrix_M, qmul, qnorm
 
 DIRECTION_NORM_SQ = 3.0
@@ -61,7 +61,7 @@ def q_matrix(d) -> np.ndarray:
 
 def grad_P(v) -> np.ndarray:
     """Gradient of the cubic form: one half of q_matrix(v) @ v."""
-    v = np.asarray(v, dtype=float)
+    v = np.ascontiguousarray(v, dtype=float)  # C order: sums round by layout
     return 0.5 * np.einsum("...ij,...j->...i", q_matrix(v), v)
 
 
@@ -195,12 +195,12 @@ def direction_spectrum(d: DirectionD) -> SpectralReport:
     )
 
 
+@_row_blocked
 def spectrum_sweep(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (numerical, descending) and closed-form spectra for a
     stack of norm-sqrt(3) direction vectors, shape (count, 12)."""
     dirs = np.asarray(dirs, dtype=float)
-    mats = q_matrix(dirs)
-    vals = eigvalsh_desc(mats)
+    vals = eigvalsh_desc(q_matrix(dirs))
     m, n, t = invariants_mn(dirs)
     return vals, (t[:, None] * _closed_rows(m, n)).astype(float)
 
@@ -235,6 +235,7 @@ def perp_basis(d) -> np.ndarray:
     return (np.eye(12) - 2.0 * vv)[..., 1:]
 
 
+@_row_blocked
 def perp_sweep(dirs: np.ndarray) -> np.ndarray:
     """Ratio data for the compression bound over direction rows.
 
@@ -242,7 +243,6 @@ def perp_sweep(dirs: np.ndarray) -> np.ndarray:
     the extreme eigenvalues of the direction matrix compressed to the
     complement of the direction (perp_basis).
     """
-    dirs = np.asarray(dirs, dtype=float)
     mats = q_matrix(dirs)
     vals = eigvalsh_desc(mats)
     p = perp_basis(dirs)

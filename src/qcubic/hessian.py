@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cubic import eval_P, grad_P, q_matrix
-from .eigen import eigh_desc, eigvalsh_desc
+from .eigen import _row_blocked, eigh_desc, eigvalsh_desc
 from .sampling import unit_pairs, unit_sphere
 
 # Pinch constant for the extreme-eigenvalue ratio of Hessian differences.
@@ -44,7 +44,7 @@ def eval_w(x) -> np.ndarray:
 
 def grad_w(x) -> np.ndarray:
     """Closed-form gradient: grad(P)/r - P x / r^3."""
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)  # C order: sums round by layout
     r = np.linalg.norm(x, axis=-1)
     if np.any(r < MIN_RADIUS):
         raise ValueError("grad_w: undefined at the origin")
@@ -60,7 +60,7 @@ def hess_w(x) -> np.ndarray:
     One q_matrix gives D2P and gP = D2P x / 2 (as grad_P does); the terms
     are summed in place left to right, so every element rounds as above.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)  # C order: sums round by layout
     r = np.linalg.norm(x, axis=-1)[..., None, None]
     if np.any(r < MIN_RADIUS):
         raise ValueError("hess_w: undefined at the origin")
@@ -92,16 +92,14 @@ def H(a) -> np.ndarray:
     return hess_w(a)
 
 
+@_row_blocked
 def pair_ratio_sweep(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
     """Extreme-eigenvalue data for stacks of unit-point pairs.
 
     Returns rows (mu1, mu12, ratio) with ratio = -mu1/mu12.
     """
-    ha = hess_w(a_pts)
-    hb = hess_w(b_pts)
-    vals = eigvalsh_desc(ha - hb)
-    mu1 = vals[:, 0]
-    mu12 = vals[:, -1]
+    vals = eigvalsh_desc(hess_w(a_pts) - hess_w(b_pts))
+    mu1, mu12 = vals[:, 0], vals[:, -1]
     return np.stack([mu1, mu12, -mu1 / mu12], axis=1)
 
 
@@ -136,6 +134,7 @@ def witness_directions(a, b):
     return out[0], out[1]
 
 
+@_row_blocked
 def witness_sweep(a_pts: np.ndarray, b_pts: np.ndarray):
     """Quantitative two-sided Hessian separation along the witness
     directions (witness_directions) of stacks of unit-point pairs.
@@ -161,11 +160,12 @@ def third_derivative_sweep(rng: np.random.Generator,
         w_efg(x) ~ e^T (hess_w(x + h g) - hess_w(x - h g)) e_f / 2h.
     Returns the sampled absolute values (all should be <= 32).
     """
-    x, e, f, g = (unit_sphere(rng, samples) for _ in range(4))
-    step = THIRD_FD_STEP * g
-    diff = hess_w(x + step) - hess_w(x - step)
-    vals = np.einsum("ni,nij,nj->n", e, diff, f) / (2.0 * THIRD_FD_STEP)
-    return np.abs(vals)
+    @_row_blocked
+    def rows(x, e, f, g):
+        diff = hess_w(x + THIRD_FD_STEP * g) - hess_w(x - THIRD_FD_STEP * g)
+        return np.abs(np.einsum("ni,nij,nj->n", e, diff, f)
+                      / (2.0 * THIRD_FD_STEP))
+    return rows(*(unit_sphere(rng, samples) for _ in range(4)))
 
 
 def ratio_bound_estimate(rng: np.random.Generator, pairs: int):

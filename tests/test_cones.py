@@ -283,7 +283,7 @@ def test_pair_solve_rows_do_not_depend_on_block(monkeypatch):
     def diff(i, j):
         return symspace.embed_traceless(z[i] - z[j])
 
-    monkeypatch.setattr("qcubic.cones.EIG_CHUNK", 4)
+    monkeypatch.setattr("qcubic.eigen.ROW_BLOCK", 4)
     for size in (1, 2, 3, 9):
         pick = np.sort(rng.choice(ii.size, size, replace=False))
         rows = _PairBounds.solve(diff, ii[pick], jj[pick])

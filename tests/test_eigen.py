@@ -75,6 +75,20 @@ def test_eigh_desc_vectors_consistent():
 def test_jacobi_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        jacobi_eigh(np.array([[0.0, 1e-11], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_jacobi_symmetry_guard_is_relative(scale):
+    # exactly symmetric input passes and 1e-9 relative asymmetry fails, at
+    # every scale
+    m = q_matrix(directions(rng_for(18, STREAM_SPECTRAL), 1)[0]) * scale
+    jacobi_eigh(m)
+    bad = m.copy()
+    bad[0, 5] += 1e-9 * np.abs(m).max()
+    with pytest.raises(ValueError):
+        jacobi_eigh(bad)
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])

@@ -108,6 +108,16 @@ def test_hess_w_bitwise_matches_unfused(scale):
                           _hess_w_unfused(sparse * scale))
 
 
+def test_gradients_and_hessian_ignore_memory_layout():
+    # the einsums sum in an order set by the layout, unless x is C-order
+    x = np.random.default_rng(85).standard_normal((2000, 12))
+    twice = np.repeat(x, 2, axis=0)
+    for f in (grad_P, grad_w, hess_w):
+        ref = f(x)
+        for other in (np.asfortranarray(x), twice[::2], x.T.copy().T):
+            assert _bitwise_equal(f(other), ref), f.__name__
+
+
 def test_hess_w_zero_homogeneous():
     rng = np.random.default_rng(66)
     x = rng.standard_normal(12)
