@@ -25,13 +25,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cones import ConeParams, cone_condition
-from .cubic import (spectrum_sweep, strata_directions, direction_spectrum,
-                    direction_from, perp_sweep, cubic_roots_check,
-                    cor4_check, invariants_mn, band_slack)
+from .cubic import (spectrum_sweep, strata_directions, q_matrix, perp_sweep,
+                    cubic_roots_check, cor4_check, invariants_mn, band_slack)
+from .eigen import jacobi_eigh
 from .elliptic import (build_sigma, OperatorF, zero_level_curve,
                        ellipticity_probe, monotonicity_sweep, viscosity_probe,
                        operator_cone, load_cache, CacheError, GraphError)
-from .hessian import (H, hess_w, grad_w, eval_w, witness_sweep,
+from .hessian import (hess_w, grad_w, eval_w, witness_sweep,
                       third_derivative_sweep, ratio_bound_estimate,
                       pair_ratio_sweep, RATIO_BOUND, THIRD_DERIVATIVE_BOUND)
 from .numdiff import fd_gradient, fd_jacobian
@@ -189,7 +189,8 @@ def spectral_suite(cfg: RunConfig) -> dict:
 
     # per-direction reference path (reference solver + band report)
     worst_report = float(np.min(band_slack(np.stack(
-        [direction_spectrum(direction_from(d)).eigenvalues for d in dirs[:8]]))))
+        [jacobi_eigh(q_matrix(d * (np.sqrt(3.0) / np.linalg.norm(d))))[0]
+         for d in dirs[:8]]))))
     checks.append(_check("band_report_path", worst_report >= 0.0,
                          worst_report))
 
@@ -301,7 +302,7 @@ def operator_suite(cfg: RunConfig) -> dict:
 
     sigma = build_sigma(cfg.sigma_count, cfg.seed, cone,
                         cache_path=os.path.join(cfg.out, "sigma.cache"))
-    mats = H(sigma.sources[:min(500, sigma.count)])
+    mats = hess_w(sigma.sources[:min(500, sigma.count)])
     for label, lam in (("policy", cone.lam), ("paper", 11.0 * RATIO_BOUND)):
         rep = cone_condition(mats, ConeParams(lam))
         checks.append(_check("cone_condition_" + label, rep.passed,

@@ -13,15 +13,11 @@ spectra, and verifies the bounds that the rest of the package relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .eigen import _row_blocked, eigvalsh_desc, jacobi_eigh
-from .quaternions import matrix_M, qmul, qnorm
+from .eigen import _row_blocked, eigvalsh_desc
+from .quaternions import matrix_M, qmul
 
-DIRECTION_NORM_SQ = 3.0
-NORM_TOL = 1e-12
 SLACK_TOL = 1e-9  # allowance on each band bound and growth bound
 
 
@@ -35,8 +31,7 @@ def q_matrix(d) -> np.ndarray:
     """Symmetric matrix of the quadratic form 2*Q_d, for any d in R^12.
 
     Q_d(v) is the derivative of P at v in the direction d, so this matrix
-    is linear in d and equals the Hessian of P at the point d.  No norm
-    constraint: the norm-sqrt(3) contract lives in DirectionD.
+    is linear in d and equals the Hessian of P at the point d, for any norm.
 
     Blocks (a, b, c = quaternion blocks of d):
 
@@ -65,58 +60,16 @@ def grad_P(v) -> np.ndarray:
     return 0.5 * np.einsum("...ij,...j->...i", q_matrix(v), v)
 
 
-@dataclass(frozen=True)
-class DirectionD:
-    """A direction on the sphere of radius sqrt(3) with its two invariants.
-
-    m = |a||b||c| (product of block norms) and n = P(a, b, c); both lie in
-    [-1, 1] with |n| <= m.
-    """
-
-    vec: np.ndarray
-    m: float = field(init=False)
-    n: float = field(init=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float).reshape(12)
-        if abs(float(v @ v) - DIRECTION_NORM_SQ) > NORM_TOL * 10:
-            raise ValueError(
-                "DirectionD: squared norm must be 3 (got %r); "
-                "rescale explicitly with direction_from" % float(v @ v)
-            )
-        object.__setattr__(self, "vec", v)
-        a, b, c = v[0:4], v[4:8], v[8:12]
-        object.__setattr__(self, "m", float(qnorm(a) * qnorm(b) * qnorm(c)))
-        object.__setattr__(self, "n", float(eval_P(v)))
-
-
-def direction_from(v) -> DirectionD:
-    """Explicitly rescale an arbitrary nonzero 12-vector to norm sqrt(3)."""
-    v = np.asarray(v, dtype=float).reshape(12)
-    nrm = float(np.linalg.norm(v))
-    if nrm < 1e-12:
-        raise ValueError("direction_from: zero vector")
-    return DirectionD(v * (np.sqrt(3.0) / nrm))
-
-
-def spectrum_closed_form(m, n) -> np.ndarray:
-    """The twelve eigenvalues by the trigonometric root formulas.
-
-    With m = cos(alpha), n = cos(beta):
-    six simple values 2 cos(alpha/3 + pi k/3), k = 0..5, and three double
-    values 2 cos(beta/3 + pi (2l+1)/3), l = 0, 1, 2.  Descending order.
-
-    The trig is done in extended precision: arccos near +-1 amplifies
-    rounding in m by 1/sqrt(1-m^2), which costs ~sqrt(eps) accuracy near
-    the degenerate strata if done in float64.  Pass longdouble m, n (see
-    invariants_mn) to get the full benefit.
-    """
-    return _closed_rows(m, n).astype(float)
-
-
 def _closed_rows(m, n) -> np.ndarray:
     """The twelve closed-form roots at invariants (m, n), descending, in
-    longdouble; m and n share any leading shape, which gains a last axis."""
+    longdouble; m and n share any leading shape, which gains a last axis.
+
+    With m = cos(alpha), n = cos(beta): six simple values
+    2 cos(alpha/3 + pi k/3), k = 0..5, and three double values
+    2 cos(beta/3 + pi (2l+1)/3), l = 0, 1, 2.  The trig runs in longdouble
+    because arccos near +-1 amplifies rounding in m by 1/sqrt(1-m^2); pass
+    longdouble m, n (see invariants_mn) to get the full benefit.
+    """
     ld = np.longdouble
     m = np.clip(np.asarray(m, dtype=ld), ld(-1), ld(1))[..., None]
     n = np.clip(np.asarray(n, dtype=ld), ld(-1), ld(1))[..., None]
@@ -148,51 +101,6 @@ def invariants_mn(dirs: np.ndarray):
     n = qmul(qmul(a, b), c)[..., 0]
     t3 = t ** 3
     return m / t3, n / t3, t
-
-
-@dataclass
-class SpectralReport:
-    """Eigenvalues and eigenvectors of a direction matrix.
-
-    Eigenvalues descending; eigenvectors are columns scaled to norm
-    sqrt(3) with a nonnegative component along the direction (sign fixed
-    deterministically when orthogonal to it).
-    """
-
-    direction: DirectionD
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    closed_form: np.ndarray
-
-    @property
-    def max_mismatch(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues - self.closed_form)))
-
-
-def _fix_vector_signs(vecs: np.ndarray, d: np.ndarray) -> np.ndarray:
-    vecs = vecs * np.sqrt(3.0)
-    proj = d @ vecs
-    sign = np.where(proj < 0, -1.0, 1.0)
-    # Orientation against d is ambiguous when orthogonal: fall back to the
-    # first component of significant size.
-    amb = np.abs(proj) < 1e-9
-    if np.any(amb):
-        lead = vecs[np.argmax(np.abs(vecs) > 1e-6, axis=0), np.arange(vecs.shape[1])]
-        sign = np.where(amb, np.where(lead < 0, -1.0, 1.0), sign)
-    return vecs * sign
-
-
-def direction_spectrum(d: DirectionD) -> SpectralReport:
-    """Full spectral report for one direction, by the reference solver
-    (jacobi_eigh); tests pin it against the batched LAPACK path."""
-    vals, vecs = jacobi_eigh(q_matrix(d.vec))
-    m, n, t = invariants_mn(d.vec)
-    return SpectralReport(
-        direction=d,
-        eigenvalues=vals,
-        eigenvectors=_fix_vector_signs(vecs, d.vec),
-        closed_form=(t * spectrum_closed_form(m, n)).astype(float),
-    )
 
 
 @_row_blocked

@@ -4,7 +4,7 @@ Two routes are kept on purpose:
 
 * ``jacobi_eigh`` is a self-contained cyclic Jacobi rotation solver.  It is
   the reference implementation: deterministic, dependency-free, and easy to
-  audit.  It is the solver used by the single-matrix report APIs.
+  audit.  verify-spectral's ``band_report_path`` check and the tests run it.
 * ``eigvalsh_desc`` / ``eigh_desc`` are thin wrappers over LAPACK (via
   numpy) used on large batches, where a pure-python sweep loop would blow
   the runtime budget.  The test suite pins the two routes against each

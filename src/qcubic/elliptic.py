@@ -32,11 +32,12 @@ import numpy as np
 from . import symspace
 from .cones import (_GUARD, _SQRT_N, ConeParams, _PairBounds, _gauge,
                     _in_dual, _kappa, cone_condition)
-from .hessian import H, RATIO_BOUND, eval_w, hess_w
+from .hessian import RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
 
 GRAPH_TOL = 1e-8
+UNIT_TOL = 1e-9  # allowed | |a_i| - 1 | of a sample's source vectors
 MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
 _PRUNE_CANDIDATES = 8  # _pruned_min's first round: points solved per row
@@ -82,13 +83,15 @@ class SigmaSample:
 
 
 def _coords_of_sources(sources: np.ndarray):
-    return symspace.to_coords(H(sources))
+    return symspace.to_coords(hess_w(sources))
 
 
 def sigma_from_sources(sources: np.ndarray, seed: int = -1,
                        cone: ConeParams | None = None) -> SigmaSample:
     """Wrap explicit unit vectors as a sample; validates when a cone is given."""
     sources = np.asarray(sources, dtype=float)
+    if np.max(np.abs(np.linalg.norm(sources, axis=1) - 1.0)) > UNIT_TOL:
+        raise ValueError("sigma_from_sources: sources must be unit vectors")
     z, s = _coords_of_sources(sources)
     sig = SigmaSample(sources, z, s, seed,
                       lam=0.0 if cone is None else cone.lam)
@@ -220,7 +223,7 @@ def load_cache(path: str) -> SigmaSample:
     if not np.all(np.isfinite(rows)):
         raise CacheError("non-finite entries in cache")
     sources, z, s = rows[:, :12], rows[:, 12:89], rows[:, 89]
-    if np.max(np.abs(np.linalg.norm(sources, axis=1) - 1.0)) > 1e-9:
+    if np.max(np.abs(np.linalg.norm(sources, axis=1) - 1.0)) > UNIT_TOL:
         raise CacheError("source vectors are not unit length")
     z2, s2 = _coords_of_sources(sources)
     if max(np.max(np.abs(z2 - z)), np.max(np.abs(s2 - s))) > 1e-10:
@@ -306,10 +309,6 @@ class OperatorF:
     def value(self, mats: np.ndarray) -> np.ndarray:
         z, s = symspace.to_coords(np.asarray(mats, dtype=float))
         return s - g_tilde(z, self.sigma, self.cone)
-
-
-def eval_F(mat: np.ndarray, op: OperatorF) -> float:
-    return float(op.value(np.asarray(mat, dtype=float)[None])[0])
 
 
 def operator_cone(policy: str, ratio_hat: float | None = None) -> ConeParams:
@@ -433,7 +432,7 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     """
     rng = rng_for(seed, STREAM_ELLIPTIC)
     base_pts = unit_sphere(rng, trials)
-    A = H(base_pts)
+    A = hess_w(base_pts)
     half = trials // 2
     A[half:] = _random_sym(rng, trials - half, scale=1.5)
     E = _random_psd(rng, trials)
@@ -441,7 +440,7 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     FA = op.value(A)
     FAE = op.value(A + t * E)
     slopes = (FAE - FA) / t
-    idn = float((eval_F(A[0] + t * np.eye(12), op) - FA[0]) / t)
+    idn = float((op.value(A[:1] + t * np.eye(12))[0] - FA[0]) / t)
 
     # level-set pool: half graph-based, half generic, moved onto {F = 0}
     k = min(20, half, trials - half)
@@ -478,7 +477,7 @@ def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:
         A = _random_sym(rng, b, scale=1.0)
         third = max(1, b // 3)
         pts = unit_sphere(rng, third)
-        A[:third] = H(pts)
+        A[:third] = hess_w(pts)
         E = _random_psd(rng, b) * rng.uniform(0.0, 3.0, (b, 1, 1))
         diff = op.value(A + E) - op.value(A)
         worst = min(worst, float(np.min(diff)))

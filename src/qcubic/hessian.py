@@ -83,15 +83,6 @@ def hess_w(x) -> np.ndarray:
     return out
 
 
-def H(a) -> np.ndarray:
-    """Hessian of w at a unit sphere point (|a| = 1 enforced)."""
-    a = np.asarray(a, dtype=float)
-    n2 = np.einsum("...i,...i->...", a, a)
-    if np.any(np.abs(n2 - 1.0) > 1e-10):
-        raise ValueError("H: expects unit vectors; normalize explicitly")
-    return hess_w(a)
-
-
 @_row_blocked
 def pair_ratio_sweep(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
     """Extreme-eigenvalue data for stacks of unit-point pairs.

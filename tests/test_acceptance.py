@@ -29,7 +29,7 @@ from qcubic.cubic import spectrum_sweep
 from qcubic.elliptic import (build_sigma, OperatorF, zero_level_curve,
                              monotonicity_sweep, viscosity_probe,
                              operator_cone)
-from qcubic.hessian import H, ratio_bound_estimate, RATIO_BOUND
+from qcubic.hessian import hess_w, ratio_bound_estimate, RATIO_BOUND
 from qcubic.quaternions import matrix_M as _true_matrix_M
 from qcubic.sampling import (rng_for, directions, STREAM_SPECTRAL,
                              STREAM_HESSIAN, STREAM_CONE)
@@ -116,7 +116,7 @@ def test_a06_third_derivative_bound(hessian):
 
 def test_a07_pairwise_cone_condition(sigma2000, hessian):
     sigma, _ = sigma2000
-    mats = H(sigma.sources[:500])
+    mats = hess_w(sigma.sources[:500])
     for lam in (11.0 * hessian["constants"]["M_hat"], 11.0 * RATIO_BOUND):
         rep = cone_condition(mats, ConeParams(lam))
         assert rep.passed, \

@@ -3,9 +3,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from qcubic import cli
 from qcubic.cli import main, parse_config_file, RunConfig
+from qcubic.cubic import band_slack
 
 SMALL = dict(spectral_count=200, strata_count=5, perp_count=500,
              cor4_pairs=10, fd_count=20, witness_pairs=1000,
@@ -143,6 +146,43 @@ def test_corrupt_cache_exits_2(tmp_path):
         fh.write(text.replace("count=", "cuont="))
     code2, _ = _run(tmp_path, "viscosity-test")
     assert code2 == 2
+
+
+def test_near_unit_cache_source_runs_like_clean(tmp_path):
+    # a source within load_cache's 1e-9 norm tolerance is accepted by the
+    # cache and by everything downstream of it
+    code, out = _run(tmp_path, "build-operator")
+    assert code == 0
+    clean, _ = _run(tmp_path, "viscosity-test")
+    path = os.path.join(out, "sigma.cache")
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    row = lines[3].split(",")
+    row[:12] = [repr(float(v) * (1.0 + 5e-10)) for v in row[:12]]
+    lines[3] = ",".join(row)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    assert _run(tmp_path, "viscosity-test")[0] == clean == 0
+
+
+def test_band_report_path_runs_reference_solver(tmp_path, monkeypatch):
+    # band_report_path solves 8 directions with the Jacobi solver, and its
+    # worst is the band slack of exactly those spectra
+    spectra = []
+
+    def recording(mat):
+        vals, vecs = jacobi(mat)
+        spectra.append(vals)
+        return vals, vecs
+
+    jacobi = cli.jacobi_eigh
+    monkeypatch.setattr(cli, "jacobi_eigh", recording)
+    code, out = _run(tmp_path, "verify-spectral")
+    assert code == 0 and len(spectra) == 8
+    with open(os.path.join(out, "spectral.json")) as fh:
+        rep = json.load(fh)
+    [check] = [c for c in rep["checks"] if c["name"] == "band_report_path"]
+    assert check["worst"] == float(np.min(band_slack(np.stack(spectra))))
 
 
 def test_report_requires_suites(tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from qcubic import symspace
 from qcubic.cones import (ConeParams, _PairBounds, _kappa, in_K, in_K_star,
                           in_L, in_L_ratio_batch, support_x, cone_condition)
-from qcubic.hessian import H, RATIO_BOUND
+from qcubic.hessian import RATIO_BOUND, hess_w
 from qcubic.sampling import rng_for, unit_sphere, STREAM_CONE
 
 SQ = np.sqrt(12.0)
@@ -255,7 +255,7 @@ def test_gauge_pinched_by_top_eigenvalue(lam):
 
 def test_rayleigh_bounds_never_exceed_extreme_eigenvalues():
     rng = rng_for(97, STREAM_CONE)
-    hess = H(unit_sphere(rng, 30))
+    hess = hess_w(unit_sphere(rng, 30))
     eps = np.finfo(float).eps
     for scale in (1e-6, 1.0, 1e8):
         a = np.concatenate([hess, _traceless(rng, 30)]) * scale
@@ -302,7 +302,7 @@ def _full_violations(mats, cone):
 
 def test_cone_condition_on_hessian_sample():
     pts = unit_sphere(rng_for(94, STREAM_CONE), 60)
-    mats = H(pts)
+    mats = hess_w(pts)
     rep = cone_condition(mats, ConeParams(33.0))
     assert rep.passed
     assert rep.pairs_checked == 60 * 59 // 2
@@ -311,7 +311,7 @@ def test_cone_condition_on_hessian_sample():
 
 def test_cone_condition_detects_planted_violation():
     pts = unit_sphere(rng_for(95, STREAM_CONE), 20)
-    mats = H(pts)
+    mats = hess_w(pts)
     cone = ConeParams(33.0)
     mats[3] = mats[7] + np.eye(12)  # difference is a multiple of identity
     rep = cone_condition(mats, cone)
@@ -322,7 +322,7 @@ def test_cone_condition_detects_planted_violation():
     # near the boundary: M_5 - M_11 = Z + c I/sqrt(12) with c just past the
     # gauge x(Z), so the difference sits barely inside K* and no bound can
     # certify it
-    mats = H(pts)
+    mats = hess_w(pts)
     z = symspace.to_coords(mats[5] - mats[11])[0]
     c = float(support_x(z, cone)) * (1 + 1e-9)
     mats[5] = mats[11] + symspace.embed_traceless(z) + c * np.eye(12) / SQ

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
-from qcubic.cubic import (DirectionD, direction_from, eval_P, grad_P,
-                          q_matrix, invariants_mn, spectrum_closed_form,
-                          direction_spectrum, spectrum_sweep, band_slack,
+from qcubic.cubic import (_closed_rows, eval_P, grad_P, q_matrix,
+                          invariants_mn, spectrum_sweep, band_slack,
                           perp_basis, perp_sweep, cubic_roots_check,
                           cor4_check, strata_directions)
 from qcubic.eigen import eigh_desc, eigvalsh_desc, jacobi_eigh
 from qcubic.numdiff import fd_gradient
 from qcubic.quaternions import qmul
 from qcubic.sampling import rng_for, directions, STREAM_SPECTRAL
+
+
+def _on_sphere(v):
+    """v rescaled to the direction sphere of radius sqrt(3)."""
+    return v * (np.sqrt(3.0) / np.linalg.norm(v))
 
 
 def test_eval_P_is_triple_product_scalar_part():
@@ -54,15 +58,6 @@ def test_q_matrix_euler_identity():
     assert abs(v @ q_matrix(v) @ v - 6.0 * eval_P(v)) < 1e-12
 
 
-def test_direction_norm_contract():
-    with pytest.raises(ValueError):
-        DirectionD(np.ones(12))  # norm sqrt(12), not sqrt(3)
-    d = direction_from(np.ones(12))
-    assert abs(np.linalg.norm(d.vec) - np.sqrt(3.0)) < 1e-12
-    with pytest.raises(ValueError):
-        direction_from(np.zeros(12))
-
-
 def test_invariants_range_and_ineq():
     dirs = directions(rng_for(7, STREAM_SPECTRAL), 500)
     m, n, t = invariants_mn(dirs)
@@ -79,21 +74,23 @@ def test_closed_form_spectrum_matches_eigensolver():
 
 
 def test_direction_spectrum_solvers_agree():
-    # the reference (Jacobi) report against the batched LAPACK path
-    d = direction_from(np.arange(1.0, 13.0))
-    rep = direction_spectrum(d)
-    vals, _ = eigh_desc(q_matrix(d.vec))
-    assert np.max(np.abs(rep.eigenvalues - vals)) < 1e-12
-    assert rep.max_mismatch < 1e-10
+    # the reference (Jacobi) solver against the batched LAPACK path and
+    # the closed form
+    d = _on_sphere(np.arange(1.0, 13.0))
+    vals, _ = jacobi_eigh(q_matrix(d))
+    ref, _ = eigh_desc(q_matrix(d))
+    assert np.max(np.abs(vals - ref)) < 1e-12
+    _, closed = spectrum_sweep(d[None])
+    assert np.max(np.abs(vals - closed[0])) < 1e-10
 
 
 def test_direction_spectrum_vector_contract():
-    d = direction_from(np.arange(1.0, 13.0))
-    rep = direction_spectrum(d)
-    norms = np.linalg.norm(rep.eigenvectors, axis=0)
-    assert np.max(np.abs(norms - np.sqrt(3.0))) < 1e-12
-    mat = q_matrix(d.vec)
-    res = mat @ rep.eigenvectors - rep.eigenvectors * rep.eigenvalues[None, :]
+    # Jacobi's eigenvectors are orthonormal columns with small residual
+    d = _on_sphere(np.arange(1.0, 13.0))
+    mat = q_matrix(d)
+    vals, vecs = jacobi_eigh(mat)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(12))) < 1e-12
+    res = mat @ vecs - vecs * vals[None, :]
     assert np.max(np.abs(res)) < 1e-10
 
 
@@ -107,9 +104,10 @@ def test_spectrum_traceless_and_extremes_paired():
 
 
 def test_verify_cor2_on_random_direction():
-    # Corollary 2's band bounds and the descending order on one report
-    d = direction_from(rng_for(10, STREAM_SPECTRAL).standard_normal(12))
-    lam = direction_spectrum(d).eigenvalues
+    # Corollary 2's band bounds and the descending order on one Jacobi
+    # spectrum
+    d = _on_sphere(rng_for(10, STREAM_SPECTRAL).standard_normal(12))
+    lam, _ = jacobi_eigh(q_matrix(d))
     assert band_slack(lam) >= 0.0
     assert np.all(np.diff(lam) <= 0.0)
 
@@ -133,11 +131,12 @@ def test_strata_spectra_hit_band_edges():
 
 
 def test_spectrum_closed_form_degenerate_arccos():
-    # exactly on the corner the double roots coalesce; no nan allowed
-    vals = spectrum_closed_form(1.0, 1.0)
-    assert np.all(np.isfinite(vals))
+    # exactly on the corner the double roots coalesce; no nan allowed, in
+    # the kernel spectrum_sweep runs
+    vals = _closed_rows(1.0, 1.0)
+    assert vals.shape == (12,) and np.all(np.isfinite(vals))
     assert abs(vals[0] - 2.0) < 1e-12
-    vals = spectrum_closed_form(np.longdouble(1.0), np.longdouble(-1.0))
+    vals = _closed_rows(np.longdouble(1.0), np.longdouble(-1.0))
     assert np.all(np.isfinite(vals))
 
 

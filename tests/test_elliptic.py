@@ -10,12 +10,12 @@ from qcubic.cones import ConeParams, _gauge, _in_dual, support_x
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
-                             CacheError, GraphError, OperatorF, eval_F,
+                             CacheError, GraphError, OperatorF,
                              g_tilde, operator_cone, zero_level_curve,
                              ellipticity_probe, monotonicity_sweep,
                              viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
                              _random_psd, _random_sym)
-from qcubic.hessian import H, RATIO_BOUND, eval_w, hess_w
+from qcubic.hessian import RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
                              STREAM_HELDOUT, STREAM_VISCOSITY)
 
@@ -57,9 +57,9 @@ def test_build_sigma_deterministic_and_prefix_nested():
 
 
 def test_sigma_coordinates_consistent(sigma):
-    # stored (z, s) are exactly the coordinate split of H(a)
+    # stored (z, s) are exactly the coordinate split of hess_w(a)
     k = 17
-    mat = H(sigma.sources[k])
+    mat = hess_w(sigma.sources[k])
     z, s = symspace.to_coords(mat)
     assert np.max(np.abs(z - sigma.z[k])) < 1e-12
     assert abs(s - sigma.s[k]) < 1e-12
@@ -173,6 +173,23 @@ def test_cache_value_tamper_detected(tmp_path, sigma):
         load_cache(path)
 
 
+def test_cache_unit_tolerance_decides(tmp_path, sigma):
+    # load_cache's norm check is the only unit check on a cache: a source
+    # within its 1e-9 tolerance loads (the Hessian coordinates are
+    # 0-homogeneous, so they still match), one beyond it is rejected
+    path = os.path.join(tmp_path, "sigma.cache")
+    for scale, loads in ((1.0 + 5e-10, True), (1.0 + 2e-9, False)):
+        sources = sigma.sources.copy()
+        sources[3] *= scale
+        save_cache(SigmaSample(sources, sigma.z, sigma.s, sigma.seed,
+                               sigma.lam), path)
+        if loads:
+            assert np.array_equal(load_cache(path).sources, sources)
+        else:
+            with pytest.raises(CacheError, match="unit length"):
+                load_cache(path)
+
+
 # --- extension and operator ---------------------------------------------------
 
 def test_g_tilde_interpolates_stored_values(sigma):
@@ -185,7 +202,7 @@ def test_g_tilde_pruned_equals_full_table(sigma, monkeypatch):
     rng = rng_for(8, STREAM_ELLIPTIC)
     far = symspace.to_coords(_random_sym(rng, 60, scale=1.5))[0]
     near = symspace.to_coords(
-        H(unit_sphere(rng, 60)) + 2.0 * rng.uniform(-0.3, 0.3, (60, 1, 1))
+        hess_w(unit_sphere(rng, 60)) + 2.0 * rng.uniform(-0.3, 0.3, (60, 1, 1))
         * np.eye(12) + _random_psd(rng, 60) * rng.uniform(0, 0.5, (60, 1, 1)))[0]
     cases = {"far": far, "near": near, "sigma": sigma.z,
              "tiny": 1e-6 * far, "huge": 1e8 * far, "one": far[:1]}
@@ -231,27 +248,27 @@ def test_g_tilde_single_matches_batch(sigma):
 
 
 def test_operator_zero_on_stored_graph(op, sigma):
-    vals = op.value(H(sigma.sources[:20]))
+    vals = op.value(hess_w(sigma.sources[:20]))
     assert np.max(np.abs(vals)) == 0.0
 
 
 def test_operator_identity_translation(op, sigma):
-    mat = H(sigma.sources[0])
-    base = eval_F(mat, op)
+    mat = hess_w(sigma.sources[0])
+    base = op.value(mat[None])[0]
     for t in (-2.0, 0.3, 10.0):
-        shifted = eval_F(mat + t * np.eye(12), op)
+        shifted = op.value((mat + t * np.eye(12))[None])[0]
         assert abs(shifted - base - SQ * t) < 1e-10
 
 
 def test_operator_nonpositive_on_true_graph(op):
     held = unit_sphere(rng_for(7, STREAM_ELLIPTIC), 50)
-    vals = op.value(H(held))
+    vals = op.value(hess_w(held))
     assert np.max(vals) <= 1e-12
 
 
 def test_operator_sign_far_from_graph(op):
-    assert eval_F(-30.0 * np.eye(12), op) < 0.0
-    assert eval_F(+30.0 * np.eye(12), op) > 0.0
+    far = op.value(np.array([-30.0, 30.0])[:, None, None] * np.eye(12))
+    assert far[0] < 0.0 < far[1]
 
 
 def test_operator_cone_policies():
@@ -281,7 +298,7 @@ def test_zero_level_curve_monotone(sigma):
 def test_zero_level_curve_equals_full_table(sigma, monkeypatch):
     # prefix minima, F_full and the pruned nn_bound are bitwise those of the
     # full gauge table, and most pairs are never eigensolved
-    zh, sh = symspace.to_coords(H(unit_sphere(rng_for(7, STREAM_HELDOUT), 40)))
+    zh, sh = symspace.to_coords(hess_w(unit_sphere(rng_for(7, STREAM_HELDOUT), 40)))
     rows, solved = [], []
     eigvalsh, pruned_min = np.linalg.eigvalsh, elliptic._pruned_min
     monkeypatch.setattr(np.linalg, "eigvalsh",

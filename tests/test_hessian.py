@@ -5,7 +5,7 @@ import pytest
 
 from qcubic.cubic import eval_P, grad_P, q_matrix
 from qcubic.eigen import jacobi_eigh
-from qcubic.hessian import (eval_w, grad_w, hess_w, H, pair_ratio_sweep,
+from qcubic.hessian import (eval_w, grad_w, hess_w, pair_ratio_sweep,
                             witness_directions, witness_sweep,
                             third_derivative_sweep, ratio_bound_estimate,
                             RATIO_BOUND, THIRD_DERIVATIVE_BOUND,
@@ -137,13 +137,6 @@ def test_laplacian_identity():
     assert np.max(np.abs(traces + 15.0 * eval_P(a))) < 1e-12
 
 
-def test_H_requires_unit_points():
-    a = _units(69, 1)[0]
-    assert np.max(np.abs(H(a) - hess_w(a))) == 0.0
-    with pytest.raises(ValueError):
-        H(2.0 * a)
-
-
 def test_hess_w_batch_matches_single():
     pts = _units(70, 5) * 1.7
     batch = hess_w(pts)
@@ -156,7 +149,7 @@ def test_pair_spectrum_matches_ratio_sweep():
     b = _units(81, 3)
     rows = pair_ratio_sweep(a, b)
     for k in range(3):
-        vals, _ = jacobi_eigh(H(a[k]) - H(b[k]))
+        vals, _ = jacobi_eigh(hess_w(a[k]) - hess_w(b[k]))
         assert abs(vals[0] - rows[k, 0]) < 1e-10
         assert abs(vals[-1] - rows[k, 1]) < 1e-10
         assert abs(-vals[0] / vals[-1] - rows[k, 2]) < 1e-10
@@ -191,7 +184,7 @@ def test_witness_sweep_matches_pairs():
     top, bottom = witness_sweep(a, b)
     e, f = witness_directions(a, b)
     for k in (0, 11, 29):
-        hd = H(a[k]) - H(b[k])
+        hd = hess_w(a[k]) - hess_w(b[k])
         thresh = np.linalg.norm(a[k] - b[k]) * WITNESS_SLOPE
         assert abs(top[k] - (e[k] @ hd @ e[k] - thresh)) < 1e-10
         assert abs(bottom[k] - (-thresh - f[k] @ hd @ f[k])) < 1e-10

@@ -1,10 +1,7 @@
 import numpy as np
-import pytest
 
 from qcubic.eigen import jacobi_eigh
-from qcubic.quaternions import (qmul, qconj, qnorm, matrix_M, matrix_O,
-                                matrix_N, verify_endomorphism, char_poly_M,
-                                char_poly_Mrs, char_poly_Mrst, spectrum_N)
+from qcubic.quaternions import qmul, qconj, qnorm, matrix_M
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 EI = np.array([0.0, 1.0, 0.0, 0.0])
@@ -77,36 +74,61 @@ def test_matrix_M_symmetric_part_structure():
 
 
 def test_endomorphism_identity():
+    # M_s on column vectors is q -> conj(q q_s); on row vectors it is
+    # q -> conj(q) conj(q_s), the transposed reading
     rng = np.random.default_rng(17)
     for _ in range(50):
         s = rng.standard_normal(4)
         q = rng.standard_normal(4)
-        assert verify_endomorphism(s, q)
+        m = matrix_M(s)
+        tol = 1e-12 * max(1.0, float(qnorm(s) * qnorm(q)))
+        assert np.allclose(m @ q, qconj(qmul(q, s)), atol=tol)
+        assert np.allclose(q @ m, qmul(qconj(q), qconj(s)), atol=tol)
 
 
-def test_matrix_O_unit():
-    rng = np.random.default_rng(18)
-    s = rng.standard_normal(4)
-    o = matrix_O(s)
-    assert np.max(np.abs(o @ o.T - np.eye(4))) < 1e-12
+# --- closed-form characteristic polynomials against the eigensolver ---------
+# Coefficients run from the highest degree down.
+
+def _poly_M(s):
+    """det(xI - M_s) = (x^2 - |s|^2)(x^2 + 2 s0 x + |s|^2)."""
+    n2, s0 = float(s @ s), float(s[0])
+    return np.array([1.0, 2.0 * s0, 0.0, -2.0 * s0 * n2, -n2 ** 2])
 
 
-# --- characteristic polynomials against the eigensolver ---------------------
+def _poly_Mrs(r, s):
+    """det(xI - M_r^T M_s) = (x^2 - 2(r,s)x + |r|^2|s|^2)^2.
+
+    The transpose matters: the plain product M_r M_s is the two-sided
+    multiplication q -> conj(r) q s, whose real parts are r0 s0 +- |rv||sv|,
+    not (r, s); M_r^T M_s is one-sided and gives the squared quadratic.
+    """
+    u, w = float(r @ s), float((r @ r) * (s @ s))
+    return np.array([1.0, -4.0 * u, 4.0 * u * u + 2.0 * w, -4.0 * u * w,
+                     w * w])
+
+
+def _poly_Mrst(r, s, t):
+    """det(xI - M_r M_s M_t) = (x^2 - m^2)(x^2 + 2 p x + m^2), with
+    m = |r||s||t| and p the scalar part of q_r q_s q_t."""
+    m = float(qnorm(r) * qnorm(s) * qnorm(t))
+    p = float(qmul(qmul(r, s), t)[0])
+    return np.array([1.0, 2.0 * p, 0.0, -2.0 * p * m * m, -m ** 4])
+
 
 def test_char_poly_M_matches_eigensolver():
     rng = np.random.default_rng(19)
     for _ in range(20):
         s = rng.standard_normal(4)
-        coeffs = char_poly_M(s)
-        roots = np.sort(np.roots(coeffs).real)
+        roots = np.sort(np.roots(_poly_M(s)).real)
         vals = np.sort(np.linalg.eigvals(matrix_M(s)).real)
         assert np.max(np.abs(roots - vals)) < 1e-10
 
 
 def test_char_poly_M_example_unit_scalar():
     # s = e0: (x^2-1)(x^2+2x+1) = (x-1)(x+1)^3
-    coeffs = char_poly_M(E0)
-    assert np.allclose(coeffs, [1.0, 2.0, 0.0, -2.0, -1.0])
+    assert np.allclose(_poly_M(E0), [1.0, 2.0, 0.0, -2.0, -1.0])
+    assert np.allclose(np.poly(np.linalg.eigvals(matrix_M(E0))).real,
+                       [1.0, 2.0, 0.0, -2.0, -1.0])
 
 
 def test_char_poly_Mrs_transposed_product():
@@ -115,25 +137,25 @@ def test_char_poly_Mrs_transposed_product():
     rng = np.random.default_rng(20)
     for _ in range(20):
         r, s = rng.standard_normal((2, 4))
-        coeffs = char_poly_Mrs(r, s)
-        prod = matrix_M(r).T @ matrix_M(s)
-        ref = np.poly(np.linalg.eigvals(prod))
+        coeffs = _poly_Mrs(r, s)
+        ref = np.poly(np.linalg.eigvals(matrix_M(r).T @ matrix_M(s)))
         assert np.max(np.abs(ref.imag)) < 1e-9
         scale = np.maximum(np.abs(coeffs), 1.0)
         assert np.max(np.abs(ref.real - coeffs) / scale) < 1e-9
 
 
 def test_char_poly_Mrs_square_at_rs_equal():
-    coeffs = char_poly_Mrs(E0, E0)
     # (x^2 - 2x + 1)^2 = (x-1)^4
-    assert np.allclose(coeffs, [1.0, -4.0, 6.0, -4.0, 1.0])
+    assert np.allclose(_poly_Mrs(E0, E0), [1.0, -4.0, 6.0, -4.0, 1.0])
+    assert np.allclose(np.poly(np.linalg.eigvals(
+        matrix_M(E0).T @ matrix_M(E0))).real, [1.0, -4.0, 6.0, -4.0, 1.0])
 
 
 def test_char_poly_Mrst_matches_eigensolver():
     rng = np.random.default_rng(21)
     for _ in range(20):
         r, s, t = rng.standard_normal((3, 4))
-        coeffs = char_poly_Mrst(r, s, t)
+        coeffs = _poly_Mrst(r, s, t)
         prod = matrix_M(r) @ matrix_M(s) @ matrix_M(t)
         ref = np.poly(np.linalg.eigvals(prod))
         assert np.max(np.abs(ref.imag)) < 1e-9
@@ -142,13 +164,14 @@ def test_char_poly_Mrst_matches_eigensolver():
 
 
 def test_spectrum_N_closed_form():
+    # N = O + O^T with O = M_r M_s M_t / (|r||s||t|) orthogonal has the
+    # spectrum {2, -2, -2p, -2p}, p the scalar part of the unit product
     rng = np.random.default_rng(22)
     for _ in range(20):
         r, s, t = rng.standard_normal((3, 4))
-        vals, _ = jacobi_eigh(matrix_N(r, s, t))
-        assert np.max(np.abs(vals - spectrum_N(r, s, t))) < 1e-12
-
-
-def test_spectrum_N_degenerate_raises():
-    with pytest.raises(ValueError):
-        spectrum_N(np.zeros(4), E0, E0)
+        m = float(qnorm(r) * qnorm(s) * qnorm(t))
+        o = matrix_M(r) @ matrix_M(s) @ matrix_M(t) / m
+        vals, _ = jacobi_eigh(o + o.T)
+        p = float(qmul(qmul(r, s), t)[0]) / m
+        closed = np.sort([2.0, -2.0, -2.0 * p, -2.0 * p])[::-1]
+        assert np.max(np.abs(vals - closed)) < 1e-12
