@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symspace
-from .eigen import _row_blocked, eigvalsh_desc
+from .eigen import _row_blocked, eigh_asc, eigvalsh_asc, eigvalsh_desc
 
 _SQRT_N = np.sqrt(12.0)
 _GUARD = 1e-9  # relative slack of every pruning certificate (_PairBounds)
@@ -160,7 +160,7 @@ class _PairBounds:
     def __init__(self, mats: np.ndarray):
         mats = np.asarray(mats, dtype=float)
         n = mats.shape[0]
-        vals, vecs = np.linalg.eigh(mats)
+        vals, vecs = eigh_asc(mats)
         top, bottom = vecs[..., -1], vecs[..., 0]
         self.flat = mats.reshape(n, 144)
         self.norm = np.linalg.norm(self.flat, axis=1)
@@ -182,7 +182,7 @@ class _PairBounds:
     def solve(diff, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """Ascending eigenvalue rows of diff(ii, jj), aligned with the index
         pairs, solved in blocks of eigen.ROW_BLOCK."""
-        return _row_blocked(lambda i, j: np.linalg.eigvalsh(diff(i, j)))(
+        return _row_blocked(lambda i, j: eigvalsh_asc(diff(i, j)))(
             ii, jj)
 
 
@@ -195,7 +195,7 @@ def support_x(z: np.ndarray, cone: ConeParams):
     threshold is solved in closed form from the sorted spectrum (_gauge).
     """
     z = np.asarray(z, dtype=float)
-    out = _gauge(np.linalg.eigvalsh(symspace.embed_traceless(z)), cone)
+    out = _gauge(eigvalsh_asc(symspace.embed_traceless(z)), cone)
     return float(out) if z.ndim == 1 else out
 
 

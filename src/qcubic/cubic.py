@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigen import _row_blocked, eigvalsh_desc
+from .eigen import _row_blocked, eigvalsh_asc, eigvalsh_desc
 from .quaternions import matrix_M, qmul
 
 SLACK_TOL = 1e-9  # allowance on each band bound and growth bound
@@ -154,7 +154,7 @@ def perp_sweep(dirs: np.ndarray) -> np.ndarray:
     mats = q_matrix(dirs)
     vals = eigvalsh_desc(mats)
     p = perp_basis(dirs)
-    cvals = np.linalg.eigvalsh(np.swapaxes(p, -1, -2) @ mats @ p)
+    cvals = eigvalsh_asc(np.swapaxes(p, -1, -2) @ mats @ p)
     return np.stack([vals[:, 2], vals[:, 9], cvals[:, -1], cvals[:, 0]],
                     axis=1)
 

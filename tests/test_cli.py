@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -219,6 +221,42 @@ def test_full_pipeline_and_determinism(tmp_path):
     for key in ("delta_hat", "M_hat", "Lambda_hat", "Lambda_paper_chain",
                 "lambda_used", "maxF_curve", "minorant_max_F"):
         assert key in rep["constants"], key
+
+
+# a fresh interpreter running the CLI, pinned to one CPU first when asked
+_CHILD = """import os, runpy, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.argv[1:2] = []
+runpy.run_module("qcubic.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: nothing to compare with a pinned run")
+def test_outputs_do_not_depend_on_cpu_count(tmp_path):
+    cfg = _write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    outs = {}
+    for mode in ("pin", "all"):
+        outs[mode] = os.path.join(tmp_path, mode)
+        for cmd in ("verify-spectral", "verify-hessian", "build-operator"):
+            subprocess.run([sys.executable, "-c", _CHILD, mode, cmd, "--config",
+                            cfg, "--out", outs[mode]], env=env, check=True,
+                           capture_output=True)
+    names = {mode: sorted(os.path.relpath(os.path.join(d, f), out)
+                          for d, _, files in os.walk(out) for f in files)
+             for mode, out in outs.items()}
+    assert names["pin"] == names["all"]
+    assert "operator.json" in names["pin"] and "sigma.cache" in names["pin"]
+    for name in names["pin"]:
+        with open(os.path.join(outs["pin"], name), "rb") as fh:
+            pinned = fh.read()
+        with open(os.path.join(outs["all"], name), "rb") as fh:
+            assert fh.read() == pinned, "%s depends on the CPU count" % name
 
 
 def test_seed_changes_measurements(tmp_path):
