@@ -31,11 +31,11 @@ from .eigen import jacobi_eigh
 from .elliptic import (build_sigma, OperatorF, zero_level_curve,
                        ellipticity_probe, monotonicity_sweep, viscosity_probe,
                        operator_cone, load_cache, CacheError, GraphError)
-from .hessian import (hess_w, grad_w, eval_w, witness_sweep,
+from .hessian import (hess_w, grad_w, eval_w, witness_worst,
                       third_derivative_sweep, ratio_bound_estimate,
                       pair_ratio_sweep, RATIO_BOUND, THIRD_DERIVATIVE_BOUND)
 from .numdiff import fd_gradient, fd_jacobian
-from .sampling import (rng_for, unit_pairs, unit_sphere, directions,
+from .sampling import (rng_for, unit_sphere, directions,
                        PAIR_CHUNK, STREAM_SPECTRAL, STREAM_PERP,
                        STREAM_HESSIAN, STREAM_WITNESS, STREAM_THIRD,
                        STREAM_FDCHECK)
@@ -247,11 +247,8 @@ def hessian_suite(cfg: RunConfig) -> dict:
     checks.append(_check("fd_gradient", worst_g < fd_tol, worst_g))
     checks.append(_check("fd_hessian", worst_h < fd_tol, worst_h))
 
-    rngw = rng_for(cfg.seed, STREAM_WITNESS)
-    worst_w = np.inf
-    for a, b in unit_pairs(rngw, cfg.witness_pairs, 1e-6):
-        top, bot = witness_sweep(a, b)
-        worst_w = min(worst_w, float(top.min()), float(bot.min()))
+    worst_w = witness_worst(rng_for(cfg.seed, STREAM_WITNESS),
+                            cfg.witness_pairs)
     checks.append(_check("witness_slopes", worst_w >= -1e-9, float(worst_w)))
 
     m_hat, r_min, r_max = ratio_bound_estimate(

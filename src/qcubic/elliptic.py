@@ -32,7 +32,7 @@ import numpy as np
 from . import symspace
 from .cones import (_GUARD, _SQRT_N, ConeParams, _PairBounds, _gauge,
                     _in_dual, _kappa, cone_condition)
-from .hessian import RATIO_BOUND, eval_w, hess_w
+from .hessian import _PRUNE_CANDIDATES, RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
 
@@ -40,7 +40,6 @@ GRAPH_TOL = 1e-8
 UNIT_TOL = 1e-9  # allowed | |a_i| - 1 | of a sample's source vectors
 MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
-_PRUNE_CANDIDATES = 8  # _pruned_min's first round: points solved per row
 CACHE_MAGIC = "qcubic-sigma-cache"
 CACHE_VERSION = 1
 

@@ -3,8 +3,8 @@
 The Hessian of w is homogeneous of order zero, so restricting it to the
 unit sphere loses nothing.  The key facts verified downstream:
 
-* between any two unit points the Hessian difference has eigenvalues of
-  both signs, quantitatively bounded away from zero (witness directions);
+* between any two unit points the Hessian difference has slopes of both
+  signs, bounded away from zero (witnesses; pruned by a floor: witness_worst);
 * the ratio of its extreme eigenvalues is pinched inside
   [1/(1536 sqrt 3), 1536 sqrt 3];
 * all third directional derivatives on the unit sphere are bounded by 32.
@@ -27,6 +27,8 @@ THIRD_DERIVATIVE_BOUND = 32.0
 MIN_RADIUS = 1e-12
 MIN_SEPARATION = 1e-9
 THIRD_FD_STEP = 1e-5    # central-difference step of third_derivative_sweep
+WITNESS_GUARD = 1e-2    # witness_worst's pruning margin (bound in its docstring)
+_PRUNE_CANDIDATES = 8   # rows solved in a pruned minimum's first round
 
 
 class WitnessError(RuntimeError):
@@ -141,6 +143,43 @@ def witness_sweep(a_pts: np.ndarray, b_pts: np.ndarray):
     thresh = np.linalg.norm(a_pts - b_pts, axis=-1) * WITNESS_SLOPE
     return (np.einsum("...i,...ij,...j->...", e, hd, e) - thresh,
             -thresh - np.einsum("...i,...ij,...j->...", f, hd, f))
+
+
+@_row_blocked
+def witness_floor(a_pts: np.ndarray, b_pts: np.ndarray):
+    """Lower bounds s l3 - dP - thresh and dP - thresh - s l10 on
+    witness_sweep's two slacks (witness_worst), dP = P(a) - P(b), with s l3,
+    s l10 from LAPACK on q_matrix(a - b) = s q_matrix(d), s = |a-b|/sqrt 3."""
+    gap = np.linalg.norm(a_pts - b_pts, axis=-1)
+    vals = eigvalsh_desc(q_matrix(a_pts - b_pts))
+    dp, thresh = eval_P(a_pts) - eval_P(b_pts), gap * WITNESS_SLOPE
+    return vals[:, 2] - dp - thresh, dp - thresh - vals[:, 9]
+
+
+def witness_worst(rng: np.random.Generator, pairs: int) -> float:
+    """Least witness_sweep slack, both sides, over `pairs` unit_pairs pairs
+    (closer than 1e-6 dropped): bitwise a full pass's, few pairs solved.
+
+    On unit e orthogonal to unit a, b, hess_w's rank-one terms vanish and
+    q_matrix is linear: e^T (hess_w(a) - hess_w(b)) e = s e^T Q(d) e - dP,
+    >= s l3 - dP on Q(d)'s top eigenspace (f: <= s l10 - dP on the bottom).
+    Rounding: e is orthogonal to a, b within (4/nrm + 32) eps < 9e-6 (nrm
+    >= 1e-10, else WitnessError); |grad P| <= |Q(x)|_F / 2 = sqrt 2 on the
+    unit sphere for any signs in q_matrix (1/sqrt 3 in the true build); so
+    the vanished terms add < 5.1e-5 a pair, the rest < 1e-12: WITNESS_GUARD
+    covers that 160 times.  Two rounds per block as elliptic._pruned_min's,
+    on rows that do not depend on the block.  A pair the floor clears is
+    never built, so raises no WitnessError: the floor certifies its slopes.
+    """
+    best = np.inf
+    for a, b in unit_pairs(rng, pairs, 1e-6):
+        floor = np.minimum(*witness_floor(a, b))
+        rows = np.argsort(floor)[:_PRUNE_CANDIDATES]
+        while rows.size:  # two rounds: the second leaves none open
+            best = min(best, *map(np.min, witness_sweep(a[rows], b[rows])))
+            floor[rows] = np.inf
+            rows = np.flatnonzero(floor - WITNESS_GUARD <= best)
+    return best
 
 
 def third_derivative_sweep(rng: np.random.Generator,

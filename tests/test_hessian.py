@@ -1,18 +1,24 @@
 """The degree-2 potential, its Hessian map, and the pairwise bounds."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from qcubic.cubic import eval_P, grad_P, q_matrix
+import qcubic.cubic as cubic_mod
+import qcubic.hessian as hessian_mod
+from qcubic.cubic import eval_P, grad_P, q_matrix, strata_directions
 from qcubic.eigen import jacobi_eigh
 from qcubic.hessian import (eval_w, grad_w, hess_w, pair_ratio_sweep,
-                            witness_directions, witness_sweep,
-                            third_derivative_sweep, ratio_bound_estimate,
-                            RATIO_BOUND, THIRD_DERIVATIVE_BOUND,
-                            WITNESS_SLOPE)
+                            witness_directions, witness_floor, witness_sweep,
+                            witness_worst, third_derivative_sweep,
+                            ratio_bound_estimate, RATIO_BOUND,
+                            THIRD_DERIVATIVE_BOUND, WITNESS_SLOPE,
+                            _PRUNE_CANDIDATES)
 from qcubic.numdiff import fd_gradient, fd_jacobian
+from qcubic.quaternions import matrix_M as _true_matrix_M
 from qcubic.sampling import (rng_for, unit_pairs, unit_sphere, PAIR_CHUNK,
-                             STREAM_HESSIAN)
+                             STREAM_HESSIAN, STREAM_WITNESS)
 
 
 def _units(seed, count):
@@ -192,6 +198,108 @@ def test_witness_sweep_matches_pairs():
         assert one[0][0] == top[k] and one[1][0] == bottom[k]
     with pytest.raises(ValueError):
         witness_sweep(a, a)
+
+
+def _full_worst(seed, pairs):
+    """The unpruned minimum: both witness_sweep slacks of every pair."""
+    worst = np.inf
+    for a, b in unit_pairs(rng_for(seed, STREAM_WITNESS), pairs, 1e-6):
+        top, bottom = witness_sweep(a, b)
+        worst = min(worst, float(top.min()), float(bottom.min()))
+    return worst
+
+
+_cached_full_worst = functools.lru_cache(_full_worst)
+
+
+# PAIR_CHUNK + 1 pairs end in a one-pair block; one-row blocks of that many
+# rows take seconds, and rows do not depend on the block (test_row_blocks)
+@pytest.mark.parametrize("pairs, block",
+                         [(1000, 1), (1000, 7), (PAIR_CHUNK + 1, 7)])
+@pytest.mark.parametrize("seed", [42, 601])
+def test_witness_worst_is_the_full_minimum(seed, pairs, block, monkeypatch):
+    ref = _cached_full_worst(seed, pairs)
+    monkeypatch.setattr("qcubic.eigen.ROW_BLOCK", block)
+    assert witness_worst(rng_for(seed, STREAM_WITNESS), pairs) == ref
+
+
+def test_witness_worst_under_a_flipped_matrix_M(monkeypatch):
+    # a13's planted corruption: q_matrix stays linear and symmetric, so the
+    # floor stays a bound (no longer tight) and the minimum stays exact
+    def flipped(q):
+        m = _true_matrix_M(q).copy()
+        m[..., 0, 1] = -m[..., 0, 1]
+        return m
+
+    monkeypatch.setattr(cubic_mod, "matrix_M", flipped)
+    for seed in (42, 601):
+        got = witness_worst(rng_for(seed, STREAM_WITNESS), PAIR_CHUNK + 1)
+        assert got == _full_worst(seed, PAIR_CHUNK + 1)
+    a, b = _units(86, 2000), _units(87, 2000)
+    floors, slacks = witness_floor(a, b), witness_sweep(a, b)
+    for floor, slack in zip(floors, slacks):
+        assert np.all(floor <= slack + 1e-12)
+    assert np.max(floors[0] - slacks[0]) < -1e-9
+
+
+def _tangent(a, rng):
+    """Unit vectors orthogonal to the unit rows of a."""
+    t = rng.standard_normal(a.shape)
+    t -= np.sum(t * a, axis=1, keepdims=True) * a
+    return t / np.linalg.norm(t, axis=1, keepdims=True)
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def test_witness_floor_is_below_the_slack():
+    rng = rng_for(88, STREAM_HESSIAN)
+    a = _units(89, 2000)
+    # a - b along a degenerate-stratum direction u, then jittered by 1e-7;
+    # unjittered, the n = +-1 rows (the last 1000) raise WitnessError
+    u = _unit(strata_directions(rng, 500))
+    v, t = _tangent(u, rng), rng.uniform(0.01, 1.5, (len(u), 1))
+    sa, sb = np.cos(t) * v + np.sin(t) * u, np.cos(t) * v - np.sin(t) * u
+    jitter = [_unit(x + 1e-7 * rng.standard_normal(x.shape)) for x in (sa, sb)]
+    cases = {
+        "random": (a, _units(90, 2000)),
+        "near-antipodal": (a, _unit(-a + 1e-6 * _tangent(a, rng))),
+        "close": (a, _unit(a + 1e-5 * _tangent(a, rng))),
+        "strata": (sa[:1000], sb[:1000]),
+        "strata-adjacent": tuple(jitter),
+    }
+    for name, (x, y) in cases.items():
+        for floor, slack in zip(witness_floor(x, y), witness_sweep(x, y)):
+            assert np.max(floor - slack) <= 1e-12, name
+
+
+def test_witness_worst_second_round_reaches_a_planted_minimum(monkeypatch):
+    a, b = next(unit_pairs(rng_for(42, STREAM_WITNESS), 1000, 1e-6))
+    top, bottom = witness_sweep(a, b)
+    slack = np.minimum(top, bottom)
+    k = int(np.argmin(slack))
+    decoys = np.argsort(slack)[-_PRUNE_CANDIDATES:]
+
+    def planted(x, y):
+        # still lower bounds, but round 1 now takes the decoys, not row k
+        floors = witness_floor(x, y)
+        for floor in floors:
+            floor[decoys] = -1.0
+        return floors
+
+    solved = []
+
+    def sweep(x, y):
+        solved.append(x)
+        return witness_sweep(x, y)
+
+    monkeypatch.setattr(hessian_mod, "witness_floor", planted)
+    monkeypatch.setattr(hessian_mod, "witness_sweep", sweep)
+    assert witness_worst(rng_for(42, STREAM_WITNESS), 1000) == slack[k]
+    assert len(solved) == 2 and len(solved[0]) == _PRUNE_CANDIDATES
+    assert not (solved[0] == a[k]).all(axis=1).any()
+    assert (solved[1] == a[k]).all(axis=1).any()
 
 
 def test_witness_slope_constant():

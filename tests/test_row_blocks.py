@@ -11,7 +11,7 @@ from qcubic import symspace
 from qcubic.cones import _PairBounds
 from qcubic.cubic import perp_sweep, spectrum_sweep
 from qcubic.hessian import (pair_ratio_sweep, third_derivative_sweep,
-                            witness_sweep)
+                            witness_floor, witness_sweep)
 from qcubic.sampling import (directions, rng_for, unit_sphere, STREAM_CONE,
                              STREAM_HESSIAN, STREAM_PERP)
 
@@ -37,7 +37,8 @@ def _same(got, ref):
 @pytest.mark.parametrize("block, strided",
                          [(1, False), (3, False), (7, False), (3, True)])
 @pytest.mark.parametrize("sweep", [spectrum_sweep, perp_sweep,
-                                   pair_ratio_sweep, witness_sweep])
+                                   pair_ratio_sweep, witness_sweep,
+                                   witness_floor])
 def test_sweep_rows_do_not_depend_on_block(sweep, block, strided,
                                            monkeypatch):
     args = _inputs(sweep, strided)
@@ -73,7 +74,7 @@ def test_pair_solve_rows_match_one_pass(block, monkeypatch):
 
 
 @pytest.mark.parametrize("sweep", [pair_ratio_sweep, witness_sweep,
-                                   perp_sweep])
+                                   witness_floor, perp_sweep])
 def test_sweep_memory_is_one_block(sweep):
     # 20,000 rows: a 12x12 stack of the whole sample is 23 MB per temporary
     rng = rng_for(10, STREAM_HESSIAN)
