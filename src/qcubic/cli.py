@@ -251,13 +251,13 @@ def hessian_suite(cfg: RunConfig) -> dict:
                             cfg.witness_pairs)
     checks.append(_check("witness_slopes", worst_w >= -1e-9, float(worst_w)))
 
-    m_hat, r_min, r_max = ratio_bound_estimate(
+    _, r_min, r_max = ratio_bound_estimate(
         rng_for(cfg.seed, STREAM_HESSIAN), cfg.ratio_pairs)
     anti = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 300), 500)
     anti_data = pair_ratio_sweep(anti, -anti)
     r_min = min(r_min, float(anti_data[:, 2].min()))
     r_max = max(r_max, float(anti_data[:, 2].max()))
-    m_hat = max(m_hat, r_max, 1.0 / r_min)
+    m_hat = max(r_max, 1.0 / r_min)
     checks.append(_check(
         "pair_ratio_pinch",
         r_max <= RATIO_BOUND and r_min >= 1.0 / RATIO_BOUND,

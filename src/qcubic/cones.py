@@ -53,6 +53,7 @@ from .eigen import _row_blocked, eigh_asc, eigvalsh_asc, eigvalsh_desc
 
 _SQRT_N = np.sqrt(12.0)
 _GUARD = 1e-9  # relative slack of every pruning certificate (_PairBounds)
+_PRUNE_CANDIDATES = 8  # entries per row solved in _pruned_min's first round
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,30 @@ class _PairBounds:
             ii, jj)
 
 
+def _pruned_min(floor: np.ndarray, slack, solve) -> np.ndarray:
+    """Row minima of a table known only through floor - slack <= entry,
+    rounding included; solve(e, i) returns the entries at rows e, columns i.
+
+    Two batched rounds: the _PRUNE_CANDIDATES lowest floors of each row,
+    then every entry whose floor less the slack is at most its row's best
+    so far (no call when there is none); a third could only open entries
+    the second solved.  An unsolved entry cannot be a minimum and min is
+    exact, so when solve returns each entry bitwise as a full pass does
+    (_PairBounds.solve), the minima are bitwise the full table's.
+    """
+    n_eval, n = floor.shape
+    k = min(_PRUNE_CANDIDATES, n)
+    e1 = np.repeat(np.arange(n_eval), k)
+    i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
+    best = solve(e1, i1).reshape(n_eval, k).min(axis=1)
+    open_ = floor - slack <= best[:, None]
+    open_[e1, i1] = False
+    e2, i2 = np.nonzero(open_)
+    if e2.size:
+        np.minimum.at(best, e2, solve(e2, i2))
+    return best
+
+
 def support_x(z: np.ndarray, cone: ConeParams):
     """Support function x(z) for traceless coordinates z (single or stack).
 
@@ -201,7 +226,6 @@ def support_x(z: np.ndarray, cone: ConeParams):
 
 @dataclass
 class ConeConditionReport:
-    lam: float
     pairs_checked: int
     violations: list
 
@@ -243,5 +267,5 @@ def cone_condition(mats: np.ndarray, cone: ConeParams) -> ConeConditionReport:
         bad = ~in_L_ratio_batch(
             bounds.solve(lambda i, j: mats[i] - mats[j], oi, oj), cone)
         violations = list(zip(oi[bad].tolist(), oj[bad].tolist()))
-    return ConeConditionReport(lam=cone.lam, pairs_checked=int(ii.size),
+    return ConeConditionReport(pairs_checked=int(ii.size),
                                violations=violations)

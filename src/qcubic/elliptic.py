@@ -31,8 +31,8 @@ import numpy as np
 
 from . import symspace
 from .cones import (_GUARD, _SQRT_N, ConeParams, _PairBounds, _gauge,
-                    _in_dual, _kappa, cone_condition)
-from .hessian import _PRUNE_CANDIDATES, RATIO_BOUND, eval_w, hess_w
+                    _in_dual, _kappa, _pruned_min, cone_condition)
+from .hessian import RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
 
@@ -234,49 +234,26 @@ def load_cache(path: str) -> SigmaSample:
 # the operator
 
 
-def _pruned_min(z: np.ndarray, sigma: SigmaSample, floor: np.ndarray,
-                slack: np.ndarray, value) -> np.ndarray:
-    """Row minima over sample points i of value(mu, i), mu the ascending
-    eigenvalue rows of embed(z_e - z_i), given floor - slack <= value for
-    every entry, rounding included.
-
-    Two batched rounds: first the _PRUNE_CANDIDATES entries with the lowest
-    floor in each row, then every entry whose floor less the slack is at most
-    the row's best value so far.  An unsolved entry therefore cannot be the
-    minimum, the solved ones are bitwise the full pass's values
-    (_PairBounds.solve), and min is exact, so the minima are bitwise those
-    of the full table.
-    """
-    def solve(e, i):
-        return value(_PairBounds.solve(
-            lambda a, b: symspace.embed_traceless(z[a] - sigma.z[b]), e, i), i)
-
-    n_eval, n = floor.shape
-    k = min(_PRUNE_CANDIDATES, n)
-    e1 = np.repeat(np.arange(n_eval), k)
-    i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
-    best = solve(e1, i1).reshape(n_eval, k).min(axis=1)
-    open_ = floor - slack <= best[:, None]
-    open_[e1, i1] = False
-    e2, i2 = np.nonzero(open_)
-    np.minimum.at(best, e2, solve(e2, i2))
-    return best
-
-
 def _extension_parts(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
-    """The evaluation rows' _PairBounds, and the floor, slack and value
-    (_pruned_min) of the table s_i + x(z_e - z_i).
+    """The evaluation rows' _PairBounds, the ascending spectra of
+    embed(z_e - z_i) for index arrays (e, i), and the floor, slack and solve
+    (cones._pruned_min) of the table s_i + x(z_e - z_i).
 
     By the pinch lemma (cones), x(z - z_i) >= kappa sqrt(12)
     lambda_max(Z_i - Z), and _PairBounds bounds that eigenvalue for every
     pair at once.  The slack, sqrt(12) _GUARD (|z_i| + |z|) + _GUARD |s_i|,
     covers the rounding of the bound, of the gauge and of the sum.
     """
+    def spectra(e, i):
+        return _PairBounds.solve(
+            lambda a, b: symspace.embed_traceless(z[a] - sigma.z[b]), e, i)
+
     pts = sigma.bounds
     rows = _PairBounds(symspace.embed_traceless(z))
     floor = sigma.s[None, :] + _kappa(cone) * _SQRT_N * pts.lower(rows).T
     slack = _SQRT_N * pts.guard(rows).T + _GUARD * np.abs(sigma.s)[None, :]
-    return rows, floor, slack, lambda mu, i: sigma.s[i] + _gauge(mu, cone)
+    return (rows, spectra, floor, slack,
+            lambda e, i: sigma.s[i] + _gauge(spectra(e, i), cone))
 
 
 def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
@@ -287,13 +264,13 @@ def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
     point set by subadditivity of x.
 
     Each pair's gauge is bounded below without an eigensolve
-    (_extension_parts), so the minimum is pruned (_pruned_min): few pairs
+    (_extension_parts), so the minimum is pruned (cones._pruned_min): few pairs
     are solved, and the result is bitwise that of the full gauge table.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     zz = z[None, :] if single else z
-    best = _pruned_min(zz, sigma, *_extension_parts(zz, sigma, cone)[1:])
+    best = _pruned_min(*_extension_parts(zz, sigma, cone)[2:])
     return float(best[0]) if single else best
 
 
@@ -332,7 +309,6 @@ class ZeroLevelReport:
     max_abs_F: list          # per count, over the held-out set
     nn_bound: np.ndarray     # per held-out point, at the largest count
     F_full: np.ndarray       # per held-out point, at the largest count
-    heldout_seed: int
 
     @property
     def worst_ratio(self) -> float:
@@ -354,7 +330,7 @@ def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
     on the true graph satisfies F <= 0 exactly, so |F| shrinks pointwise.
     The per-point certificate min_i (x(z - z_i) + x(z_i - z)) bounds |F|.
 
-    Every minimum is g_tilde's pruned one (_pruned_min), the prefix minima
+    Every minimum is pruned as g_tilde's (cones._pruned_min), the prefix minima
     on the leading columns of one floor table.  The certificate's floor is
     the summed pinch bound kappa sqrt(12) (lambda_max(Z_i - Z) +
     lambda_max(Z - Z_i)), both gauges come from one eigenvalue row, and its
@@ -368,22 +344,23 @@ def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
     held = unit_sphere(rng_for(heldout_seed, STREAM_HELDOUT), heldout_count)
     zh, sh = _coords_of_sources(held)
 
-    rows, floor, slack, value = _extension_parts(zh, sigma, cone)
+    rows, spectra, floor, slack, solve = _extension_parts(zh, sigma, cone)
     max_abs = []
     for c in counts:
-        g = _pruned_min(zh, sigma, floor[:, :c], slack[:, :c], value)
+        g = _pruned_min(floor[:, :c], slack[:, :c], solve)
         max_abs.append(float(np.max(np.abs(sh - g))))
     if counts[-1] < sigma.count:
-        g = _pruned_min(zh, sigma, floor, slack, value)
+        g = _pruned_min(floor, slack, solve)
+
+    def both_orders(e, i):
+        mu = spectra(e, i)
+        return _gauge(mu, cone) + _gauge(-mu[:, ::-1], cone)
     pts = sigma.bounds
     nn = _pruned_min(
-        zh, sigma,
         _kappa(cone) * _SQRT_N * (pts.lower(rows).T + rows.lower(pts)),
-        2.0 * _SQRT_N * pts.guard(rows).T,
-        lambda mu, i: _gauge(mu, cone) + _gauge(-mu[:, ::-1], cone))
-    return ZeroLevelReport(
-        counts=list(counts), max_abs_F=max_abs, nn_bound=nn,
-        F_full=sh - g, heldout_seed=heldout_seed)
+        2.0 * _SQRT_N * pts.guard(rows).T, both_orders)
+    return ZeroLevelReport(counts=list(counts), max_abs_F=max_abs,
+                           nn_bound=nn, F_full=sh - g)
 
 
 def _random_psd(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -403,7 +380,6 @@ def _random_sym(rng: np.random.Generator, count: int,
 
 @dataclass
 class EllipticityReport:
-    trials: int
     slope_min: float
     slope_max: float           # the empirical ellipticity estimate
     identity_slope: float
@@ -450,7 +426,6 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
 
     lam_paper = 11.0 * RATIO_BOUND
     return EllipticityReport(
-        trials=trials,
         slope_min=float(np.min(slopes)), slope_max=float(np.max(slopes)),
         identity_slope=idn,
         monotone_worst=float(np.min(FAE - FA)),
@@ -488,7 +463,6 @@ def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:
 class ViscosityReport:
     trials: int
     margin: float
-    verification_count: int
     minorant_max_F: float     # acceptance: <= 1e-6
     majorant_min_F: float     # acceptance: >= -1e-6
     minorant_violations: int
@@ -556,7 +530,6 @@ def viscosity_probe(op: OperatorF, trials: int, seed: int,
     F_maj = op.value(hb + 2.0 * up[:, None, None] * np.eye(12) + tilts)
     return ViscosityReport(
         trials=trials, margin=MINORANT_MARGIN,
-        verification_count=int(verif.shape[0]),
         minorant_max_F=float(np.max(F_min)),
         majorant_min_F=float(np.min(F_maj)),
         minorant_violations=int(np.sum(F_min > VISCOSITY_TOL)),

@@ -4,7 +4,8 @@ The Hessian of w is homogeneous of order zero, so restricting it to the
 unit sphere loses nothing.  The key facts verified downstream:
 
 * between any two unit points the Hessian difference has slopes of both
-  signs, bounded away from zero (witnesses; pruned by a floor: witness_worst);
+  signs, bounded away from zero (witnesses; witness_worst builds them only
+  where a floor does not clear the pair, through cones._pruned_min);
 * the ratio of its extreme eigenvalues is pinched inside
   [1/(1536 sqrt 3), 1536 sqrt 3];
 * all third directional derivatives on the unit sphere are bounded by 32.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cones import _pruned_min
 from .cubic import eval_P, grad_P, q_matrix
 from .eigen import _row_blocked, eigh_desc, eigvalsh_desc
 from .sampling import unit_pairs, unit_sphere
@@ -28,11 +30,6 @@ MIN_RADIUS = 1e-12
 MIN_SEPARATION = 1e-9
 THIRD_FD_STEP = 1e-5    # central-difference step of third_derivative_sweep
 WITNESS_GUARD = 1e-2    # witness_worst's pruning margin (bound in its docstring)
-_PRUNE_CANDIDATES = 8   # rows solved in a pruned minimum's first round
-
-
-class WitnessError(RuntimeError):
-    """Witness-direction construction failed; indicates a genuine bug."""
 
 
 def eval_w(x) -> np.ndarray:
@@ -107,7 +104,9 @@ def witness_directions(a, b):
 
     The kernel vector inside each 3-dim eigenspace solves a 2x3 homogeneous
     system (inner products against a and b); its null space is the cross
-    product of the two rows.  Degenerate projections raise WitnessError.
+    product of the two rows.  Where the rows are parallel (cross product
+    below 1e-10, as on exact n = +-1 stratum pairs) it is e_k less its
+    projection on the longer row p, k the least |p_k|.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -117,11 +116,16 @@ def witness_directions(a, b):
     _, vecs = eigh_desc(q_matrix((a - b) * (np.sqrt(3.0) / gap)[..., None]))
     out = []
     for cols in (vecs[..., 0:3], vecs[..., 9:12]):
-        y = np.cross(np.einsum("...i,...ik->...k", a, cols),
-                     np.einsum("...i,...ik->...k", b, cols))
+        pa = np.einsum("...i,...ik->...k", a, cols)
+        pb = np.einsum("...i,...ik->...k", b, cols)
+        y = np.cross(pa, pb)
+        p = np.where((np.linalg.norm(pa, axis=-1)
+                      < np.linalg.norm(pb, axis=-1))[..., None], pb, pa)
+        k = np.argmin(np.abs(p), axis=-1)[..., None]
+        pp = np.maximum(np.sum(p * p, axis=-1, keepdims=True), 1e-300)
+        perp = (np.arange(3) == k) - p * (np.take_along_axis(p, k, -1) / pp)
+        y = np.where((np.linalg.norm(y, axis=-1) < 1e-10)[..., None], perp, y)
         nrm = np.linalg.norm(y, axis=-1)
-        if np.any(nrm < 1e-10):
-            raise WitnessError("degenerate witness projection")
         e = np.einsum("...ik,...k->...i", cols, y / nrm[..., None])
         out.append(e / np.linalg.norm(e, axis=-1, keepdims=True))
     return out[0], out[1]
@@ -158,28 +162,26 @@ def witness_floor(a_pts: np.ndarray, b_pts: np.ndarray):
 
 def witness_worst(rng: np.random.Generator, pairs: int) -> float:
     """Least witness_sweep slack, both sides, over `pairs` unit_pairs pairs
-    (closer than 1e-6 dropped): bitwise a full pass's, few pairs solved.
+    (closer than 1e-6 dropped): bitwise a full pass's, few pairs solved,
+    one cones._pruned_min per block on witness_floor's lesser floor.
 
     On unit e orthogonal to unit a, b, hess_w's rank-one terms vanish and
     q_matrix is linear: e^T (hess_w(a) - hess_w(b)) e = s e^T Q(d) e - dP,
     >= s l3 - dP on Q(d)'s top eigenspace (f: <= s l10 - dP on the bottom).
-    Rounding: e is orthogonal to a, b within (4/nrm + 32) eps < 9e-6 (nrm
-    >= 1e-10, else WitnessError); |grad P| <= |Q(x)|_F / 2 = sqrt 2 on the
-    unit sphere for any signs in q_matrix (1/sqrt 3 in the true build); so
-    the vanished terms add < 5.1e-5 a pair, the rest < 1e-12: WITNESS_GUARD
-    covers that 160 times.  Two rounds per block as elliptic._pruned_min's,
-    on rows that do not depend on the block.  A pair the floor clears is
-    never built, so raises no WitnessError: the floor certifies its slopes.
+    Rounding: e is orthogonal to a, b within (4/nrm + 32) eps < 9e-6 where
+    the cross product's nrm >= 1e-10, else within min(|p|, 1e-10/|p|) +
+    32 eps < 1.0001e-5 (the other row is no longer than p and within
+    1e-10/|p| of its line).  |grad P| <= |Q(x)|_F / 2 = sqrt 2 on the unit
+    sphere for any signs in q_matrix (1/sqrt 3 in the true build), so the
+    vanished terms add < 5.7e-5 a pair, the rest < 1e-12: WITNESS_GUARD
+    covers that over 170 times.
     """
-    best = np.inf
-    for a, b in unit_pairs(rng, pairs, 1e-6):
-        floor = np.minimum(*witness_floor(a, b))
-        rows = np.argsort(floor)[:_PRUNE_CANDIDATES]
-        while rows.size:  # two rounds: the second leaves none open
-            best = min(best, *map(np.min, witness_sweep(a[rows], b[rows])))
-            floor[rows] = np.inf
-            rows = np.flatnonzero(floor - WITNESS_GUARD <= best)
-    return best
+    def block_min(a, b):
+        return _pruned_min(
+            np.minimum(*witness_floor(a, b))[None], WITNESS_GUARD,
+            lambda e, i: np.minimum(*witness_sweep(a[i], b[i])))[0]
+    return min((block_min(a, b) for a, b in unit_pairs(rng, pairs, 1e-6)),
+               default=np.inf)
 
 
 def third_derivative_sweep(rng: np.random.Generator,

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from qcubic import symspace
-from qcubic.cones import (ConeParams, _PairBounds, _kappa, in_K, in_K_star,
-                          in_L, in_L_ratio_batch, support_x, cone_condition)
+from qcubic.cones import (ConeParams, _PairBounds, _PRUNE_CANDIDATES,
+                          _kappa, _pruned_min, in_K, in_K_star, in_L,
+                          in_L_ratio_batch, support_x, cone_condition)
 from qcubic.hessian import RATIO_BOUND, hess_w
 from qcubic.sampling import rng_for, unit_sphere, STREAM_CONE
 
@@ -289,6 +290,41 @@ def test_pair_solve_rows_do_not_depend_on_block(monkeypatch):
         rows = _PairBounds.solve(diff, ii[pick], jj[pick])
         assert rows.shape == (size, 12)
         assert rows.tobytes() == full[pick].tobytes(), size
+
+
+def test_pruned_min_is_the_full_tables_minimum():
+    # floors up to 1 below a synthetic table's entries: the pruned row minima
+    # are bitwise the table's, and solve is called on what each round opens
+    rng = rng_for(99, STREAM_CONE)
+    table = rng.standard_normal((30, 50))
+    floor = table - rng.uniform(0.0, 1.0, table.shape)
+    calls = []
+
+    def solve(e, i):
+        calls.append(list(zip(e.tolist(), i.tolist())))
+        return table[e, i]
+
+    # row 0: decoy floors fill round 1, and a planted minimum is left over
+    decoys, k = np.arange(_PRUNE_CANDIDATES), _PRUNE_CANDIDATES + 3
+    floor[0, decoys] = -1e3
+    table[0, k] = table[0].min() - 1.0
+    floor[0, k] = table[0, k] - 0.5
+    got = _pruned_min(floor, 1e-3, solve)
+    assert got.tobytes() == table.min(axis=1).tobytes()
+    assert len(calls) == 2 and len(calls[0]) == 30 * _PRUNE_CANDIDATES
+    assert (0, k) not in calls[0] and (0, k) in calls[1]
+    assert {(0, int(d)) for d in decoys} <= set(calls[0])
+
+    # exact floors, some with fewer columns than _PRUNE_CANDIDATES: round 1
+    # holds every row's minimum, so round 2 opens nothing and is not called
+    full = table
+    for n in (1, 5, 50):
+        table = full[:, :n].copy()  # what solve reads
+        calls.clear()
+        got = _pruned_min(table.copy(), 0.0, solve)
+        assert got.tobytes() == table.min(axis=1).tobytes()
+        assert len(calls) == 1
+        assert len(calls[0]) == 30 * min(n, _PRUNE_CANDIDATES)
 
 
 # --- pairwise cone condition --------------------------------------------------

@@ -1,6 +1,8 @@
 """Reference Jacobi solver against LAPACK, both directions."""
 
 import os
+import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -223,3 +225,16 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "1"]
+
+
+def test_source_scan_one_eigensolver_module_one_prune_width():
+    # numpy's (or any) linalg eigensolver is called only in eigen.py, and
+    # the pruned minimum's first-round width is assigned in one module
+    src = pathlib.Path(eigen_mod.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    eig = re.compile(r"linalg\s*\.\s*eig|getattr\(\s*np\.linalg"
+                     r"|linalg\s+import[^\n]*\beig")
+    assert [name for name, t in texts.items() if eig.search(t)] == ["eigen.py"]
+    width = re.compile(r"^\s*_PRUNE_CANDIDATES\s*=", re.M)
+    assert [name for name, t in texts.items()
+            if width.search(t)] == ["cones.py"]

@@ -347,7 +347,7 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
                         lambda _: (z, held_s))
     floors, pruned_min = [], elliptic._pruned_min
     monkeypatch.setattr(elliptic, "_pruned_min",
-                        lambda *args: floors.append(args[2]) or pruned_min(*args))
+                        lambda *args: floors.append(args[0]) or pruned_min(*args))
     for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
         floors.clear()
         rep = zero_level_curve(scaled, cone, counts=(150,), heldout_count=60)

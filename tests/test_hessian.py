@@ -7,14 +7,14 @@ import pytest
 
 import qcubic.cubic as cubic_mod
 import qcubic.hessian as hessian_mod
+from qcubic.cones import _PRUNE_CANDIDATES
 from qcubic.cubic import eval_P, grad_P, q_matrix, strata_directions
 from qcubic.eigen import jacobi_eigh
 from qcubic.hessian import (eval_w, grad_w, hess_w, pair_ratio_sweep,
                             witness_directions, witness_floor, witness_sweep,
                             witness_worst, third_derivative_sweep,
                             ratio_bound_estimate, RATIO_BOUND,
-                            THIRD_DERIVATIVE_BOUND, WITNESS_SLOPE,
-                            _PRUNE_CANDIDATES)
+                            THIRD_DERIVATIVE_BOUND, WITNESS_SLOPE)
 from qcubic.numdiff import fd_gradient, fd_jacobian
 from qcubic.quaternions import matrix_M as _true_matrix_M
 from qcubic.sampling import (rng_for, unit_pairs, unit_sphere, PAIR_CHUNK,
@@ -256,8 +256,8 @@ def _unit(x):
 def test_witness_floor_is_below_the_slack():
     rng = rng_for(88, STREAM_HESSIAN)
     a = _units(89, 2000)
-    # a - b along a degenerate-stratum direction u, then jittered by 1e-7;
-    # unjittered, the n = +-1 rows (the last 1000) raise WitnessError
+    # a - b along a degenerate-stratum direction u (m = 0, m = 1, then
+    # n = +-1, whose witness projections are parallel), then jittered by 1e-7
     u = _unit(strata_directions(rng, 500))
     v, t = _tangent(u, rng), rng.uniform(0.01, 1.5, (len(u), 1))
     sa, sb = np.cos(t) * v + np.sin(t) * u, np.cos(t) * v - np.sin(t) * u
@@ -266,7 +266,7 @@ def test_witness_floor_is_below_the_slack():
         "random": (a, _units(90, 2000)),
         "near-antipodal": (a, _unit(-a + 1e-6 * _tangent(a, rng))),
         "close": (a, _unit(a + 1e-5 * _tangent(a, rng))),
-        "strata": (sa[:1000], sb[:1000]),
+        "strata": (sa, sb),
         "strata-adjacent": tuple(jitter),
     }
     for name, (x, y) in cases.items():
