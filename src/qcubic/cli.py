@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cones import ConeParams, cone_condition
+from .cones import cone_condition
 from .cubic import (spectrum_sweep, strata_directions, q_matrix, perp_sweep,
                     cubic_roots_check, cor4_check, invariants_mn, band_slack)
 from .eigen import jacobi_eigh
@@ -300,8 +300,8 @@ def operator_suite(cfg: RunConfig) -> dict:
     sigma = build_sigma(cfg.sigma_count, cfg.seed, cone,
                         cache_path=os.path.join(cfg.out, "sigma.cache"))
     mats = hess_w(sigma.sources[:min(500, sigma.count)])
-    for label, lam in (("policy", cone.lam), ("paper", 11.0 * RATIO_BOUND)):
-        rep = cone_condition(mats, ConeParams(lam))
+    for label, c in (("policy", cone), ("paper", operator_cone("paper"))):
+        rep = cone_condition(mats, c)
         checks.append(_check("cone_condition_" + label, rep.passed,
                              {"pairs": rep.pairs_checked,
                               "violations": len(rep.violations)},
@@ -309,7 +309,7 @@ def operator_suite(cfg: RunConfig) -> dict:
 
     counts = sorted({max(2, cfg.sigma_count // 8), max(2, cfg.sigma_count // 4),
                      max(2, cfg.sigma_count // 2), cfg.sigma_count})
-    zl = zero_level_curve(sigma, cone, counts=counts,
+    zl = zero_level_curve(sigma, counts=counts,
                           heldout_count=cfg.heldout_count,
                           heldout_seed=cfg.heldout_seed)
     checks.append(_check("zero_level_bound", zl.worst_ratio <= 5.0,
@@ -317,7 +317,7 @@ def operator_suite(cfg: RunConfig) -> dict:
                          witness={"index": int(np.argmax(np.abs(zl.F_full) / zl.nn_bound))}))
     checks.append(_check("zero_level_monotone", zl.monotone, zl.max_abs_F))
 
-    op = OperatorF(sigma, cone)
+    op = OperatorF(sigma)
     er = ellipticity_probe(op, cfg.elliptic_trials, cfg.seed)
     checks.append(_check("ellipticity_slopes",
                          er.monotone_worst >= -1e-9 and er.slope_min >= -1e-9,
@@ -351,14 +351,10 @@ def viscosity_suite(cfg: RunConfig) -> dict:
     cache = os.path.join(cfg.out, "sigma.cache")
     if os.path.exists(cache):
         sigma = load_cache(cache)
-        if sigma.lam <= 1.0:
-            raise CacheError("cached sample has no usable aperture")
-        cone = ConeParams(sigma.lam)
     else:
-        _, cone = _policy_cone(cfg)
-        sigma = build_sigma(cfg.sigma_count, cfg.seed, cone, cache_path=cache)
-    op = OperatorF(sigma, cone)
-    vr = viscosity_probe(op, cfg.viscosity_trials, cfg.seed)
+        sigma = build_sigma(cfg.sigma_count, cfg.seed, _policy_cone(cfg)[1],
+                            cache_path=cache)
+    vr = viscosity_probe(OperatorF(sigma), cfg.viscosity_trials, cfg.seed)
     checks = [
         _check("minorants", vr.minorant_violations == 0,
                {"max_F": vr.minorant_max_F, "violations": vr.minorant_violations}),
@@ -370,7 +366,7 @@ def viscosity_suite(cfg: RunConfig) -> dict:
         {"minorant_max_F": vr.minorant_max_F,
          "majorant_min_F": vr.majorant_min_F,
          "trials": vr.trials, "margin": vr.margin,
-         "lambda_used": cone.lam})
+         "lambda_used": sigma.cone.lam})
 
 
 @dataclass(frozen=True)

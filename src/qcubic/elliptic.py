@@ -42,6 +42,7 @@ MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
 CACHE_MAGIC = "qcubic-sigma-cache"
 CACHE_VERSION = 1
+PAPER_LAM = 11.0 * RATIO_BOUND  # the paper's operator aperture
 
 
 class CacheError(RuntimeError):
@@ -54,15 +55,15 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class SigmaSample:
-    """Sampled graph points: source unit vectors a_i and the coordinates
-    (z_i, s_i) of their Hessians.  lam records the aperture the graph
-    invariant was validated against (0 = unvalidated)."""
+    """Sampled graph points: source unit vectors a_i, the coordinates
+    (z_i, s_i) of their Hessians, and the cone whose graph invariant they
+    were validated against; g_tilde and every probe work at that cone."""
 
     sources: np.ndarray
     z: np.ndarray
     s: np.ndarray
     seed: int
-    lam: float = 0.0
+    cone: ConeParams
 
     @property
     def count(self) -> int:
@@ -78,24 +79,21 @@ class SigmaSample:
         if not 1 <= count <= self.count:
             raise ValueError("prefix count out of range")
         return SigmaSample(self.sources[:count], self.z[:count],
-                           self.s[:count], self.seed, self.lam)
+                           self.s[:count], self.seed, self.cone)
 
 
 def _coords_of_sources(sources: np.ndarray):
     return symspace.to_coords(hess_w(sources))
 
 
-def sigma_from_sources(sources: np.ndarray, seed: int = -1,
-                       cone: ConeParams | None = None) -> SigmaSample:
-    """Wrap explicit unit vectors as a sample; validates when a cone is given."""
+def sigma_from_sources(sources: np.ndarray, cone: ConeParams,
+                       seed: int = -1) -> SigmaSample:
+    """Wrap explicit unit vectors as a sample validated at the cone."""
     sources = np.asarray(sources, dtype=float)
     if np.max(np.abs(np.linalg.norm(sources, axis=1) - 1.0)) > UNIT_TOL:
         raise ValueError("sigma_from_sources: sources must be unit vectors")
-    z, s = _coords_of_sources(sources)
-    sig = SigmaSample(sources, z, s, seed,
-                      lam=0.0 if cone is None else cone.lam)
-    if cone is not None:
-        validate_graph(sig, cone)
+    sig = SigmaSample(sources, *_coords_of_sources(sources), seed, cone)
+    validate_graph(sig)
     return sig
 
 
@@ -107,14 +105,15 @@ def build_sigma(count: int, seed: int, cone: ConeParams,
     if count < 2:
         raise ValueError("build_sigma: count must be >= 2")
     sources = unit_sphere(rng_for(seed, STREAM_SIGMA), count)
-    sig = sigma_from_sources(sources, seed=seed, cone=cone)
+    sig = sigma_from_sources(sources, cone, seed)
     if cache_path is not None:
         save_cache(sig, cache_path)
     return sig
 
 
-def validate_graph(sigma: SigmaSample, cone: ConeParams) -> None:
-    """Check |s_i - s_j| <= x(z_i - z_j) + GRAPH_TOL over all ordered pairs.
+def validate_graph(sigma: SigmaSample) -> None:
+    """Check |s_i - s_j| <= x(z_i - z_j) + GRAPH_TOL over all ordered pairs,
+    with x the support gauge of the sample's cone.
 
     Uses the membership form of the bound: x(dz) > t iff the spectrum of
     embed(dz) shifted by t/sqrt(12) still fails the dual-cone p/q test, so
@@ -129,7 +128,7 @@ def validate_graph(sigma: SigmaSample, cone: ConeParams) -> None:
     are eigensolved, in pair order and on bitwise the spectra a full pass
     computes, so the raised pair and its message are unchanged.
     """
-    n = sigma.count
+    n, cone = sigma.count, sigma.cone
     if n < 2:
         return
     ii, jj = np.triu_indices(n, k=1)
@@ -164,7 +163,7 @@ def save_cache(sigma: SigmaSample, path: str) -> None:
     with open(tmp, "w") as fh:
         fh.write("# %s v%d\n" % (CACHE_MAGIC, CACHE_VERSION))
         fh.write("# seed=%d count=%d lam=%s basis=%s\n"
-                 % (sigma.seed, sigma.count, repr(float(sigma.lam)),
+                 % (sigma.seed, sigma.count, repr(float(sigma.cone.lam)),
                     symspace.BASIS_HASH))
         fh.write("# columns: a[12], z[77], s\n")
         for row in rows:
@@ -176,8 +175,9 @@ def save_cache(sigma: SigmaSample, path: str) -> None:
 def load_cache(path: str) -> SigmaSample:
     """Read and fully re-verify a cached sample.
 
-    Integrity: header magic/version, basis hash, row count/width, unit
-    sources, and stored coordinates matching recomputed Hessian coordinates.
+    Integrity: header magic/version, basis hash, an aperture lam that is
+    finite and > 1, row count/width, unit sources, and stored coordinates
+    matching recomputed Hessian coordinates.
     Any failure raises CacheError; no partial sample is ever returned.
     """
     if not os.path.exists(path):
@@ -202,10 +202,12 @@ def load_cache(path: str) -> SigmaSample:
     try:
         seed = int(meta["seed"])
         count = int(meta["count"])
-        lam = float(meta.get("lam", "0"))
+        lam = float(meta["lam"])
         basis = meta["basis"]
     except (KeyError, ValueError) as exc:
         raise CacheError("bad metadata line: %r" % lines[1]) from exc
+    if not 1.0 < lam < np.inf:
+        raise CacheError("cached sample has no usable aperture: lam=%r" % lam)
     if basis != symspace.BASIS_HASH:
         raise CacheError("cache built against a different coordinate basis")
     data = [ln for ln in lines if not ln.startswith("#")]
@@ -227,17 +229,17 @@ def load_cache(path: str) -> SigmaSample:
     z2, s2 = _coords_of_sources(sources)
     if max(np.max(np.abs(z2 - z)), np.max(np.abs(s2 - s))) > 1e-10:
         raise CacheError("stored coordinates disagree with recomputed ones")
-    return SigmaSample(sources, z, s, seed, lam=lam)
+    return SigmaSample(sources, z, s, seed, ConeParams(lam))
 
 
 # ---------------------------------------------------------------------------
 # the operator
 
 
-def _extension_parts(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
+def _extension_parts(z: np.ndarray, sigma: SigmaSample):
     """The evaluation rows' _PairBounds, the ascending spectra of
     embed(z_e - z_i) for index arrays (e, i), and the floor, slack and solve
-    (cones._pruned_min) of the table s_i + x(z_e - z_i).
+    (cones._pruned_min) of the table s_i + x(z_e - z_i), x at sigma's cone.
 
     By the pinch lemma (cones), x(z - z_i) >= kappa sqrt(12)
     lambda_max(Z_i - Z), and _PairBounds bounds that eigenvalue for every
@@ -248,7 +250,7 @@ def _extension_parts(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
         return _PairBounds.solve(
             lambda a, b: symspace.embed_traceless(z[a] - sigma.z[b]), e, i)
 
-    pts = sigma.bounds
+    pts, cone = sigma.bounds, sigma.cone
     rows = _PairBounds(symspace.embed_traceless(z))
     floor = sigma.s[None, :] + _kappa(cone) * _SQRT_N * pts.lower(rows).T
     slack = _SQRT_N * pts.guard(rows).T + _GUARD * np.abs(sigma.s)[None, :]
@@ -256,8 +258,9 @@ def _extension_parts(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
             lambda e, i: sigma.s[i] + _gauge(spectra(e, i), cone))
 
 
-def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
-    """Minimal cone-Lipschitz extension min_i (s_i + x(z - z_i)).
+def g_tilde(z: np.ndarray, sigma: SigmaSample):
+    """Minimal cone-Lipschitz extension min_i (s_i + x(z - z_i)), with x
+    the support gauge of sigma's cone.
 
     Accepts one 77-vector or a stack; two-sided bound
     -x(z2 - z1) <= g_tilde(z1) - g_tilde(z2) <= x(z1 - z2) holds for any
@@ -270,28 +273,27 @@ def g_tilde(z: np.ndarray, sigma: SigmaSample, cone: ConeParams):
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     zz = z[None, :] if single else z
-    best = _pruned_min(*_extension_parts(zz, sigma, cone)[2:])
+    best = _pruned_min(*_extension_parts(zz, sigma)[2:])
     return float(best[0]) if single else best
 
 
 @dataclass(frozen=True)
 class OperatorF:
-    """F(A) = s(A) - g_tilde(z(A)); zero on the sampled graph, monotone
-    under psd increments, Lipschitz in the trace norm."""
+    """F(A) = s(A) - g_tilde(z(A)) at the sample's cone; zero on the sampled
+    graph, monotone under psd increments, Lipschitz in the trace norm."""
 
     sigma: SigmaSample
-    cone: ConeParams
 
     def value(self, mats: np.ndarray) -> np.ndarray:
         z, s = symspace.to_coords(np.asarray(mats, dtype=float))
-        return s - g_tilde(z, self.sigma, self.cone)
+        return s - g_tilde(z, self.sigma)
 
 
 def operator_cone(policy: str, ratio_hat: float | None = None) -> ConeParams:
     """Aperture policy: 11x the pair-ratio bound, either the closed-form
     constant or a measured estimate."""
     if policy == "paper":
-        return ConeParams(11.0 * RATIO_BOUND)
+        return ConeParams(PAPER_LAM)
     if policy == "empirical":
         if ratio_hat is None or not np.isfinite(ratio_hat) or ratio_hat < 1:
             raise ValueError("empirical policy needs a measured ratio >= 1")
@@ -320,10 +322,11 @@ class ZeroLevelReport:
                    for a, b in zip(self.max_abs_F, self.max_abs_F[1:]))
 
 
-def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
-                     counts=(250, 500, 1000, 2000), heldout_count: int = 200,
+def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
+                     heldout_count: int = 200,
                      heldout_seed: int = 7) -> ZeroLevelReport:
-    """Convergence of max |F| on held-out graph points as the sample grows.
+    """Convergence of max |F| on held-out graph points as the sample grows,
+    at the sample's cone.
 
     Prefix-nested sub-samples make the curve monotone by construction:
     adding points can only lower g_tilde toward the true extension, and F
@@ -343,8 +346,9 @@ def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
         raise ValueError("curve counts exceed the sample size")
     held = unit_sphere(rng_for(heldout_seed, STREAM_HELDOUT), heldout_count)
     zh, sh = _coords_of_sources(held)
+    pts, cone = sigma.bounds, sigma.cone
 
-    rows, spectra, floor, slack, solve = _extension_parts(zh, sigma, cone)
+    rows, spectra, floor, slack, solve = _extension_parts(zh, sigma)
     max_abs = []
     for c in counts:
         g = _pruned_min(floor[:, :c], slack[:, :c], solve)
@@ -355,7 +359,6 @@ def zero_level_curve(sigma: SigmaSample, cone: ConeParams,
     def both_orders(e, i):
         mu = spectra(e, i)
         return _gauge(mu, cone) + _gauge(-mu[:, ::-1], cone)
-    pts = sigma.bounds
     nn = _pruned_min(
         _kappa(cone) * _SQRT_N * (pts.lower(rows).T + rows.lower(pts)),
         2.0 * _SQRT_N * pts.guard(rows).T, both_orders)
@@ -388,11 +391,6 @@ class EllipticityReport:
     level_violations: list
     paper_chain_bound: float   # 4 lam^2 sqrt(12) with the paper aperture
 
-    @property
-    def passed(self) -> bool:
-        return (self.monotone_worst >= -1e-9 and not self.level_violations
-                and self.slope_max < self.paper_chain_bound)
-
 
 def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityReport:
     """Directional slopes along unit-Frobenius psd increments, plus the
@@ -422,16 +420,15 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     sel = np.concatenate([np.arange(k), np.arange(half, half + k)])
     shift = -FA[sel] / _SQRT_N
     level = A[sel] + shift[:, None, None] * np.eye(12)
-    level_rep = cone_condition(level, ConeParams(2 * op.cone.lam))
+    level_rep = cone_condition(level, ConeParams(2 * op.sigma.cone.lam))
 
-    lam_paper = 11.0 * RATIO_BOUND
     return EllipticityReport(
         slope_min=float(np.min(slopes)), slope_max=float(np.max(slopes)),
         identity_slope=idn,
         monotone_worst=float(np.min(FAE - FA)),
         level_pairs=level_rep.pairs_checked,
         level_violations=level_rep.violations,
-        paper_chain_bound=float(4 * lam_paper**2 * np.sqrt(12.0)))
+        paper_chain_bound=float(4 * PAPER_LAM**2 * np.sqrt(12.0)))
 
 
 def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:

@@ -63,7 +63,7 @@ def hessian():
 @pytest.fixture(scope="module")
 def sigma2000(hessian):
     cone = operator_cone("empirical", hessian["constants"]["M_hat"])
-    return build_sigma(2000, SEED, cone), cone
+    return build_sigma(2000, SEED, cone)
 
 
 def test_a01_closed_form_spectrum_oracle(spectral):
@@ -115,7 +115,7 @@ def test_a06_third_derivative_bound(hessian):
 
 
 def test_a07_pairwise_cone_condition(sigma2000, hessian):
-    sigma, _ = sigma2000
+    sigma = sigma2000
     mats = hess_w(sigma.sources[:500])
     for lam in (11.0 * hessian["constants"]["M_hat"], 11.0 * RATIO_BOUND):
         rep = cone_condition(mats, ConeParams(lam))
@@ -155,8 +155,8 @@ def test_a08_support_gauge_properties():
 
 
 def test_a09_zero_level_convergence(sigma2000):
-    sigma, cone = sigma2000
-    rep = zero_level_curve(sigma, cone, counts=(250, 500, 1000, 2000),
+    sigma = sigma2000
+    rep = zero_level_curve(sigma, counts=(250, 500, 1000, 2000),
                            heldout_count=200, heldout_seed=7)
     assert rep.worst_ratio <= 5.0, \
         "held-out |F| reaches %.3f x the pair certificate" % rep.worst_ratio
@@ -165,16 +165,16 @@ def test_a09_zero_level_convergence(sigma2000):
 
 
 def test_a10_degenerate_ellipticity(sigma2000):
-    sigma, cone = sigma2000
-    op = OperatorF(sigma.prefix(500), cone)
+    sigma = sigma2000
+    op = OperatorF(sigma.prefix(500))
     worst = monotonicity_sweep(op, 10_000, SEED)
     assert worst >= -1e-9, \
         "psd increment decreased F by %.3e" % max(0.0, -worst)
 
 
 def test_a11_viscosity_quadratics(sigma2000):
-    sigma, cone = sigma2000
-    rep = viscosity_probe(OperatorF(sigma, cone), 1000, SEED)
+    sigma = sigma2000
+    rep = viscosity_probe(OperatorF(sigma), 1000, SEED)
     assert rep.minorant_violations == 0 and rep.minorant_max_F <= 1e-6, \
         "touching minorant with F = %.3e > 1e-6" % rep.minorant_max_F
     assert rep.majorant_violations == 0 and rep.majorant_min_F >= -1e-6, \

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -136,18 +137,38 @@ def test_operator_suite_and_viscosity_reuse_cache(tmp_path):
     assert rep["passed"] is True
     curve = rep["constants"]["maxF_curve"]
     assert curve["max_abs_F"] == sorted(curve["max_abs_F"], reverse=True)
+    # the aperture survives the cache bitwise
+    with open(os.path.join(out, "viscosity.json")) as fh:
+        lam = json.load(fh)["constants"]["lambda_used"]
+    assert lam == rep["constants"]["lambda_used"]
 
 
-def test_corrupt_cache_exits_2(tmp_path):
-    code, out = _run(tmp_path, "build-operator")
+@pytest.fixture(scope="module")
+def built_cache(tmp_path_factory):
+    """The text of the sigma.cache that build-operator writes."""
+    code, out = _run(tmp_path_factory.mktemp("built"), "build-operator")
     assert code == 0
-    path = os.path.join(out, "sigma.cache")
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(text.replace("count=", "cuont="))
-    code2, _ = _run(tmp_path, "viscosity-test")
-    assert code2 == 2
+    with open(os.path.join(out, "sigma.cache")) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda t: t.replace("count=", "cuont="),
+    lambda t: re.sub(r"lam=\S+", "lam=nan", t),
+    lambda t: re.sub(r"lam=\S+", "lam=inf", t),
+    lambda t: re.sub(r"lam=\S+", "lam=1.0", t),
+    lambda t: re.sub(r" lam=\S+", "", t),
+], ids=["count", "lam-nan", "lam-inf", "lam-1", "lam-missing"])
+def test_corrupt_cache_exits_2(tmp_path, built_cache, mangle, capsys):
+    out = os.path.join(tmp_path, "out")
+    os.makedirs(out)
+    with open(os.path.join(out, "sigma.cache"), "w") as fh:
+        fh.write(mangle(built_cache))
+    capsys.readouterr()
+    code, _ = _run(tmp_path, "viscosity-test")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcubic viscosity-test: ") and err.count("\n") == 1
 
 
 def test_near_unit_cache_source_runs_like_clean(tmp_path):

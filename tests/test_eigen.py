@@ -228,8 +228,9 @@ def test_import_starts_no_thread():
 
 
 def test_source_scan_one_eigensolver_module_one_prune_width():
-    # numpy's (or any) linalg eigensolver is called only in eigen.py, and
-    # the pruned minimum's first-round width is assigned in one module
+    # numpy's (or any) linalg eigensolver is called only in eigen.py, the
+    # pruned minimum's first-round width is assigned in one module, and the
+    # paper aperture is written out once
     src = pathlib.Path(eigen_mod.__file__).parent
     texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     eig = re.compile(r"linalg\s*\.\s*eig|getattr\(\s*np\.linalg"
@@ -238,3 +239,6 @@ def test_source_scan_one_eigensolver_module_one_prune_width():
     width = re.compile(r"^\s*_PRUNE_CANDIDATES\s*=", re.M)
     assert [name for name, t in texts.items()
             if width.search(t)] == ["cones.py"]
+    paper = re.compile(r"11\.0\s*\*\s*RATIO_BOUND")
+    assert {name: len(paper.findall(t)) for name, t in texts.items()
+            if paper.search(t)} == {"elliptic.py": 1}

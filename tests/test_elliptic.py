@@ -1,6 +1,7 @@
 """Graph sample, inf-convolution extension, and operator probes."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +41,12 @@ def sigma():
 
 @pytest.fixture(scope="module")
 def op(sigma):
-    return OperatorF(sigma, CONE)
+    return OperatorF(sigma)
+
+
+def _at(sigma, cone):
+    """The sample's sources, revalidated at another cone."""
+    return sigma_from_sources(sigma.sources, cone, sigma.seed)
 
 
 def test_build_sigma_deterministic_and_prefix_nested():
@@ -73,15 +79,16 @@ def test_sigma_s_is_scaled_cubic(sigma):
 
 def test_sigma_from_sources_validates():
     pts = unit_sphere(rng_for(6, STREAM_ELLIPTIC), 40)
-    sig = sigma_from_sources(pts, seed=-1, cone=CONE)
-    assert sig.count == 40
+    sig = sigma_from_sources(pts, CONE)
+    assert sig.count == 40 and sig.cone == CONE
     with pytest.raises(ValueError):
-        sigma_from_sources(2.0 * pts)
+        sigma_from_sources(2.0 * pts, CONE)
 
 
-def _graph_violations(sig, cone):
-    """Every pair breaking the graph invariant, eigensolving all pairs in
-    one pass: the reference for validate_graph."""
+def _graph_violations(sig):
+    """Every pair breaking the graph invariant at the sample's cone,
+    eigensolving all pairs in one pass: the reference for validate_graph."""
+    cone = sig.cone
     ii, jj = np.triu_indices(sig.count, k=1)
     ds = np.abs(sig.s[ii] - sig.s[jj])
     mu = np.linalg.eigvalsh(symspace.embed_traceless(sig.z[ii] - sig.z[jj]))
@@ -90,9 +97,9 @@ def _graph_violations(sig, cone):
     return [(int(i), int(j)) for i, j in zip(ii[bad], jj[bad])]
 
 
-def _raised_pair(sig, cone):
+def _raised_pair(sig):
     with pytest.raises(GraphError) as err:
-        validate_graph(sig, cone)
+        validate_graph(sig)
     return str(err.value).split("pair ", 1)[1].split(":", 1)[0]
 
 
@@ -100,10 +107,10 @@ def test_validate_graph_flags_planted_violation(sigma, monkeypatch):
     s_bad = sigma.s.copy()
     s_bad[3] += 50.0      # way past any cone gap
     bad = SigmaSample(sources=sigma.sources, z=sigma.z, s=s_bad,
-                      seed=sigma.seed, lam=sigma.lam)
-    ref = _graph_violations(bad, CONE)
+                      seed=sigma.seed, cone=sigma.cone)
+    ref = _graph_violations(bad)
     assert 3 in ref[0]
-    assert _raised_pair(bad, CONE) == "(%d, %d)" % ref[0]
+    assert _raised_pair(bad) == "(%d, %d)" % ref[0]
 
     # near the boundary: |s_0 - s_1| just past the modulus, which no bound
     # can certify.  With z_1 = -z_0 the Rayleigh bounds of the pair are
@@ -116,18 +123,18 @@ def test_validate_graph_flags_planted_violation(sigma, monkeypatch):
     s_bad = sigma.s.copy()
     s_bad[0] = s_bad[1] + (x + GRAPH_TOL) * (1 + 1e-9)
     bad = SigmaSample(sources=sigma.sources, z=z_bad, s=s_bad,
-                      seed=sigma.seed, lam=sigma.lam)
-    ref = _graph_violations(bad, CONE)
+                      seed=sigma.seed, cone=sigma.cone)
+    ref = _graph_violations(bad)
     assert ref[0] == (0, 1)
-    assert _raised_pair(bad, CONE) == "(0, 1)"
+    assert _raised_pair(bad) == "(0, 1)"
 
     # the intact sample passes, and the bounds settle almost every pair
-    assert _graph_violations(sigma, CONE) == []
+    assert _graph_violations(sigma) == []
     rows = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: rows.append(len(a)) or eigvalsh(a))
-    validate_graph(sigma, CONE)
+    validate_graph(sigma)
     assert sum(rows) < 0.01 * sigma.count * (sigma.count - 1) // 2
 
 
@@ -139,7 +146,7 @@ def test_cache_roundtrip_exact(tmp_path, sigma):
     assert np.array_equal(back.z, sigma.z)
     assert np.array_equal(back.s, sigma.s)
     assert back.seed == sigma.seed
-    assert back.lam == sigma.lam
+    assert back.cone == sigma.cone
 
 
 @pytest.mark.parametrize("mangle", [
@@ -147,6 +154,11 @@ def test_cache_roundtrip_exact(tmp_path, sigma):
     lambda t: t.replace("count=150", "count=149"),
     lambda t: t.replace("basis=", "basis=00"),
     lambda t: "\n".join(t.split("\n")[:-10]),
+    # the header's aperture: missing, non-finite, or not above 1
+    lambda t: re.sub(r"lam=\S+", "lam=nan", t),
+    lambda t: re.sub(r"lam=\S+", "lam=inf", t),
+    lambda t: re.sub(r"lam=\S+", "lam=1.0", t),
+    lambda t: re.sub(r" lam=\S+", "", t),
 ])
 def test_cache_corruption_detected(tmp_path, sigma, mangle):
     path = os.path.join(tmp_path, "sigma.cache")
@@ -182,7 +194,7 @@ def test_cache_unit_tolerance_decides(tmp_path, sigma):
         sources = sigma.sources.copy()
         sources[3] *= scale
         save_cache(SigmaSample(sources, sigma.z, sigma.s, sigma.seed,
-                               sigma.lam), path)
+                               sigma.cone), path)
         if loads:
             assert np.array_equal(load_cache(path).sources, sources)
         else:
@@ -193,7 +205,7 @@ def test_cache_unit_tolerance_decides(tmp_path, sigma):
 # --- extension and operator ---------------------------------------------------
 
 def test_g_tilde_interpolates_stored_values(sigma):
-    g = g_tilde(sigma.z, sigma, CONE)
+    g = g_tilde(sigma.z, sigma)
     assert np.max(np.abs(g - sigma.s)) == 0.0
 
 
@@ -207,18 +219,19 @@ def test_g_tilde_pruned_equals_full_table(sigma, monkeypatch):
     cases = {"far": far, "near": near, "sigma": sigma.z,
              "tiny": 1e-6 * far, "huge": 1e8 * far, "one": far[:1]}
     for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
+        at = _at(sigma, cone)
         for name, z in cases.items():
             full = np.min(sigma.s[None, :] + full_gauges(z, sigma.z, cone)[0],
                           axis=1)
-            assert g_tilde(z, sigma, cone).tobytes() == full.tobytes(), name
-    assert g_tilde(far[0], sigma, CONE) == float(
+            assert g_tilde(z, at).tobytes() == full.tobytes(), name
+    assert g_tilde(far[0], sigma) == float(
         np.min(sigma.s + full_gauges(far[:1], sigma.z, CONE)[0]))
 
     rows = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: rows.append(len(a)) or eigvalsh(a))
-    g_tilde(far, sigma, CONE)
+    g_tilde(far, sigma)
     assert sum(rows) < 0.2 * far.shape[0] * sigma.count
 
 
@@ -231,20 +244,20 @@ def test_sample_bounds_built_once(monkeypatch):
                         lambda a: rows.append(len(a)) or eigh(a))
     sig = build_sigma(60, 9, CONE)
     z = sig.z[:7] + 0.05
-    first = g_tilde(z, sig, CONE)
-    second = g_tilde(z, sig, CONE)
+    first = g_tilde(z, sig)
+    second = g_tilde(z, sig)
     assert rows == [60, 7, 7]
     assert first.tobytes() == second.tobytes()
-    fresh = SigmaSample(sig.sources, sig.z, sig.s, sig.seed, sig.lam)
-    assert g_tilde(z, fresh, CONE).tobytes() == first.tobytes()
+    fresh = SigmaSample(sig.sources, sig.z, sig.s, sig.seed, sig.cone)
+    assert g_tilde(z, fresh).tobytes() == first.tobytes()
     assert rows == [60, 7, 7, 60, 7]
 
 
 def test_g_tilde_single_matches_batch(sigma):
     z = sigma.z[:5] + 0.1
-    batch = g_tilde(z, sigma, CONE)
+    batch = g_tilde(z, sigma)
     for k in range(5):
-        assert abs(float(g_tilde(z[k], sigma, CONE)) - batch[k]) < 1e-12
+        assert abs(float(g_tilde(z[k], sigma)) - batch[k]) < 1e-12
 
 
 def test_operator_zero_on_stored_graph(op, sigma):
@@ -285,14 +298,14 @@ def test_operator_cone_policies():
 
 
 def test_zero_level_curve_monotone(sigma):
-    rep = zero_level_curve(sigma, CONE, counts=(20, 40, 80, 150),
+    rep = zero_level_curve(sigma, counts=(20, 40, 80, 150),
                            heldout_count=40, heldout_seed=7)
     assert rep.counts == [20, 40, 80, 150]
     assert rep.monotone
     assert rep.worst_ratio <= 5.0
     assert np.all(rep.F_full <= 1e-12)
     with pytest.raises(ValueError):
-        zero_level_curve(sigma, CONE, counts=(20, 200))
+        zero_level_curve(sigma, counts=(20, 200))
 
 
 def test_zero_level_curve_equals_full_table(sigma, monkeypatch):
@@ -313,9 +326,10 @@ def test_zero_level_curve_equals_full_table(sigma, monkeypatch):
     for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
         fwd, rev = full_gauges(zh, sigma.z, cone)
         g = sigma.s[None, :] + fwd
+        at = _at(sigma, cone)
         for counts in ((20, 40, 80, 150), (10, 75)):
             solved.clear()
-            rep = zero_level_curve(sigma, cone, counts=counts,
+            rep = zero_level_curve(at, counts=counts,
                                    heldout_count=40, heldout_seed=7)
             assert rep.max_abs_F == [float(np.max(np.abs(sh - g[:, :c].min(1))))
                                      for c in counts]
@@ -340,8 +354,6 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
     z = scale * np.concatenate([
         symspace.to_coords(_random_sym(rng, 30))[0],
         sigma.z[:30] + 0.01 * rng.standard_normal((30, 77))])
-    scaled = SigmaSample(sigma.sources, scale * sigma.z, scale * sigma.s,
-                         sigma.seed)
     held_s = np.zeros(len(z))
     monkeypatch.setattr(elliptic, "_coords_of_sources",
                         lambda _: (z, held_s))
@@ -349,8 +361,10 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
     monkeypatch.setattr(elliptic, "_pruned_min",
                         lambda *args: floors.append(args[0]) or pruned_min(*args))
     for cone in (CONE, ConeParams(11.0 * RATIO_BOUND)):
+        scaled = SigmaSample(sigma.sources, scale * sigma.z, scale * sigma.s,
+                             sigma.seed, cone)
         floors.clear()
-        rep = zero_level_curve(scaled, cone, counts=(150,), heldout_count=60)
+        rep = zero_level_curve(scaled, counts=(150,), heldout_count=60)
         fwd, rev = full_gauges(z, scaled.z, cone)
         g_floor, nn_floor = floors
         assert np.all(g_floor <= scaled.s + fwd)
@@ -362,7 +376,7 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
 
 def test_ellipticity_probe_small(op):
     rep = ellipticity_probe(op, 24, 5)
-    assert rep.passed, rep
+    assert rep.monotone_worst >= -1e-9
     # F(A + tI) - F(A) = sqrt(12) t exactly, and the gauge is exact, so the
     # difference quotient at t = 1e-3 is off only by rounding in the F values
     assert rep.identity_slope == pytest.approx(SQ, abs=1e-10)
