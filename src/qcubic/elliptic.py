@@ -41,7 +41,7 @@ UNIT_TOL = 1e-9  # allowed | |a_i| - 1 | of a sample's source vectors
 MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
 CACHE_MAGIC = "qcubic-sigma-cache"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 PAPER_LAM = 11.0 * RATIO_BOUND  # the paper's operator aperture
 
 
@@ -57,7 +57,8 @@ class GraphError(ValueError):
 class SigmaSample:
     """Sampled graph points: source unit vectors a_i, the coordinates
     (z_i, s_i) of their Hessians, and the cone whose graph invariant they
-    were validated against; g_tilde and every probe work at that cone."""
+    were validated against; g_tilde and every probe work at that cone.
+    Built by sigma_from_sources, or as a prefix of a sample it built."""
 
     sources: np.ndarray
     z: np.ndarray
@@ -88,10 +89,12 @@ def _coords_of_sources(sources: np.ndarray):
 
 def sigma_from_sources(sources: np.ndarray, cone: ConeParams,
                        seed: int = -1) -> SigmaSample:
-    """Wrap explicit unit vectors as a sample validated at the cone."""
+    """The sample of explicit unit vectors: checks they are unit length,
+    computes their Hessian coordinates and validates the graph invariant at
+    the cone.  Raises ValueError, or GraphError with the offending pair."""
     sources = np.asarray(sources, dtype=float)
     if np.max(np.abs(np.linalg.norm(sources, axis=1) - 1.0)) > UNIT_TOL:
-        raise ValueError("sigma_from_sources: sources must be unit vectors")
+        raise ValueError("source vectors are not unit length")
     sig = SigmaSample(sources, *_coords_of_sources(sources), seed, cone)
     validate_graph(sig)
     return sig
@@ -156,28 +159,28 @@ def validate_graph(sigma: SigmaSample) -> None:
 
 
 def save_cache(sigma: SigmaSample, path: str) -> None:
-    """Write the sample as versioned CSV, atomically (temp + rename)."""
-    rows = np.concatenate(
-        [sigma.sources, sigma.z, sigma.s[:, None]], axis=1)
+    """Write the sample's inputs as versioned CSV, atomically (temp + rename):
+    a header with seed, count and aperture lam, then the 12 coordinates of
+    each source vector.  The Hessian coordinates are not stored."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write("# %s v%d\n" % (CACHE_MAGIC, CACHE_VERSION))
-        fh.write("# seed=%d count=%d lam=%s basis=%s\n"
-                 % (sigma.seed, sigma.count, repr(float(sigma.cone.lam)),
-                    symspace.BASIS_HASH))
-        fh.write("# columns: a[12], z[77], s\n")
-        for row in rows:
+        fh.write("# seed=%d count=%d lam=%s\n"
+                 % (sigma.seed, sigma.count, repr(float(sigma.cone.lam))))
+        fh.write("# columns: a[12]\n")
+        for row in sigma.sources:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
     os.replace(tmp, path)
 
 
 def load_cache(path: str) -> SigmaSample:
-    """Read and fully re-verify a cached sample.
+    """Read a cached sample and rebuild it through sigma_from_sources.
 
-    Integrity: header magic/version, basis hash, an aperture lam that is
-    finite and > 1, row count/width, unit sources, and stored coordinates
-    matching recomputed Hessian coordinates.
+    Integrity: header magic/version, an aperture lam that is finite and
+    > 1, row count/width, finite entries; then sigma_from_sources checks
+    the sources are unit length, recomputes their Hessian coordinates and
+    validates the graph invariant at lam.
     Any failure raises CacheError; no partial sample is ever returned.
     """
     if not os.path.exists(path):
@@ -203,13 +206,10 @@ def load_cache(path: str) -> SigmaSample:
         seed = int(meta["seed"])
         count = int(meta["count"])
         lam = float(meta["lam"])
-        basis = meta["basis"]
     except (KeyError, ValueError) as exc:
         raise CacheError("bad metadata line: %r" % lines[1]) from exc
     if not 1.0 < lam < np.inf:
         raise CacheError("cached sample has no usable aperture: lam=%r" % lam)
-    if basis != symspace.BASIS_HASH:
-        raise CacheError("cache built against a different coordinate basis")
     data = [ln for ln in lines if not ln.startswith("#")]
     if len(data) != count:
         raise CacheError("row count %d does not match header count %d"
@@ -219,17 +219,14 @@ def load_cache(path: str) -> SigmaSample:
                          for ln in data])
     except ValueError as exc:
         raise CacheError("unparseable data row") from exc
-    if rows.ndim != 2 or rows.shape[1] != 90:
-        raise CacheError("expected 90 columns (12 + 77 + 1)")
+    if rows.ndim != 2 or rows.shape[1] != 12:
+        raise CacheError("expected 12 source columns")
     if not np.all(np.isfinite(rows)):
         raise CacheError("non-finite entries in cache")
-    sources, z, s = rows[:, :12], rows[:, 12:89], rows[:, 89]
-    if np.max(np.abs(np.linalg.norm(sources, axis=1) - 1.0)) > UNIT_TOL:
-        raise CacheError("source vectors are not unit length")
-    z2, s2 = _coords_of_sources(sources)
-    if max(np.max(np.abs(z2 - z)), np.max(np.abs(s2 - s))) > 1e-10:
-        raise CacheError("stored coordinates disagree with recomputed ones")
-    return SigmaSample(sources, z, s, seed, ConeParams(lam))
+    try:
+        return sigma_from_sources(rows, ConeParams(lam), seed)
+    except ValueError as exc:  # a non-unit source, or a GraphError
+        raise CacheError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

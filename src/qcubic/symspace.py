@@ -15,8 +15,6 @@ Conversions are explicit; nothing here normalizes silently.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 N = 12
@@ -41,9 +39,6 @@ def _build_basis() -> np.ndarray:
 
 _BASIS = _build_basis()
 _BASIS_FLAT = _BASIS.reshape(DIM_Z + 1, N * N)
-
-# Version stamp for cache files: any change to the basis table changes this.
-BASIS_HASH = hashlib.sha256(_BASIS.tobytes()).hexdigest()[:16]
 
 
 def basis() -> np.ndarray:

@@ -158,7 +158,11 @@ def built_cache(tmp_path_factory):
     lambda t: re.sub(r"lam=\S+", "lam=inf", t),
     lambda t: re.sub(r"lam=\S+", "lam=1.0", t),
     lambda t: re.sub(r" lam=\S+", "", t),
-], ids=["count", "lam-nan", "lam-inf", "lam-1", "lam-missing"])
+    # an aperture the sample violates (pair (1, 57))
+    lambda t: re.sub(r"lam=\S+", "lam=1.5", t),
+    lambda t: t.replace(" v2\n", " v1\n"),
+], ids=["count", "lam-nan", "lam-inf", "lam-1", "lam-missing", "lam-low",
+        "v1"])
 def test_corrupt_cache_exits_2(tmp_path, built_cache, mangle, capsys):
     out = os.path.join(tmp_path, "out")
     os.makedirs(out)

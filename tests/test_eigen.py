@@ -1,5 +1,6 @@
 """Reference Jacobi solver against LAPACK, both directions."""
 
+import ast
 import os
 import pathlib
 import re
@@ -227,10 +228,30 @@ def test_import_starts_no_thread():
     assert out.split() == ["False", "1"]
 
 
+def _calls_by_scope(tree, name):
+    """'outer.inner' names of the defs in which `name(...)` is called."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Name)
+                  and child.func.id == name):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, [])
+    return found
+
+
 def test_source_scan_one_eigensolver_module_one_prune_width():
     # numpy's (or any) linalg eigensolver is called only in eigen.py, the
-    # pruned minimum's first-round width is assigned in one module, and the
-    # paper aperture is written out once
+    # pruned minimum's first-round width is assigned in one module, the
+    # paper aperture is written out once, and a graph sample is built in
+    # one place and cached as its sources only
     src = pathlib.Path(eigen_mod.__file__).parent
     texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     eig = re.compile(r"linalg\s*\.\s*eig|getattr\(\s*np\.linalg"
@@ -242,3 +263,15 @@ def test_source_scan_one_eigensolver_module_one_prune_width():
     paper = re.compile(r"11\.0\s*\*\s*RATIO_BOUND")
     assert {name: len(paper.findall(t)) for name, t in texts.items()
             if paper.search(t)} == {"elliptic.py": 1}
+    trees = {name: ast.parse(t) for name, t in texts.items()}
+    assert {(name, scope) for name, tree in trees.items()
+            for scope in _calls_by_scope(tree, "SigmaSample")} == {
+        ("elliptic.py", "sigma_from_sources"),
+        ("elliptic.py", "SigmaSample.prefix")}
+    assert not [name for name, t in texts.items() if "BASIS_HASH" in t]
+    save = next(node for node in ast.walk(trees["elliptic.py"])
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "save_cache")
+    body = ast.get_source_segment(texts["elliptic.py"], save)
+    assert "sigma.sources" in body
+    assert not re.search(r"sigma\.(z|s)\b|z\[77\]", body)

@@ -142,6 +142,13 @@ def test_cache_roundtrip_exact(tmp_path, sigma):
     path = os.path.join(tmp_path, "sigma.cache")
     save_cache(sigma, path)
     back = load_cache(path)
+    # the file holds only the inputs: 3 header lines, one 12-field row each
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 3 + sigma.count
+    assert all(ln.startswith("#") for ln in lines[:3])
+    assert all(len(ln.split(",")) == 12 for ln in lines[3:])
+    # z and s are recomputed on load, bitwise the built sample's
     assert np.array_equal(back.sources, sigma.sources)
     assert np.array_equal(back.z, sigma.z)
     assert np.array_equal(back.s, sigma.s)
@@ -152,13 +159,15 @@ def test_cache_roundtrip_exact(tmp_path, sigma):
 @pytest.mark.parametrize("mangle", [
     lambda t: t.replace("qcubic-sigma-cache", "qcubic-sigma-cashe"),
     lambda t: t.replace("count=150", "count=149"),
-    lambda t: t.replace("basis=", "basis=00"),
+    lambda t: t.replace(" v2\n", " v1\n"),  # a cache of the old format
     lambda t: "\n".join(t.split("\n")[:-10]),
     # the header's aperture: missing, non-finite, or not above 1
     lambda t: re.sub(r"lam=\S+", "lam=nan", t),
     lambda t: re.sub(r"lam=\S+", "lam=inf", t),
     lambda t: re.sub(r"lam=\S+", "lam=1.0", t),
     lambda t: re.sub(r" lam=\S+", "", t),
+    # an aperture the sample violates (pair (0, 52))
+    lambda t: re.sub(r"lam=\S+", "lam=1.5", t),
 ])
 def test_cache_corruption_detected(tmp_path, sigma, mangle):
     path = os.path.join(tmp_path, "sigma.cache")
@@ -186,9 +195,9 @@ def test_cache_value_tamper_detected(tmp_path, sigma):
 
 
 def test_cache_unit_tolerance_decides(tmp_path, sigma):
-    # load_cache's norm check is the only unit check on a cache: a source
-    # within its 1e-9 tolerance loads (the Hessian coordinates are
-    # 0-homogeneous, so they still match), one beyond it is rejected
+    # sigma_from_sources' norm check is the only unit check on a cache: a
+    # source within its 1e-9 tolerance loads (the Hessian coordinates are
+    # 0-homogeneous, so the graph is unchanged), one beyond it is rejected
     path = os.path.join(tmp_path, "sigma.cache")
     for scale, loads in ((1.0 + 5e-10, True), (1.0 + 2e-9, False)):
         sources = sigma.sources.copy()

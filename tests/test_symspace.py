@@ -62,9 +62,3 @@ def test_norm_preserved():
     m = m + m.T
     z, s = symspace.to_coords(m)
     assert abs(np.sum(m * m) - (s * s + z @ z)) < 1e-10
-
-
-def test_basis_hash_is_stable_stamp():
-    assert isinstance(symspace.BASIS_HASH, str)
-    assert len(symspace.BASIS_HASH) == 16
-    int(symspace.BASIS_HASH, 16)  # hex digest prefix
