@@ -26,7 +26,8 @@ import numpy as np
 
 from .cones import cone_condition
 from .cubic import (spectrum_sweep, strata_directions, q_matrix, perp_sweep,
-                    cubic_roots_check, cor4_check, invariants_mn, band_slack)
+                    cubic_roots_check, cor4_check, invariants_mn, band_slack,
+                    charpoly_identity)
 from .eigen import jacobi_eigh
 from .elliptic import (build_sigma, OperatorF, zero_level_curve,
                        ellipticity_probe, monotonicity_sweep, viscosity_probe,
@@ -215,6 +216,11 @@ def spectral_suite(cfg: RunConfig) -> dict:
     checks.append(_check("growth_bound", lo[k] >= -1e-9, float(lo[k]),
                          witness={"pair_index": int(kept[k])}))
 
+    agreed = charpoly_identity()
+    checks.append(_check("charpoly_identity", bool(np.all(agreed)),
+                         {"points": int(agreed.size),
+                          "failed": int(np.sum(~agreed))}))
+
     m_s, n_s, t_s = invariants_mn(dirs[:16])
     sample = np.concatenate([np.asarray(m_s, dtype=float)[:, None],
                              np.asarray(n_s, dtype=float)[:, None],
@@ -251,13 +257,7 @@ def hessian_suite(cfg: RunConfig) -> dict:
                             cfg.witness_pairs)
     checks.append(_check("witness_slopes", worst_w >= -1e-9, float(worst_w)))
 
-    _, r_min, r_max = ratio_bound_estimate(
-        rng_for(cfg.seed, STREAM_HESSIAN), cfg.ratio_pairs)
-    anti = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 300), 500)
-    anti_data = pair_ratio_sweep(anti, -anti)
-    r_min = min(r_min, float(anti_data[:, 2].min()))
-    r_max = max(r_max, float(anti_data[:, 2].max()))
-    m_hat = max(r_max, 1.0 / r_min)
+    m_hat, r_min, r_max = _pinch(cfg, cfg.ratio_pairs)
     checks.append(_check(
         "pair_ratio_pinch",
         r_max <= RATIO_BOUND and r_min >= 1.0 / RATIO_BOUND,
@@ -285,10 +285,22 @@ def hessian_suite(cfg: RunConfig) -> dict:
                           "ratio": cfg.ratio_pairs, "third": cfg.third_count}})
 
 
+def _pinch(cfg: RunConfig, pairs: int):
+    """(M_hat, r_min, r_max): ratio_bound_estimate's extremes over `pairs`
+    random pairs merged with those of 500 antipodal pairs, M_hat =
+    max(r_max, 1/r_min); verify-hessian and build-operator both read it."""
+    _, r_min, r_max = ratio_bound_estimate(
+        rng_for(cfg.seed, STREAM_HESSIAN), pairs)
+    anti = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 300), 500)
+    ratios = pair_ratio_sweep(anti, -anti)[:, 2]
+    r_min = min(r_min, float(ratios.min()))
+    r_max = max(r_max, float(ratios.max()))
+    return max(r_max, 1.0 / r_min), r_min, r_max
+
+
 def _policy_cone(cfg: RunConfig):
-    """(M_hat, operator cone) from the pair-ratio estimate and the policy."""
-    m_hat, _, _ = ratio_bound_estimate(rng_for(cfg.seed, STREAM_HESSIAN),
-                                       min(cfg.ratio_pairs, 100_000))
+    """(M_hat, operator cone) from the pair-ratio pinch and the policy."""
+    m_hat = _pinch(cfg, min(cfg.ratio_pairs, 100_000))[0]
     return m_hat, operator_cone(
         cfg.lambda_policy, None if cfg.lambda_policy == "paper" else m_hat)
 

@@ -9,6 +9,17 @@ and every direction d of norm sqrt(3) carries a symmetric 12x12 matrix
 (the polarized second derivative of P along d) whose spectrum has a
 closed form.  This module builds those matrices, computes the closed-form
 spectra, and verifies the bounds that the rest of the package relies on.
+
+The closed form rests on one identity: for d = (a, b, c), m^2 =
+|a|^2 |b|^2 |c|^2 and n = P(d),
+
+    det(xI - q_matrix(d)) = ((x^3 - |d|^2 x)^2 - 4 m^2) (x^3 - |d|^2 x + 2n)^2.
+
+charpoly_identity checks it exactly at random integer points, which
+proves it for every d but with probability at most (12/2^32)^2 (its
+docstring); q_extremes reads q_matrix's extreme eigenvalues from it only
+while that certificate holds for the live matrix_M, and from LAPACK
+otherwise.
 """
 
 from __future__ import annotations
@@ -17,8 +28,10 @@ import numpy as np
 
 from .eigen import _row_blocked, eigvalsh_asc, eigvalsh_desc
 from .quaternions import matrix_M, qmul
+from .sampling import STREAM_CHARPOLY, rng_for
 
 SLACK_TOL = 1e-9  # allowance on each band bound and growth bound
+CHARPOLY_POINTS = 2  # integer points of the charpoly_identity certificate
 
 
 def eval_P(v) -> np.ndarray:
@@ -101,6 +114,93 @@ def invariants_mn(dirs: np.ndarray):
     n = qmul(qmul(a, b), c)[..., 0]
     t3 = t ** 3
     return m / t3, n / t3, t
+
+
+def charpoly_identity() -> np.ndarray:
+    """The characteristic-polynomial identity of the module docstring,
+    checked exactly at CHARPOLY_POINTS points drawn uniformly from
+    [-2^31, 2^31)^12 (seed 0, stream STREAM_CHARPOLY): one flag per point.
+
+    At integer d every entry of q_matrix(d) is +-d_i, exact in float64, so
+    Faddeev-LeVerrier runs over Python ints and divides exactly; n comes
+    from qmul in ints.  Each coefficient of x^k on either side is a
+    polynomial of degree 12 - k in d, so by Schwartz-Zippel (Schwartz, JACM
+    27, 1980) a false identity holds at one uniform point with probability
+    at most 12/2^32, and at k independent points with at most (12/2^32)^k:
+    about 7.8e-18 for k = 2.
+    """
+    pts = rng_for(0, STREAM_CHARPOLY).integers(-2**31, 2**31,
+                                              (CHARPOLY_POINTS, 12))
+    eye = np.eye(12, dtype=np.int64).astype(object)
+    out = []
+    for d in pts:
+        a = q_matrix(d).astype(np.int64).astype(object)
+        am, coef = 0 * eye, [1]  # A M_k, and the coefficients from x^12 down
+        for k in range(1, 13):
+            am = a @ (am + coef[-1] * eye)
+            coef.append(-np.trace(am) // k)
+        blocks = d.astype(object).reshape(3, 1, 4)
+        na, nb, nc = (np.sum(x * x) for x in blocks)
+        n = qmul(qmul(blocks[0], blocks[1]), blocks[2])[0, 0]
+        cube = np.array([1, 0, -(na + nb + nc), 0], dtype=object)
+        singles = np.convolve(cube, cube)
+        singles[-1] -= 4 * na * nb * nc
+        doubles = cube.copy()
+        doubles[-1] += 2 * n
+        out.append(list(np.convolve(singles, np.convolve(doubles, doubles)))
+                   == coef)
+    return np.array(out)
+
+
+def closed_form_certified() -> bool:
+    """Whether charpoly_identity holds at every point, memoized on the live
+    matrix_M (a build that replaces matrix_M is certified afresh)."""
+    fn = matrix_M
+    if not hasattr(fn, "charpoly_certified"):
+        fn.charpoly_certified = bool(np.all(charpoly_identity()))
+    return fn.charpoly_certified
+
+
+@_row_blocked
+def q_extremes(dirs: np.ndarray) -> np.ndarray:
+    """Rows (l1, l3, l10, l12) of the descending spectrum of q_matrix(d),
+    for nonzero direction rows d = (a, b, c) of any norm.
+
+    Where closed_form_certified(), from _closed_rows' roots: with t^2 =
+    |d|^2/3, m = |a||b||c|/t^3 = cos(alpha) and n = P(d)/t^3 = cos(beta),
+    l1 = -l12 = 2t cos(alpha/3), the double l2 = l3 = 2t cos(beta/3 - pi/3)
+    and the double l10 = l11 = -2t cos(beta/3).  |n| <= m puts each double
+    between the top single and the next one, so these are the extremes;
+    two arctan2 and three cos a row.  Otherwise LAPACK's.
+
+    Rounding: near the strata the angles are ill-conditioned in m and n,
+    so they come from quantities formed without cancellation: t^3 -
+    |a||b||c| from the deviations of |a|^2, |b|^2, |c|^2 from their mean,
+    and t^3 -+ P(d) from it and |q| - |Re q| = |Im q|^2/(|q| + |Re q|), q
+    = abc.  Both angles are then within a few eps, and each extreme is
+    within 1e-13 |d| of q_matrix(d)'s; measured below 4e-15 |d| on random
+    rows and on strata rows jittered by 0 to 1e-2, at scales 1e-6 to 1e8.
+    """
+    if not closed_form_certified():
+        return eigvalsh_desc(q_matrix(dirs))[:, [0, 2, 9, 11]]
+    blocks = np.asarray(dirs, dtype=float).reshape(-1, 3, 4)
+    sq = np.sum(blocks * blocks, axis=2)
+    mean = sq.mean(axis=1)
+    t = np.sqrt(mean)
+    t3, abc = mean * t, np.sqrt(sq[:, 0] * sq[:, 1] * sq[:, 2])
+    dev = sq - mean[:, None]
+    gap = np.maximum(0.5 * mean * np.sum(dev * dev, axis=1)  # t^3 - |a||b||c|
+                     - dev[:, 0] * dev[:, 1] * dev[:, 2], 0.0) / (t3 + abc)
+    q = qmul(qmul(blocks[:, 0], blocks[:, 1]), blocks[:, 2])
+    far = abc + np.abs(q[:, 0])
+    near = np.sum(q[:, 1:] ** 2, axis=1) / np.maximum(far, np.finfo(float).tiny)
+    below = gap + np.where(q[:, 0] > 0, near, far)  # t^3 - P(d)
+    above = gap + np.where(q[:, 0] > 0, far, near)  # t^3 + P(d)
+    alpha3 = np.arctan2(np.sqrt(gap * (t3 + abc)), abc) / 3.0
+    beta3 = np.arctan2(np.sqrt(below * above), q[:, 0]) / 3.0
+    l1 = 2.0 * t * np.cos(alpha3)
+    return np.stack([l1, 2.0 * t * np.cos(beta3 - np.pi / 3.0),
+                     -2.0 * t * np.cos(beta3), -l1], axis=1)
 
 
 @_row_blocked

@@ -7,8 +7,13 @@ unit sphere loses nothing.  The key facts verified downstream:
   signs, bounded away from zero (witnesses; witness_worst builds them only
   where a floor does not clear the pair, through cones._pruned_min);
 * the ratio of its extreme eigenvalues is pinched inside
-  [1/(1536 sqrt 3), 1536 sqrt 3];
+  [1/(1536 sqrt 3), 1536 sqrt 3] (ratio_bound_estimate eigensolves only
+  the pairs that pinch_bounds cannot keep off the sampled extremes);
 * all third directional derivatives on the unit sphere are bounded by 32.
+
+Both pruned checks bound a pair from the extremes of q_matrix(a - b),
+which cubic.q_extremes reads from the closed form while the
+characteristic-polynomial certificate (cubic.charpoly_identity) holds.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import _pruned_min
-from .cubic import eval_P, grad_P, q_matrix
+from .cubic import eval_P, grad_P, q_extremes, q_matrix
 from .eigen import _row_blocked, eigh_desc, eigvalsh_desc
 from .sampling import unit_pairs, unit_sphere
 
@@ -30,6 +35,7 @@ MIN_RADIUS = 1e-12
 MIN_SEPARATION = 1e-9
 THIRD_FD_STEP = 1e-5    # central-difference step of third_derivative_sweep
 WITNESS_GUARD = 1e-2    # witness_worst's pruning margin (bound in its docstring)
+RATIO_GUARD = 1e-9      # pinch_bounds' rounding allowance (bound in its docstring)
 
 
 def eval_w(x) -> np.ndarray:
@@ -153,11 +159,12 @@ def witness_sweep(a_pts: np.ndarray, b_pts: np.ndarray):
 def witness_floor(a_pts: np.ndarray, b_pts: np.ndarray):
     """Lower bounds s l3 - dP - thresh and dP - thresh - s l10 on
     witness_sweep's two slacks (witness_worst), dP = P(a) - P(b), with s l3,
-    s l10 from LAPACK on q_matrix(a - b) = s q_matrix(d), s = |a-b|/sqrt 3."""
+    s l10 from q_extremes(a - b): q_matrix(a - b) = s q_matrix(d), s =
+    |a-b|/sqrt 3."""
     gap = np.linalg.norm(a_pts - b_pts, axis=-1)
-    vals = eigvalsh_desc(q_matrix(a_pts - b_pts))
+    ext = q_extremes(a_pts - b_pts)
     dp, thresh = eval_P(a_pts) - eval_P(b_pts), gap * WITNESS_SLOPE
-    return vals[:, 2] - dp - thresh, dp - thresh - vals[:, 9]
+    return ext[:, 1] - dp - thresh, dp - thresh - ext[:, 2]
 
 
 def witness_worst(rng: np.random.Generator, pairs: int) -> float:
@@ -200,16 +207,84 @@ def third_derivative_sweep(rng: np.random.Generator,
     return rows(*(unit_sphere(rng, samples) for _ in range(4)))
 
 
+@_row_blocked
+def pinch_bounds(a_pts: np.ndarray, b_pts: np.ndarray):
+    """Bounds r_lo <= r <= r_hi on pair_ratio_sweep's ratio r = -mu1/mu12
+    for stacks of unit-point pairs, and a relative allowance rel: with
+    rounding, every pair has r >= r_lo - rel (1 + r_lo) and r <= r_hi +
+    rel (1 + r_hi); rel = inf leaves a pair unbounded.
+
+    For unit x, hess_w(x) = q_matrix(x) - P(x) I + R_x with R_x = -(g x^T
+    + x g^T) + 3 P x x^T, g = grad_P(x) (the einsum hess_w uses), so with
+    q_matrix linear, D = hess_w(a) - hess_w(b) = q_matrix(a - b) - dP I + R,
+    R = R_a - R_b and dP = P(a) - P(b).  With l1, l3, l10, l12 from
+    q_extremes(a - b):
+
+    * mu1 >= lo1 = l3 - dP and -mu12 >= lo2 = dP - l10: the top (bottom)
+      three eigenvectors span a unit e orthogonal to a and b, where R's
+      terms vanish (the witness Rayleigh bounds of witness_worst);
+    * mu1 <= l1 - dP + top(R_a) - bot(R_b) and -mu12 <= dP - l12 - bot(R_a)
+      + top(R_b), by Weyl's inequality, where top and bot are the two
+      nonzero eigenvalues of R_x: in the basis (x, u), g = alpha x + gamma
+      u, R_x is [[3P - 2 alpha, -gamma], [-gamma, 0]] for any signs in
+      q_matrix.
+
+    Rounding: |hess_w(x)|_F < 7 on the unit sphere (|q_matrix(x)|_F =
+    sqrt 8, |g| <= sqrt 2, |P| < 0.2), so forming D and its eigenvalues
+    stay within 1e3 eps |D|_F < 3.2e-12 of the exact mu (as in
+    cones._PairBounds).  Each bound stays within 1.4e-12 of its exact value:
+    q_extremes within 1e-13 |a-b| (LAPACK's within 1e3 eps
+    |q_matrix(a-b)|_F < 1.3e-12), dP, alpha, gamma and the 2x2 roots within
+    1e-14.  So each comparison is off by E < 5e-12.  Where lo = min(lo1,
+    lo2) > RATIO_GUARD = 200 E, rel = RATIO_GUARD / lo, and then r >= (lo1
+    - E)/(hi2 + E) >= r_lo - 2 E r_lo / lo1 and r <= (hi1 + E)/(lo2 - E) <=
+    r_hi + 1.01 E (1 + r_hi) / lo2: rel (1 + r) covers each at least 100
+    times.  True-build pairs have lo >= |a-b|/(4 sqrt 3) (the witness
+    slope), so only pairs closer than 7e-9 are left unbounded.
+    """
+    ext = q_extremes(a_pts - b_pts)
+    sides = []
+    for x in (a_pts, b_pts):
+        p, g = eval_P(x), grad_P(x)
+        alpha = np.einsum("ni,ni->n", x, g)
+        gamma2 = np.maximum(np.einsum("ni,ni->n", g, g) - alpha**2, 0.0)
+        c = 3.0 * p - 2.0 * alpha
+        root = np.sqrt(c * c + 4.0 * gamma2)
+        sides.append((p, 0.5 * (c + root), 0.5 * (c - root)))
+    (pa, top_a, bot_a), (pb, top_b, bot_b) = sides
+    dp = pa - pb
+    lo1, lo2 = ext[:, 1] - dp, dp - ext[:, 2]
+    hi1 = ext[:, 0] - dp + top_a - bot_b
+    hi2 = dp - ext[:, 3] - bot_a + top_b
+    lo = np.minimum(lo1, lo2)
+    rel = np.where(lo > RATIO_GUARD,
+                   RATIO_GUARD / np.maximum(lo, RATIO_GUARD), np.inf)
+    return (lo1 / np.maximum(hi2, RATIO_GUARD),
+            hi1 / np.maximum(lo2, RATIO_GUARD), rel)
+
+
 def ratio_bound_estimate(rng: np.random.Generator, pairs: int):
     """Empirical pinch of the Hessian-difference eigenvalue ratio.
 
     Draws random unit pairs with unit_pairs (pairs closer than 1e-9 are
     dropped; none in practice) and returns (M_hat, r_min, r_max) where
-    r = -mu1/mu12 and M_hat = max(r_max, 1/r_min).
+    r = -mu1/mu12 and M_hat = max(r_max, 1/r_min).  Per block, one
+    cones._pruned_min over two rows, pinch_bounds' r_lo and -r_hi less
+    rel (1 + |bound|), solves pair_ratio_sweep only on the pairs that could
+    be r_min or r_max, ROW_BLOCK pairs at a time: its rows do not depend on
+    the block, so both extremes are bitwise a full pass's.
     """
     r_min, r_max = np.inf, 0.0
     for a, b in unit_pairs(rng, pairs, MIN_SEPARATION):
-        data = pair_ratio_sweep(a, b)
-        r_min = min(r_min, float(data[:, 2].min()))
-        r_max = max(r_max, float(data[:, 2].max()))
+        r_lo, r_hi, rel = pinch_bounds(a, b)
+        floor = np.stack([r_lo, -r_hi])  # row 0 bounds r, row 1 bounds -r
+        floor -= rel * (1.0 + np.abs(floor))
+        del r_lo, r_hi, rel  # round 2 sets the peak memory: keep the floors
+
+        @_row_blocked
+        def signed_ratios(e, i):  # r on row 0, -r on row 1
+            return pair_ratio_sweep(a[i], b[i])[:, 2] * (1 - 2 * e)
+
+        lo, neg_hi = _pruned_min(floor, 0.0, signed_ratios)
+        r_min, r_max = min(r_min, float(lo)), max(r_max, -float(neg_hi))
     return max(r_max, 1.0 / r_min), r_min, r_max

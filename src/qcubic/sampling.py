@@ -21,6 +21,7 @@ STREAM_ELLIPTIC = 8
 STREAM_VISCOSITY = 9
 STREAM_CONE = 10
 STREAM_FDCHECK = 11
+STREAM_CHARPOLY = 12
 
 PAIR_CHUNK = 20_000  # pairs drawn per block by unit_pairs
 

@@ -12,6 +12,8 @@ import pytest
 from qcubic import cli
 from qcubic.cli import main, parse_config_file, RunConfig
 from qcubic.cubic import band_slack
+from qcubic.hessian import ratio_bound_estimate
+from qcubic.sampling import rng_for, STREAM_HESSIAN
 
 SMALL = dict(spectral_count=200, strata_count=5, perp_count=500,
              cor4_pairs=10, fd_count=20, witness_pairs=1000,
@@ -99,6 +101,8 @@ def test_spectral_suite(tmp_path):
     names = [c["name"] for c in rep["checks"]]
     assert "closed_form_spectrum" in names
     assert "compression_ratio" in names
+    [cert] = [c for c in rep["checks"] if c["name"] == "charpoly_identity"]
+    assert cert["passed"] and cert["worst"] == {"points": 2, "failed": 0}
     assert 1.0 <= rep["constants"]["delta_hat"] < 1.5
     assert len(rep["eigen_sample"]) == 16
 
@@ -122,6 +126,21 @@ def test_hessian_suite(tmp_path):
     assert 1.0 < c["M_hat"] < c["ratio_bound"]
     assert c["third_max"] <= 32.001
     assert sum(rep["ratio_hist"]["counts"]) > 0
+
+
+def test_hessian_and_operator_share_m_hat(tmp_path):
+    # at 1000 pairs an antipodal pair sets M_hat, and both suites merge it
+    m_hat = {}
+    for cmd, name in (("verify-hessian", "hessian"),
+                      ("build-operator", "operator")):
+        code, out = _run(tmp_path, cmd)
+        assert code == 0
+        with open(os.path.join(out, name + ".json")) as fh:
+            m_hat[name] = json.load(fh)["constants"]["M_hat"]
+    assert m_hat["hessian"] == m_hat["operator"]
+    sampled = ratio_bound_estimate(rng_for(42, STREAM_HESSIAN),
+                                   SMALL["ratio_pairs"])[0]
+    assert m_hat["operator"] > sampled
 
 
 def test_operator_suite_and_viscosity_reuse_cache(tmp_path):

@@ -1,16 +1,48 @@
 """The cubic form, its direction matrices, and the closed-form spectra."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+import qcubic.cubic as cubic_mod
 from qcubic.cubic import (_closed_rows, eval_P, grad_P, q_matrix,
                           invariants_mn, spectrum_sweep, band_slack,
                           perp_basis, perp_sweep, cubic_roots_check,
-                          cor4_check, strata_directions)
+                          cor4_check, strata_directions, charpoly_identity,
+                          closed_form_certified, q_extremes, CHARPOLY_POINTS)
 from qcubic.eigen import eigh_desc, eigvalsh_desc, jacobi_eigh
 from qcubic.numdiff import fd_gradient
-from qcubic.quaternions import qmul
-from qcubic.sampling import rng_for, directions, STREAM_SPECTRAL
+from qcubic.quaternions import matrix_M, qmul
+from qcubic.sampling import (rng_for, directions, unit_sphere,
+                             STREAM_SPECTRAL)
+
+
+def entry_flip(i, j):
+    """matrix_M with the sign of entry (i, j) flipped (a13's is (0, 1))."""
+    def flipped(q):
+        m = matrix_M(q).copy()
+        m[..., i, j] = -m[..., i, j]
+        return m
+    return flipped
+
+
+def block_flip(k):
+    """matrix_M negated on block k (a, b, c) of every q_matrix: q_matrix
+    calls it once per block, in that order, and nothing else calls it."""
+    calls = itertools.count()
+
+    def flipped(q):
+        m = matrix_M(q)
+        return -m if next(calls) % 3 == k else m
+    return flipped
+
+
+# makers of the 16 single-entry flips, then the 3 whole-block flips
+SIGN_FLIPS = ([functools.partial(entry_flip, i, j)
+               for i in range(4) for j in range(4)]
+              + [functools.partial(block_flip, k) for k in range(3)])
 
 
 def _on_sphere(v):
@@ -246,3 +278,51 @@ def test_cor4_growth_bound():
     w[1, 2] = v[1, 2]
     with pytest.raises(ValueError):
         cor4_check(w, v)  # zero separation in one row
+
+
+def test_charpoly_identity_certifies_the_true_build():
+    assert CHARPOLY_POINTS >= 2
+    agreed = charpoly_identity()
+    assert agreed.shape == (CHARPOLY_POINTS,) and agreed.all()
+    assert closed_form_certified()
+
+
+@pytest.mark.parametrize("flip", range(len(SIGN_FLIPS)))
+def test_charpoly_identity_fails_every_sign_flip(flip, monkeypatch):
+    # the 16 single-entry flips of matrix_M and the 3 whole-block flips
+    monkeypatch.setattr(cubic_mod, "matrix_M", SIGN_FLIPS[flip]())
+    assert not charpoly_identity().any()
+    assert not closed_form_certified()
+
+
+def _extremes_cases(rng):
+    """Direction rows: random, close and near-antipodal differences of unit
+    points, and the m = 0, m = 1 and n = +-1 strata rows."""
+    a, b = unit_sphere(rng, 2000), unit_sphere(rng, 2000)
+    step = rng.standard_normal(a.shape)
+    return {"random": a - b, "close": 1e-6 * step / np.linalg.norm(
+                step, axis=1, keepdims=True),
+            "near-antipodal": 2.0 * a + 1e-6 * step,
+            "strata": strata_directions(rng, 200)}
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+def test_q_extremes_match_lapack(scale):
+    # the docstring's bound is 1e-8 |d|; off the strata' 1e-8 band, 1e-14 |d|
+    for name, d in _extremes_cases(rng_for(91, STREAM_SPECTRAL)).items():
+        d = d * scale
+        want = eigvalsh_desc(q_matrix(d))[:, [0, 2, 9, 11]]
+        err = np.max(np.abs(q_extremes(d) - want), axis=1)
+        assert np.all(err <= 1e-14 * np.linalg.norm(d, axis=1)), name
+
+
+def test_q_extremes_take_lapack_under_a_flip(monkeypatch):
+    monkeypatch.setattr(cubic_mod, "matrix_M", entry_flip(0, 1))
+    d = _extremes_cases(rng_for(92, STREAM_SPECTRAL))["random"]
+
+    def closed_form_taken(*args):
+        raise AssertionError("closed form used on an uncertified build")
+
+    monkeypatch.setattr(cubic_mod, "invariants_mn", closed_form_taken)
+    assert np.array_equal(q_extremes(d),
+                          eigvalsh_desc(q_matrix(d))[:, [0, 2, 9, 11]])

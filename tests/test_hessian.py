@@ -9,16 +9,17 @@ import qcubic.cubic as cubic_mod
 import qcubic.hessian as hessian_mod
 from qcubic.cones import _PRUNE_CANDIDATES
 from qcubic.cubic import eval_P, grad_P, q_matrix, strata_directions
-from qcubic.eigen import jacobi_eigh
+from qcubic.eigen import eigvalsh_desc, jacobi_eigh
 from qcubic.hessian import (eval_w, grad_w, hess_w, pair_ratio_sweep,
                             witness_directions, witness_floor, witness_sweep,
                             witness_worst, third_derivative_sweep,
-                            ratio_bound_estimate, RATIO_BOUND,
+                            pinch_bounds, ratio_bound_estimate, RATIO_BOUND,
                             THIRD_DERIVATIVE_BOUND, WITNESS_SLOPE)
 from qcubic.numdiff import fd_gradient, fd_jacobian
 from qcubic.quaternions import matrix_M as _true_matrix_M
 from qcubic.sampling import (rng_for, unit_pairs, unit_sphere, PAIR_CHUNK,
                              STREAM_HESSIAN, STREAM_WITNESS)
+from test_cubic import SIGN_FLIPS, entry_flip
 
 
 def _units(seed, count):
@@ -253,25 +254,42 @@ def _unit(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def test_witness_floor_is_below_the_slack():
+def _pair_cases():
+    """Unit pairs: random, near-antipodal, close, along a degenerate-stratum
+    direction u (m = 0, m = 1, then n = +-1, whose witness projections are
+    parallel), and those jittered by 1e-7."""
     rng = rng_for(88, STREAM_HESSIAN)
     a = _units(89, 2000)
-    # a - b along a degenerate-stratum direction u (m = 0, m = 1, then
-    # n = +-1, whose witness projections are parallel), then jittered by 1e-7
     u = _unit(strata_directions(rng, 500))
     v, t = _tangent(u, rng), rng.uniform(0.01, 1.5, (len(u), 1))
     sa, sb = np.cos(t) * v + np.sin(t) * u, np.cos(t) * v - np.sin(t) * u
     jitter = [_unit(x + 1e-7 * rng.standard_normal(x.shape)) for x in (sa, sb)]
-    cases = {
+    return {
         "random": (a, _units(90, 2000)),
         "near-antipodal": (a, _unit(-a + 1e-6 * _tangent(a, rng))),
         "close": (a, _unit(a + 1e-5 * _tangent(a, rng))),
+        "closer": (a, _unit(a + 1e-6 * _tangent(a, rng))),
         "strata": (sa, sb),
         "strata-adjacent": tuple(jitter),
     }
-    for name, (x, y) in cases.items():
+
+
+def test_witness_floor_is_below_the_slack():
+    for name, (x, y) in _pair_cases().items():
         for floor, slack in zip(witness_floor(x, y), witness_sweep(x, y)):
             assert np.max(floor - slack) <= 1e-12, name
+
+
+def test_pinch_bounds_hold():
+    for name, (x, y) in _pair_cases().items():
+        r = pair_ratio_sweep(x, y)[:, 2]
+        r_lo, r_hi, rel = pinch_bounds(x, y)
+        assert np.all(np.isfinite(rel)), name
+        assert np.all(r_lo - rel * (1.0 + r_lo) <= r), name
+        assert np.all(r <= r_hi + rel * (1.0 + r_hi)), name
+        # the bounds themselves, before any allowance
+        assert np.all(r_lo <= r * (1.0 + 1e-9)), name
+        assert np.all(r <= r_hi * (1.0 + 1e-9)), name
 
 
 def test_witness_worst_second_round_reaches_a_planted_minimum(monkeypatch):
@@ -318,6 +336,90 @@ def test_third_derivative_sweep_bounded():
     vals = third_derivative_sweep(rng_for(77, STREAM_HESSIAN), 400)
     assert vals.shape == (400,)
     assert np.max(vals) <= THIRD_DERIVATIVE_BOUND + 1e-3
+
+
+def _full_pinch(seed, pairs):
+    """The unpruned extremes: pair_ratio_sweep over every pair."""
+    r_min, r_max = np.inf, 0.0
+    for a, b in unit_pairs(rng_for(seed, STREAM_HESSIAN), pairs, 1e-9):
+        r = pair_ratio_sweep(a, b)[:, 2]
+        r_min, r_max = min(r_min, float(r.min())), max(r_max, float(r.max()))
+    return max(r_max, 1.0 / r_min), r_min, r_max
+
+
+_cached_full_pinch = functools.lru_cache(_full_pinch)
+
+
+@pytest.mark.parametrize("pairs", [1000, PAIR_CHUNK + 1])
+@pytest.mark.parametrize("seed", [42, 601])
+def test_ratio_bound_estimate_is_the_full_pass(seed, pairs, monkeypatch):
+    ref = _cached_full_pinch(seed, pairs)
+    monkeypatch.setattr("qcubic.eigen.ROW_BLOCK", 7)
+    assert ratio_bound_estimate(rng_for(seed, STREAM_HESSIAN), pairs) == ref
+
+
+def test_ratio_bound_estimate_second_round_reaches_planted_extremes(
+        monkeypatch):
+    a, b = next(unit_pairs(rng_for(42, STREAM_HESSIAN), 1000, 1e-9))
+    pa, pb = next(unit_pairs(rng_for(43, STREAM_HESSIAN), PAIR_CHUNK, 1e-9))
+    pool = pair_ratio_sweep(pa, pb)[:, 2]
+    r = pair_ratio_sweep(a, b)[:, 2]
+    top, bottom = int(np.argmax(pool)), int(np.argmin(pool))
+    assert pool[top] > r.max() and pool[bottom] < r.min()
+    a[[100, 200]], b[[100, 200]] = pa[[top, bottom]], pb[[top, bottom]]
+    decoys = np.argsort(np.abs(r - np.median(r)))[:_PRUNE_CANDIDATES]
+
+    def planted(x, y):
+        # still bounds, but round 1 now takes the decoys on both rows
+        r_lo, r_hi, rel = pinch_bounds(x, y)
+        r_lo[decoys], r_hi[decoys] = -1.0, 1e9
+        return r_lo, r_hi, rel
+
+    solved = []
+
+    def sweep(x, y):
+        solved.append(x)
+        return pair_ratio_sweep(x, y)
+
+    monkeypatch.setattr(hessian_mod, "unit_pairs", lambda *args: [(a, b)])
+    monkeypatch.setattr(hessian_mod, "pinch_bounds", planted)
+    monkeypatch.setattr(hessian_mod, "pair_ratio_sweep", sweep)
+    _, r_min, r_max = ratio_bound_estimate(None, 1000)
+    assert (r_min, r_max) == (pool[bottom], pool[top])
+    # round 1 is one call; round 2 is solved in ROW_BLOCK-row calls
+    assert len(solved) >= 2 and len(solved[0]) == 2 * _PRUNE_CANDIDATES
+    second = np.concatenate(solved[1:])
+    for k in (100, 200):
+        assert not (solved[0] == a[k]).all(axis=1).any()
+        assert (second == a[k]).all(axis=1).any()
+
+
+@pytest.mark.parametrize("flip", range(len(SIGN_FLIPS)))
+def test_pruned_extremes_under_every_sign_flip(flip, monkeypatch):
+    # flipped builds fail the certificate: the extremes of q_matrix come
+    # from LAPACK, and both pruned minima stay exact
+    monkeypatch.setattr(cubic_mod, "matrix_M", SIGN_FLIPS[flip]())
+    lapack = []
+
+    def eigvalsh_spy(mats):
+        lapack.append(len(mats))
+        return eigvalsh_desc(mats)
+
+    monkeypatch.setattr(cubic_mod, "eigvalsh_desc", eigvalsh_spy)
+    got = ratio_bound_estimate(rng_for(42, STREAM_HESSIAN), 2000)
+    assert sum(lapack) == 2000
+    assert got == _full_pinch(42, 2000)
+    assert (witness_worst(rng_for(42, STREAM_WITNESS), 2000)
+            == _full_worst(42, 2000))
+    assert sum(lapack) == 4000
+
+
+def test_a13_flip_keeps_its_pinch_extremes(monkeypatch):
+    # test_a13_negative_control's ratio leg reads these extremes
+    monkeypatch.setattr(cubic_mod, "matrix_M", entry_flip(0, 1))
+    _, r_min, r_max = ratio_bound_estimate(rng_for(42, STREAM_HESSIAN),
+                                           20_000)
+    assert "[%.4f, %.4f]" % (r_min, r_max) == "[0.4314, 2.3199]"
 
 
 def test_ratio_bound_estimate():

@@ -9,9 +9,10 @@ import pytest
 
 from qcubic import symspace
 from qcubic.cones import _PairBounds
-from qcubic.cubic import perp_sweep, spectrum_sweep
-from qcubic.hessian import (pair_ratio_sweep, third_derivative_sweep,
-                            witness_floor, witness_sweep)
+from qcubic.cubic import perp_sweep, q_extremes, spectrum_sweep
+from qcubic.hessian import (pair_ratio_sweep, pinch_bounds,
+                            third_derivative_sweep, witness_floor,
+                            witness_sweep)
 from qcubic.sampling import (directions, rng_for, unit_sphere, STREAM_CONE,
                              STREAM_HESSIAN, STREAM_PERP)
 
@@ -22,7 +23,7 @@ def _inputs(sweep, strided):
     """The sweep's array arguments, ROWS rows each, C-order or every other
     row of a stack twice as long."""
     take = 2 if strided else 1
-    if sweep in (spectrum_sweep, perp_sweep):
+    if sweep in (spectrum_sweep, perp_sweep, q_extremes):
         return [directions(rng_for(7, STREAM_PERP), take * ROWS)[::take]]
     rng = rng_for(8, STREAM_HESSIAN)
     return [unit_sphere(rng, take * ROWS)[::take] for _ in range(2)]
@@ -36,9 +37,9 @@ def _same(got, ref):
 
 @pytest.mark.parametrize("block, strided",
                          [(1, False), (3, False), (7, False), (3, True)])
-@pytest.mark.parametrize("sweep", [spectrum_sweep, perp_sweep,
+@pytest.mark.parametrize("sweep", [spectrum_sweep, perp_sweep, q_extremes,
                                    pair_ratio_sweep, witness_sweep,
-                                   witness_floor])
+                                   witness_floor, pinch_bounds])
 def test_sweep_rows_do_not_depend_on_block(sweep, block, strided,
                                            monkeypatch):
     args = _inputs(sweep, strided)
@@ -74,7 +75,7 @@ def test_pair_solve_rows_match_one_pass(block, monkeypatch):
 
 
 @pytest.mark.parametrize("sweep", [pair_ratio_sweep, witness_sweep,
-                                   witness_floor, perp_sweep])
+                                   witness_floor, pinch_bounds, perp_sweep])
 def test_sweep_memory_is_one_block(sweep):
     # 20,000 rows: a 12x12 stack of the whole sample is 23 MB per temporary
     rng = rng_for(10, STREAM_HESSIAN)
