@@ -221,10 +221,8 @@ def spectral_suite(cfg: RunConfig) -> dict:
                          {"points": int(agreed.size),
                           "failed": int(np.sum(~agreed))}))
 
-    m_s, n_s, t_s = invariants_mn(dirs[:16])
-    sample = np.concatenate([np.asarray(m_s, dtype=float)[:, None],
-                             np.asarray(n_s, dtype=float)[:, None],
-                             closed[:min(16, n)]], axis=1)
+    t_s, m_s, _, n_s, _ = invariants_mn(dirs[:16])
+    sample = np.column_stack([m_s / t_s**3, n_s / t_s**3, closed[:min(16, n)]])
     return _suite_report(
         "spectral", cfg, checks,
         {"delta_hat": delta_hat, "spectrum_tolerance": tol,
@@ -300,7 +298,7 @@ def _pinch(cfg: RunConfig, pairs: int):
 
 def _policy_cone(cfg: RunConfig):
     """(M_hat, operator cone) from the pair-ratio pinch and the policy."""
-    m_hat = _pinch(cfg, min(cfg.ratio_pairs, 100_000))[0]
+    m_hat = _pinch(cfg, cfg.ratio_pairs)[0]
     return m_hat, operator_cone(
         cfg.lambda_policy, None if cfg.lambda_policy == "paper" else m_hat)
 

@@ -5,19 +5,21 @@ form is the real part of the quaternion product,
 
     P(X, Y, Z) = Re(qX * qY * qZ),
 
-and every direction d of norm sqrt(3) carries a symmetric 12x12 matrix
-(the polarized second derivative of P along d) whose spectrum has a
-closed form.  This module builds those matrices, computes the closed-form
-spectra, and verifies the bounds that the rest of the package relies on.
+and every direction d carries a symmetric 12x12 matrix (the polarized
+second derivative of P along d) whose spectrum has a closed form.  This
+module builds those matrices, computes the closed-form spectra, and
+verifies the bounds that the rest of the package relies on.
 
 The closed form rests on one identity: for d = (a, b, c), m^2 =
 |a|^2 |b|^2 |c|^2 and n = P(d),
 
     det(xI - q_matrix(d)) = ((x^3 - |d|^2 x)^2 - 4 m^2) (x^3 - |d|^2 x + 2n)^2.
 
-charpoly_identity checks it exactly at random integer points, which
-proves it for every d but with probability at most (12/2^32)^2 (its
-docstring); q_extremes reads q_matrix's extreme eigenvalues from it only
+closed_spectrum evaluates its roots, the one closed form of the spectrum.
+spectrum_sweep compares it against LAPACK as it stands.  charpoly_identity
+checks the identity exactly at random integer points, which proves it for
+every d but with probability at most (12/2^32)^2 (its docstring);
+q_extremes reads q_matrix's extreme eigenvalues from closed_spectrum only
 while that certificate holds for the live matrix_M, and from LAPACK
 otherwise.
 """
@@ -73,47 +75,62 @@ def grad_P(v) -> np.ndarray:
     return 0.5 * np.einsum("...ij,...j->...i", q_matrix(v), v)
 
 
-def _closed_rows(m, n) -> np.ndarray:
-    """The twelve closed-form roots at invariants (m, n), descending, in
-    longdouble; m and n share any leading shape, which gains a last axis.
-
-    With m = cos(alpha), n = cos(beta): six simple values
-    2 cos(alpha/3 + pi k/3), k = 0..5, and three double values
-    2 cos(beta/3 + pi (2l+1)/3), l = 0, 1, 2.  The trig runs in longdouble
-    because arccos near +-1 amplifies rounding in m by 1/sqrt(1-m^2); pass
-    longdouble m, n (see invariants_mn) to get the full benefit.
-    """
-    ld = np.longdouble
-    m = np.clip(np.asarray(m, dtype=ld), ld(-1), ld(1))[..., None]
-    n = np.clip(np.asarray(n, dtype=ld), ld(-1), ld(1))[..., None]
-    pi = ld(np.pi)
-    singles = 2.0 * np.cos(np.arccos(m) / 3.0
-                           + pi * np.arange(6, dtype=ld) / 3.0)
-    doubles = 2.0 * np.cos(np.arccos(n) / 3.0
-                           + pi * (2 * np.arange(3, dtype=ld) + 1) / 3.0)
-    vals = np.concatenate([singles, np.repeat(doubles, 2, axis=-1)], axis=-1)
-    return np.sort(vals, axis=-1)[..., ::-1]
-
-
 def invariants_mn(dirs: np.ndarray):
-    """(m, n, t) for direction rows, computed in longdouble.
+    """(t, m, m_perp, n, n_perp) for nonzero direction rows d = (a, b, c)
+    of any norm, shape (count, 12), in float64.
 
-    The stored floats never sit exactly on the norm-sqrt(3) sphere, and the
-    closed-form spectrum amplifies that defect like a square root near the
-    degenerate strata (double roots split).  Since the direction matrix is
-    linear in d and m, n are cubic, the exact fix is to rescale onto the
-    sphere: with t = (|d|^2/3)^(1/2), the eigenvalues of the matrix of d
-    are exactly t times the closed-form roots at (m/t^3, n/t^3).  Returns
-    the rescaled m, n and the factor t.
+    With t^2 = |d|^2/3: m = |a||b||c| = t^3 cos(alpha) and n = P(d) = t^3
+    cos(beta), and m_perp = t^3 sin(alpha), n_perp = t^3 sin(beta) their
+    legs; m/t^3 and n/t^3 are the invariants of d/t on the norm-sqrt(3)
+    sphere.  Near the strata the angles are ill-conditioned in m and n, so
+    the legs come from quantities formed without cancellation: t^3 - m from
+    the deviations of |a|^2, |b|^2, |c|^2 from their mean, and t^3 -+ n
+    from it and |q| - |Re q| = |Im q|^2/(|q| + |Re q|), q = abc.
     """
-    v = np.asarray(dirs, dtype=np.longdouble)
-    a, b, c = v[..., 0:4], v[..., 4:8], v[..., 8:12]
-    na2, nb2, nc2 = (a * a).sum(-1), (b * b).sum(-1), (c * c).sum(-1)
-    t = np.sqrt((na2 + nb2 + nc2) / 3.0)
-    m = np.sqrt(na2 * nb2 * nc2)
-    n = qmul(qmul(a, b), c)[..., 0]
-    t3 = t ** 3
-    return m / t3, n / t3, t
+    blocks = np.asarray(dirs, dtype=float).reshape(-1, 3, 4)
+    sq = np.sum(blocks * blocks, axis=2)
+    mean = sq.mean(axis=1)
+    t = np.sqrt(mean)
+    t3, m = mean * t, np.sqrt(sq[:, 0] * sq[:, 1] * sq[:, 2])
+    dev = sq - mean[:, None]
+    gap = np.maximum(0.5 * mean * np.sum(dev * dev, axis=1)  # t^3 - m
+                     - dev[:, 0] * dev[:, 1] * dev[:, 2], 0.0) / (t3 + m)
+    q = qmul(qmul(blocks[:, 0], blocks[:, 1]), blocks[:, 2])
+    far = m + np.abs(q[:, 0])
+    near = np.sum(q[:, 1:] ** 2, axis=1) / np.maximum(far, np.finfo(float).tiny)
+    below = gap + np.where(q[:, 0] > 0, near, far)  # t^3 - n
+    above = gap + np.where(q[:, 0] > 0, far, near)  # t^3 + n
+    return t, m, np.sqrt(gap * (t3 + m)), q[:, 0], np.sqrt(below * above)
+
+
+def closed_spectrum(dirs: np.ndarray) -> np.ndarray:
+    """The twelve closed-form eigenvalues of q_matrix(d), descending, for
+    nonzero direction rows d of any norm, shape (count, 12).
+
+    From charpoly_identity's factors, with t, alpha, beta from invariants_mn:
+    six simple values +-2t cos(alpha/3) and +-2t cos(alpha/3 -+ pi/3), and
+    three double values 2t cos(beta/3 - pi/3), 2t cos(beta/3 + pi/3) and
+    -2t cos(beta/3).  alpha is in [0, pi/2] and |n| <= m puts beta in
+    [alpha, pi - alpha], so each double lies between two simple values and
+    the rows come out in order, unsorted: two arctan2 and six cos a row.
+
+    Both angles are within a few eps, so each value is within 1e-13 |d| of
+    q_matrix(d)'s; measured below 4e-15 |d| on random rows and on strata
+    rows jittered by 0 to 1e-2, at scales 1e-6 to 1e8.  It reads no
+    matrix_M and is never gated: spectrum_sweep's oracle.
+    """
+    t, m, m_perp, n, n_perp = invariants_mn(dirs)
+    t = t[:, None]
+    alpha3 = np.arctan2(m_perp, m)[:, None] / 3.0
+    beta3 = np.arctan2(n_perp, n)[:, None] / 3.0
+    l1 = 2.0 * t * np.cos(alpha3)
+    l4 = 2.0 * t * np.cos(alpha3 - np.pi / 3.0)
+    l5 = 2.0 * t * np.cos(alpha3 + np.pi / 3.0)
+    l2 = 2.0 * t * np.cos(beta3 - np.pi / 3.0)
+    l6 = 2.0 * t * np.cos(beta3 + np.pi / 3.0)
+    l10 = -2.0 * t * np.cos(beta3)
+    return np.concatenate([l1, l2, l2, l4, l5, l6, l6, -l5, -l4, l10, l10,
+                           -l1], axis=1)
 
 
 def charpoly_identity() -> np.ndarray:
@@ -164,53 +181,19 @@ def closed_form_certified() -> bool:
 @_row_blocked
 def q_extremes(dirs: np.ndarray) -> np.ndarray:
     """Rows (l1, l3, l10, l12) of the descending spectrum of q_matrix(d),
-    for nonzero direction rows d = (a, b, c) of any norm.
-
-    Where closed_form_certified(), from _closed_rows' roots: with t^2 =
-    |d|^2/3, m = |a||b||c|/t^3 = cos(alpha) and n = P(d)/t^3 = cos(beta),
-    l1 = -l12 = 2t cos(alpha/3), the double l2 = l3 = 2t cos(beta/3 - pi/3)
-    and the double l10 = l11 = -2t cos(beta/3).  |n| <= m puts each double
-    between the top single and the next one, so these are the extremes;
-    two arctan2 and three cos a row.  Otherwise LAPACK's.
-
-    Rounding: near the strata the angles are ill-conditioned in m and n,
-    so they come from quantities formed without cancellation: t^3 -
-    |a||b||c| from the deviations of |a|^2, |b|^2, |c|^2 from their mean,
-    and t^3 -+ P(d) from it and |q| - |Re q| = |Im q|^2/(|q| + |Re q|), q
-    = abc.  Both angles are then within a few eps, and each extreme is
-    within 1e-13 |d| of q_matrix(d)'s; measured below 4e-15 |d| on random
-    rows and on strata rows jittered by 0 to 1e-2, at scales 1e-6 to 1e8.
-    """
+    for nonzero direction rows d of any norm: closed_spectrum's while
+    closed_form_certified(), LAPACK's otherwise."""
     if not closed_form_certified():
         return eigvalsh_desc(q_matrix(dirs))[:, [0, 2, 9, 11]]
-    blocks = np.asarray(dirs, dtype=float).reshape(-1, 3, 4)
-    sq = np.sum(blocks * blocks, axis=2)
-    mean = sq.mean(axis=1)
-    t = np.sqrt(mean)
-    t3, abc = mean * t, np.sqrt(sq[:, 0] * sq[:, 1] * sq[:, 2])
-    dev = sq - mean[:, None]
-    gap = np.maximum(0.5 * mean * np.sum(dev * dev, axis=1)  # t^3 - |a||b||c|
-                     - dev[:, 0] * dev[:, 1] * dev[:, 2], 0.0) / (t3 + abc)
-    q = qmul(qmul(blocks[:, 0], blocks[:, 1]), blocks[:, 2])
-    far = abc + np.abs(q[:, 0])
-    near = np.sum(q[:, 1:] ** 2, axis=1) / np.maximum(far, np.finfo(float).tiny)
-    below = gap + np.where(q[:, 0] > 0, near, far)  # t^3 - P(d)
-    above = gap + np.where(q[:, 0] > 0, far, near)  # t^3 + P(d)
-    alpha3 = np.arctan2(np.sqrt(gap * (t3 + abc)), abc) / 3.0
-    beta3 = np.arctan2(np.sqrt(below * above), q[:, 0]) / 3.0
-    l1 = 2.0 * t * np.cos(alpha3)
-    return np.stack([l1, 2.0 * t * np.cos(beta3 - np.pi / 3.0),
-                     -2.0 * t * np.cos(beta3), -l1], axis=1)
+    return closed_spectrum(dirs)[:, [0, 2, 9, 11]]
 
 
 @_row_blocked
 def spectrum_sweep(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (numerical, descending) and closed-form spectra for a
-    stack of norm-sqrt(3) direction vectors, shape (count, 12)."""
+    """LAPACK's descending eigenvalues and closed_spectrum's for a stack of
+    nonzero direction rows of any norm, shape (count, 12)."""
     dirs = np.asarray(dirs, dtype=float)
-    vals = eigvalsh_desc(q_matrix(dirs))
-    m, n, t = invariants_mn(dirs)
-    return vals, (t[:, None] * _closed_rows(m, n)).astype(float)
+    return eigvalsh_desc(q_matrix(dirs)), closed_spectrum(dirs)
 
 
 def band_slack(vals) -> np.ndarray:
@@ -247,15 +230,15 @@ def perp_basis(d) -> np.ndarray:
 def perp_sweep(dirs: np.ndarray) -> np.ndarray:
     """Ratio data for the compression bound over direction rows.
 
-    For each row returns (l3, l10, lperp_plus, lperp_minus), the last two
-    the extreme eigenvalues of the direction matrix compressed to the
-    complement of the direction (perp_basis).
+    For each row returns (l3, l10, lperp_plus, lperp_minus): l3 and l10
+    from q_extremes, the last two the extreme eigenvalues of the direction
+    matrix compressed to the complement of the direction (perp_basis).
     """
     mats = q_matrix(dirs)
-    vals = eigvalsh_desc(mats)
+    ext = q_extremes(dirs)
     p = perp_basis(dirs)
     cvals = eigvalsh_asc(np.swapaxes(p, -1, -2) @ mats @ p)
-    return np.stack([vals[:, 2], vals[:, 9], cvals[:, -1], cvals[:, 0]],
+    return np.stack([ext[:, 1], ext[:, 2], cvals[:, -1], cvals[:, 0]],
                     axis=1)
 
 
@@ -293,8 +276,9 @@ def cor4_check(u, v) -> dict:
     gap = np.linalg.norm(u - v, axis=-1)
     if np.any(gap < 1e-9):
         raise ValueError("cor4_check: points too close")
-    lam = eigvalsh_desc(q_matrix((u - v) * (np.sqrt(3.0) / gap)[..., None]))
-    l3, l10 = lam[..., 2], lam[..., 9]
+    d = (u - v) * (np.sqrt(3.0) / gap)[..., None]
+    ext = q_extremes(d.reshape(-1, 12)).reshape(gap.shape + (4,))
+    l3, l10 = ext[..., 1], ext[..., 2]
     diff = eval_P(u) - eval_P(v)
     scale = 3.0 * np.sqrt(3.0) * gap / 4.0
     lower, upper = scale * l10, scale * l3

@@ -12,7 +12,7 @@ import numpy as np
 
 def qmul(p, q) -> np.ndarray:
     """Hamilton product of two quaternions (broadcasting on leading axes),
-    in the wider of float64 and the inputs' float type (longdouble stays)."""
+    in the wider of float64 and the inputs' type (object ints stay)."""
     p, q = np.asarray(p), np.asarray(q)
     dtype = np.result_type(p, q, float)
     p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qcubic.cubic as cubic_mod
-from qcubic.cubic import (_closed_rows, eval_P, grad_P, q_matrix,
+from qcubic.cubic import (closed_spectrum, eval_P, grad_P, q_matrix,
                           invariants_mn, spectrum_sweep, band_slack,
                           perp_basis, perp_sweep, cubic_roots_check,
                           cor4_check, strata_directions, charpoly_identity,
@@ -92,8 +92,10 @@ def test_q_matrix_euler_identity():
 
 def test_invariants_range_and_ineq():
     dirs = directions(rng_for(7, STREAM_SPECTRAL), 500)
-    m, n, t = invariants_mn(dirs)
-    m, n, t = np.asarray(m, float), np.asarray(n, float), np.asarray(t, float)
+    t, m, m_perp, n, n_perp = invariants_mn(dirs)
+    assert np.max(np.abs(np.hypot(m, m_perp) - t**3)) < 1e-12
+    assert np.max(np.abs(np.hypot(n, n_perp) - t**3)) < 1e-12
+    m, n = m / t**3, n / t**3
     assert np.max(np.abs(t - 1.0)) < 1e-12
     assert np.all(m >= -1e-15) and np.all(m <= 1.0 + 1e-12)
     assert np.all(np.abs(n) <= m + 1e-12)
@@ -149,8 +151,8 @@ def test_strata_spectra_hit_band_edges():
     strata = strata_directions(rng, 30)
     vals, closed = spectrum_sweep(strata)
     assert np.max(np.abs(vals - closed)) < 1e-8
-    m, n, _ = invariants_mn(strata)
-    m, n = np.asarray(m, float), np.asarray(n, float)
+    t, m, _, n, _ = invariants_mn(strata)
+    m, n = m / t**3, n / t**3
     # first block: m = 0 (degenerate torus collapse)
     assert np.max(np.abs(m[:30])) < 1e-12
     # second block: m = 1
@@ -163,13 +165,19 @@ def test_strata_spectra_hit_band_edges():
 
 
 def test_spectrum_closed_form_degenerate_arccos():
-    # exactly on the corner the double roots coalesce; no nan allowed, in
-    # the kernel spectrum_sweep runs
-    vals = _closed_rows(1.0, 1.0)
-    assert vals.shape == (12,) and np.all(np.isfinite(vals))
-    assert abs(vals[0] - 2.0) < 1e-12
-    vals = _closed_rows(np.longdouble(1.0), np.longdouble(-1.0))
-    assert np.all(np.isfinite(vals))
+    # exactly on the corners the roots coalesce; no nan allowed, in the
+    # kernel spectrum_sweep runs: m = 0 (one zero block, l1 = sqrt 3), then
+    # m = 1 with n = 0, n = 1 and n = -1 (l1 = 2)
+    e = np.eye(4)
+    rows = np.array([np.r_[1.0, 1.0, 1.0, 0.0, np.zeros(8)],
+                     np.r_[e[0], e[0], e[1]],
+                     np.r_[e[0], e[0], e[0]],
+                     np.r_[e[0], e[0], -e[0]]])
+    vals = closed_spectrum(rows)
+    assert vals.shape == (4, 12) and np.all(np.isfinite(vals))
+    assert abs(vals[0, 0] - np.sqrt(3.0)) < 1e-15
+    assert np.all(vals[1:, 0] == 2.0)
+    assert np.max(np.abs(vals - eigvalsh_desc(q_matrix(rows)))) < 1e-14
 
 
 # --- complement compression --------------------------------------------------
@@ -222,9 +230,11 @@ def test_perp_sweep_matches_einsum_oracle():
     comp = np.linalg.eigvalsh(np.einsum("nji,njk,nkl->nil", p, mats, p))
     assert np.max(np.abs(rows[:, 2] - comp[:, -1])) <= 1e-13
     assert np.max(np.abs(rows[:, 3] - comp[:, 0])) <= 1e-13
+    assert np.array_equal(rows[:, :2], q_extremes(dirs)[:, [1, 2]])
     vals = eigvalsh_desc(mats)
-    assert np.array_equal(rows[:, 0], vals[:, 2])
-    assert np.array_equal(rows[:, 1], vals[:, 9])
+    scale = 1e-14 * np.linalg.norm(dirs, axis=1)
+    assert np.all(np.abs(rows[:, 0] - vals[:, 2]) <= scale)
+    assert np.all(np.abs(rows[:, 1] - vals[:, 9]) <= scale)
     # Cauchy interlacing on every row
     assert np.all((vals[:, 1] - 1e-12 <= rows[:, 2])
                   & (rows[:, 2] <= vals[:, 0] + 1e-12))
@@ -312,13 +322,15 @@ def _extremes_cases(rng):
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
 def test_q_extremes_match_lapack(scale):
-    # the docstring bounds the closed form by 1e-13 |d|; it and LAPACK
-    # agree to 4e-15 |d| on these rows
+    # closed_spectrum's docstring bounds it by 1e-13 |d|; it and LAPACK
+    # agree to 4e-15 |d| on these rows, the extremes and all twelve
     for name, d in _extremes_cases(rng_for(91, STREAM_SPECTRAL)).items():
         d = d * scale
-        want = eigvalsh_desc(q_matrix(d))[:, [0, 2, 9, 11]]
-        err = np.max(np.abs(q_extremes(d) - want), axis=1)
-        assert np.all(err <= 1e-14 * np.linalg.norm(d, axis=1)), name
+        bound = 1e-14 * np.linalg.norm(d, axis=1)
+        vals, closed = spectrum_sweep(d)
+        assert np.all(np.max(np.abs(closed - vals), axis=1) <= bound), name
+        err = np.max(np.abs(q_extremes(d) - vals[:, [0, 2, 9, 11]]), axis=1)
+        assert np.all(err <= bound), name
 
 
 def test_q_extremes_take_lapack_under_a_flip(monkeypatch):
@@ -334,3 +346,13 @@ def test_q_extremes_take_lapack_under_a_flip(monkeypatch):
     got = q_extremes(d)
     assert sum(rows) == len(d)
     assert np.array_equal(got, eigvalsh_desc(q_matrix(d))[:, [0, 2, 9, 11]])
+
+
+@pytest.mark.parametrize("flip", range(len(SIGN_FLIPS)))
+def test_spectrum_oracle_sees_every_sign_flip(flip, monkeypatch):
+    # the closed form reads no matrix_M and takes no LAPACK fallback, so
+    # under a flip spectrum_sweep's two sides part (by 0.98 to 1.34 here)
+    monkeypatch.setattr(cubic_mod, "matrix_M", SIGN_FLIPS[flip]())
+    vals, closed = spectrum_sweep(directions(rng_for(93, STREAM_SPECTRAL),
+                                             200))
+    assert np.max(np.abs(vals - closed)) > 1e-8
