@@ -19,9 +19,10 @@ in the (z, s) coordinates of symspace.  The membership margin is piecewise
 linear and increasing in that multiple, so x has a closed form in the
 sorted spectrum of the traceless part: no iteration and no tolerance.
 
-Every dual-cone test (K*, L, the shifted spectra of the graph invariant)
-goes through the one p/q function _in_dual, and every gauge value through
-the one kernel _gauge, both on precomputed eigenvalue rows.
+The membership API (K*, L) tests eigenvalue rows with the one p/q function
+_in_dual, and every gauge value comes from the one kernel _gauge.  As
+M_i - M_j lies in K* iff s_i - s_j >= x(z_i - z_j), the graph invariant and
+the cone condition are one certified pairwise test, breaking_pairs.
 
 Pinch lemma.  For traceless Z with nu = lambda_max(-Z) and
 kappa = (lam^2 - 1)/(lam^2 + 11),
@@ -39,7 +40,8 @@ without solving it: for unit u, v, lambda_max(A - B) >= u.(A - B).u and
 >= v.(A - B).v, and with u the top eigenvector of A and v the bottom one of
 B these read lambda_max(A) - u.B.u and v.A.v - lambda_min(B).  _PairBounds
 caches each matrix's extreme eigenvectors, bounds every pair of two stacks
-with two GEMMs, and eigensolves only the pairs no bound settles.
+with two GEMMs, floors every pair's gauge by the pinch lemma (pinch), and
+eigensolves only the pairs no bound settles.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ class _PairBounds:
     margin of guard(other) = _GUARD (|a_i|_F + |b_j|_F), scaled to the
     test's units.  Every rounding error on either side of a certificate --
     the cached eigenpairs, the GEMMs, the matrix a pair's difference is
-    formed as, its eigenvalues (backward stable), the p/q sums and the
-    gauge's closed form -- is below 1e3 eps (|a_i|_F + |b_j|_F), eps =
+    formed as, its eigenvalues (backward stable) and the gauge's closed
+    form -- is below 1e3 eps (|a_i|_F + |b_j|_F), eps =
     2.2e-16, so the guard covers it more than four thousand times over and
     a certified pair is one whose full computation returns the same verdict.
 
@@ -178,6 +180,14 @@ class _PairBounds:
     def guard(self, other: "_PairBounds | None" = None) -> np.ndarray:
         b = self if other is None else other
         return _GUARD * (self.norm[:, None] + b.norm[None, :])
+
+    def pinch(self, cone: ConeParams, other: "_PairBounds | None" = None):
+        """Pinch-lemma floors kappa sqrt(12) lower(other) of the gauges
+        x(b_j - a_i) at the cone, and their slack sqrt(12) guard(other)."""
+        floor, slack = self.lower(other), self.guard(other)
+        floor *= _kappa(cone) * _SQRT_N
+        slack *= _SQRT_N
+        return floor, slack
 
     @staticmethod
     def solve(diff, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -224,6 +234,30 @@ def support_x(z: np.ndarray, cone: ConeParams):
     return float(out) if z.ndim == 1 else out
 
 
+def breaking_pairs(bounds: _PairBounds, z: np.ndarray, s: np.ndarray,
+                   cone: ConeParams, breaks):
+    """Index arrays (i, j), i < j in row-major order, of the pairs of points
+    (z, s) with breaks(ds, xf, xr), where ds = s_i - s_j, xf = x(z_i - z_j)
+    and xr = x(z_j - z_i) at the cone; bounds is _PairBounds(embed(z)).
+
+    breaks must be monotone: a pair it flags stays flagged as xf and xr
+    fall.  So a pair it passes at the pinch floors less their slack passes,
+    and only the others are eigensolved, in pair order and on bitwise the
+    spectra a full pass computes; x(-dz) is read from the negated, reversed
+    spectrum of dz.
+    """
+    floor, slack = bounds.pinch(cone)
+    floor -= slack  # slack is symmetric, so floor[j, i] now has its margin
+    del slack  # the (n, n) tables go before the solve
+    ii, jj = np.nonzero(np.triu(
+        breaks(s[:, None] - s[None, :], floor.T, floor), 1))
+    del floor
+    mu = bounds.solve(
+        lambda i, j: symspace.embed_traceless(z[i] - z[j]), ii, jj)
+    bad = breaks(s[ii] - s[jj], _gauge(mu, cone), _gauge(-mu[:, ::-1], cone))
+    return ii[bad], jj[bad]
+
+
 @dataclass
 class ConeConditionReport:
     pairs_checked: int
@@ -240,32 +274,14 @@ def cone_condition(mats: np.ndarray, cone: ConeParams) -> ConeConditionReport:
     mats: (count, 12, 12) symmetric.  Reports every violating index pair,
     in row-major pair order.
 
-    D = M_i - M_j lies outside K* when lam^2 q > p, and since p - q = tr D
-    and q >= -lambda_min(D), that holds once
-    tr D < (lam^2 - 1) lambda_max(M_j - M_i); likewise outside -K* once
-    -tr D < (lam^2 - 1) lambda_max(M_i - M_j).  A pair whose Rayleigh lower
-    bounds (_PairBounds) meet both with (lam^2 + 1) guard to spare -- the
-    p/q test's rounding grows with lam^2 + 1 -- is in L; only the others are
-    eigensolved.  Certified pairs are never violations, and the rest are
-    tested on bitwise the eigenvalues a full pass computes, so the report is
-    unchanged.
+    With (z, s) the coordinates of mats, D = M_i - M_j lies in K* iff
+    ds >= x(z_i - z_j) and in -K* iff -ds >= x(z_j - z_i), boundary
+    included as in _in_dual; breaking_pairs finds those pairs.  The
+    traceless parts have the matrices' eigenvectors, so its bounds cost
+    the one eigh of the stack.
     """
-    mats = np.asarray(mats, dtype=float)
-    count = mats.shape[0]
-    ii, jj = np.triu_indices(count, k=1)
-    violations = []
-    if count >= 2:
-        bounds = _PairBounds(mats)
-        lower = bounds.lower()
-        slack = (cone.lam**2 + 1.0) * bounds.guard()[ii, jj]
-        a = cone.lam**2 - 1.0
-        tr = np.trace(mats, axis1=1, axis2=2)
-        tr_d = tr[ii] - tr[jj]
-        sure = ((tr_d < a * lower[jj, ii] - slack)
-                & (-tr_d < a * lower[ii, jj] - slack))
-        oi, oj = ii[~sure], jj[~sure]
-        bad = ~in_L_ratio_batch(
-            bounds.solve(lambda i, j: mats[i] - mats[j], oi, oj), cone)
-        violations = list(zip(oi[bad].tolist(), oj[bad].tolist()))
-    return ConeConditionReport(pairs_checked=int(ii.size),
-                               violations=violations)
+    z, s = symspace.to_coords(np.asarray(mats, dtype=float))
+    ii, jj = breaking_pairs(_PairBounds(symspace.embed_traceless(z)), z, s,
+                            cone, lambda ds, xf, xr: (ds >= xf) | (-ds >= xr))
+    return ConeConditionReport(pairs_checked=len(s) * (len(s) - 1) // 2,
+                               violations=list(zip(ii.tolist(), jj.tolist())))

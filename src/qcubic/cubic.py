@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .eigen import _row_blocked, eigvalsh_asc, eigvalsh_desc
-from .quaternions import matrix_M, qmul
-from .sampling import STREAM_CHARPOLY, rng_for
+from .quaternions import matrix_M, qconj, qmul
+from .sampling import STREAM_CHARPOLY, rng_for, unit_sphere
 
 SLACK_TOL = 1e-9  # allowance on each band bound and growth bound
 CHARPOLY_POINTS = 2  # integer points of the charpoly_identity certificate
@@ -302,23 +302,16 @@ def strata_directions(rng: np.random.Generator, count_each: int = 50) -> np.ndar
     """
     out = []
     sq = np.sqrt(3.0)
-
-    def unit4(k):
-        w = rng.standard_normal((k, 4))
-        return w / np.linalg.norm(w, axis=1, keepdims=True)
-
     # m = 0 stratum: zero out one block per sample, cycle which one.
     for i in range(count_each):
         w = rng.standard_normal(12)
         w[4 * (i % 3): 4 * (i % 3) + 4] = 0.0
         out.append(w * (sq / np.linalg.norm(w)))
     # m = 1 torus: three independent unit blocks.
-    abc = np.concatenate([unit4(count_each), unit4(count_each), unit4(count_each)], axis=1)
-    out.extend(abc)
+    out.extend(np.concatenate(
+        [unit_sphere(rng, count_each, 4) for _ in range(3)], axis=1))
     # n = +-1 corners.
     for sgn in (+1.0, -1.0):
-        a, b = unit4(count_each), unit4(count_each)
-        c = sgn * qmul(a, b)
-        c[:, 1:] = -c[:, 1:]
-        out.extend(np.concatenate([a, b, c], axis=1))
+        a, b = unit_sphere(rng, count_each, 4), unit_sphere(rng, count_each, 4)
+        out.extend(np.concatenate([a, b, qconj(sgn * qmul(a, b))], axis=1))
     return np.asarray(out)

@@ -60,13 +60,14 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a[mask] ** 2)))
 
 
-def jacobi_eigh(mat, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_eigh(mat):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(values, vectors)`` with eigenvalues sorted in descending
     order and eigenvectors as the matching columns of an orthogonal matrix.
-    Sweeps stop at off-diagonal Frobenius norm <= ``tol * 2**(e - 3)``, with
-    ``2**(e-1) <= |mat|_F < 2**e``, so ``2**k * mat`` rotates as ``mat``.
+    At most JACOBI_MAX_SWEEPS sweeps, stopping at off-diagonal Frobenius
+    norm <= ``JACOBI_TOL * 2**(e - 3)``, with ``2**(e-1) <= |mat|_F < 2**e``,
+    so ``2**k * mat`` rotates as ``mat``.
 
     Raises ValueError unless square with max|mat - mat^T| <= 1e-10 max|mat|.
     """
@@ -78,9 +79,9 @@ def jacobi_eigh(mat, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEP
     a = (a + a.T) / 2.0
     n = a.shape[0]
     v = np.eye(n)
-    stop = np.ldexp(tol, int(np.frexp(np.linalg.norm(a))[1]) - 3)
+    stop = np.ldexp(JACOBI_TOL, int(np.frexp(np.linalg.norm(a))[1]) - 3)
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if _offdiag_norm(a) <= stop:
             break
         for p in range(n - 1):

@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from . import symspace
-from .cones import (_GUARD, _SQRT_N, ConeParams, _PairBounds, _gauge,
-                    _in_dual, _kappa, _pruned_min, cone_condition)
+from .cones import (_GUARD, ConeParams, _PairBounds, _gauge, _pruned_min,
+                    breaking_pairs, cone_condition)
 from .hessian import RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
@@ -114,44 +114,28 @@ def build_sigma(count: int, seed: int, cone: ConeParams,
     return sig
 
 
+def _breaks_graph(ds, xf, xr):
+    """|ds| - GRAPH_TOL >= min(xf, xr); coincident points never break."""
+    ds = np.abs(ds)
+    return (ds > GRAPH_TOL) & (ds - GRAPH_TOL >= np.minimum(xf, xr))
+
+
 def validate_graph(sigma: SigmaSample) -> None:
     """Check |s_i - s_j| <= x(z_i - z_j) + GRAPH_TOL over all ordered pairs,
     with x the support gauge of the sample's cone.
 
-    Uses the membership form of the bound: x(dz) > t iff the spectrum of
-    embed(dz) shifted by t/sqrt(12) still fails the dual-cone p/q test, so
-    one eigendecomposition per unordered pair settles both orders (the
-    reversed difference has the negated spectrum).
-
-    Most pairs need none: by the pinch lemma (cones) x(dz) >=
-    kappa sqrt(12) lambda_max(-embed(dz)), so a pair with
-    (|ds| - GRAPH_TOL)/sqrt(12) below kappa times the Rayleigh lower bounds
-    (cones._PairBounds) on lambda_max(Z_j - Z_i) and lambda_max(Z_i - Z_j),
-    less the guard, satisfies the invariant in both orders.  Only the rest
-    are eigensolved, in pair order and on bitwise the spectra a full pass
-    computes, so the raised pair and its message are unchanged.
+    cones.breaking_pairs settles most pairs by the pinch lemma and
+    eigensolves the rest once for both orders; the first violating pair in
+    row-major order is raised.
     """
-    n, cone = sigma.count, sigma.cone
-    if n < 2:
-        return
-    ii, jj = np.triu_indices(n, k=1)
-    ds = np.abs(sigma.s[ii] - sigma.s[jj])
-    t = (ds - GRAPH_TOL) / _SQRT_N
-    bounds = sigma.bounds
-    lower = bounds.lower()
-    sure = t < (_kappa(cone) * np.minimum(lower[ii, jj], lower[jj, ii])
-                - bounds.guard()[ii, jj])
-    open_ = ~sure & (ds > GRAPH_TOL)  # coincident points are never violations
-    ii, jj, ds, t = ii[open_], jj[open_], ds[open_], t[open_]
-    mu = bounds.solve(
-        lambda i, j: symspace.embed_traceless(sigma.z[i] - sigma.z[j]), ii, jj)
-    bad = _in_dual(mu + t[:, None], cone) | _in_dual(t[:, None] - mu, cone)
-    if np.any(bad):
-        k = int(np.argmax(bad))  # the first bad pair
+    ii, jj = breaking_pairs(sigma.bounds, sigma.z, sigma.s, sigma.cone,
+                            _breaks_graph)
+    if ii.size:
+        i, j = ii[0], jj[0]
         raise GraphError(
             "graph invariant violated by pair (%d, %d): |ds|=%.6g "
             "exceeds the cone modulus at aperture %.6g"
-            % (ii[k], jj[k], ds[k], cone.lam))
+            % (i, j, abs(sigma.s[i] - sigma.s[j]), sigma.cone.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +223,8 @@ def _extension_parts(z: np.ndarray, sigma: SigmaSample):
     (cones._pruned_min) of the table s_i + x(z_e - z_i), x at sigma's cone.
 
     By the pinch lemma (cones), x(z - z_i) >= kappa sqrt(12)
-    lambda_max(Z_i - Z), and _PairBounds bounds that eigenvalue for every
-    pair at once.  The slack, sqrt(12) _GUARD (|z_i| + |z|) + _GUARD |s_i|,
+    lambda_max(Z_i - Z), and _PairBounds.pinch floors that for every pair
+    at once.  The slack, sqrt(12) _GUARD (|z_i| + |z|) + _GUARD |s_i|,
     covers the rounding of the bound, of the gauge and of the sum.
     """
     def spectra(e, i):
@@ -249,9 +233,9 @@ def _extension_parts(z: np.ndarray, sigma: SigmaSample):
 
     pts, cone = sigma.bounds, sigma.cone
     rows = _PairBounds(symspace.embed_traceless(z))
-    floor = sigma.s[None, :] + _kappa(cone) * _SQRT_N * pts.lower(rows).T
-    slack = _SQRT_N * pts.guard(rows).T + _GUARD * np.abs(sigma.s)[None, :]
-    return (rows, spectra, floor, slack,
+    floor, slack = pts.pinch(cone, rows)
+    return (rows, spectra, sigma.s[None, :] + floor.T,
+            slack.T + _GUARD * np.abs(sigma.s)[None, :],
             lambda e, i: sigma.s[i] + _gauge(spectra(e, i), cone))
 
 
@@ -331,12 +315,11 @@ def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
     The per-point certificate min_i (x(z - z_i) + x(z_i - z)) bounds |F|.
 
     Every minimum is pruned as g_tilde's (cones._pruned_min), the prefix minima
-    on the leading columns of one floor table.  The certificate's floor is
-    the summed pinch bound kappa sqrt(12) (lambda_max(Z_i - Z) +
-    lambda_max(Z - Z_i)), both gauges come from one eigenvalue row, and its
-    slack is both orders' guards: each covers its order's Rayleigh bound
-    and gauge, as in g_tilde, and the two sums round below 1e3 eps of the
-    same scale, far inside either guard.
+    on the leading columns of one floor table.  The certificate's floor and
+    slack are the sums of both orders' (_PairBounds.pinch), and both gauges
+    come from one eigenvalue row: each slack covers its order's Rayleigh
+    bound and gauge, as in g_tilde, and the two sums round below 1e3 eps of
+    the same scale, far inside either guard.
     """
     counts = sorted(int(c) for c in counts)
     if counts[-1] > sigma.count:
@@ -356,9 +339,12 @@ def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
     def both_orders(e, i):
         mu = spectra(e, i)
         return _gauge(mu, cone) + _gauge(-mu[:, ::-1], cone)
-    nn = _pruned_min(
-        _kappa(cone) * _SQRT_N * (pts.lower(rows).T + rows.lower(pts)),
-        2.0 * _SQRT_N * pts.guard(rows).T, both_orders)
+    floor, slack = rows.pinch(cone, pts)
+    floor_f, slack_f = pts.pinch(cone, rows)
+    floor += floor_f.T
+    slack += slack_f.T
+    del floor_f, slack_f
+    nn = _pruned_min(floor, slack, both_orders)
     return ZeroLevelReport(counts=list(counts), max_abs_F=max_abs,
                            nn_bound=nn, F_full=sh - g)
 
@@ -415,7 +401,7 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     # level-set pool: half graph-based, half generic, moved onto {F = 0}
     k = min(20, half, trials - half)
     sel = np.concatenate([np.arange(k), np.arange(half, half + k)])
-    shift = -FA[sel] / _SQRT_N
+    shift = -FA[sel] / np.sqrt(12.0)
     level = A[sel] + shift[:, None, None] * np.eye(12)
     level_rep = cone_condition(level, ConeParams(2 * op.sigma.cone.lam))
 

@@ -368,3 +368,33 @@ def test_cone_condition_detects_planted_violation():
     # and just short of it the pair is in L
     mats[5] -= 2e-9 * c * np.eye(12) / SQ
     assert (5, 11) not in cone_condition(mats, cone).violations
+
+
+@pytest.mark.parametrize("lam", [33.0, 11.0 * RATIO_BOUND])
+def test_cone_condition_detects_minus_dual_leg(lam):
+    # the mirror of the near-boundary case above: M_9 - M_4 = Z + c I/sqrt(12)
+    # with c just past x(Z), so for the pair (4, 9) the difference
+    # M_4 - M_9 lies barely inside -K*; a test that dropped or swapped the
+    # -K* leg would miss the pair or flag its just-short twin
+    pts = unit_sphere(rng_for(95, STREAM_CONE), 20)
+    mats = hess_w(pts)
+    cone = ConeParams(lam)
+    z = symspace.to_coords(mats[9] - mats[4])[0]
+    c = float(support_x(z, cone)) * (1 + 1e-9)
+    mats[9] = mats[4] + symspace.embed_traceless(z) + c * np.eye(12) / SQ
+    rep = cone_condition(mats, cone)
+    assert (4, 9) in rep.violations
+    assert rep.violations == _full_violations(mats, cone)
+    mats[9] -= 2e-9 * c * np.eye(12) / SQ
+    rep = cone_condition(mats, cone)
+    assert (4, 9) not in rep.violations
+    assert rep.violations == _full_violations(mats, cone)
+
+
+def test_cone_condition_small_stacks():
+    # fewer than two matrices have no pairs; two have one
+    mats = hess_w(unit_sphere(rng_for(94, STREAM_CONE), 2))
+    for count, pairs in ((0, 0), (1, 0), (2, 1)):
+        rep = cone_condition(mats[:count], ConeParams(33.0))
+        assert rep.pairs_checked == pairs
+        assert rep.violations == []

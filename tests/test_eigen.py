@@ -275,3 +275,23 @@ def test_source_scan_one_eigensolver_module_one_prune_width():
     body = ast.get_source_segment(texts["elliptic.py"], save)
     assert "sigma.sources" in body
     assert not re.search(r"sigma\.(z|s)\b|z\[77\]", body)
+
+
+def test_source_scan_one_pairwise_gauge_test():
+    # the graph invariant and the cone condition share one certified test,
+    # the p/q dual test serves only the membership API, and the pinch
+    # factor is formed in cones.py alone
+    src = pathlib.Path(eigen_mod.__file__).parent
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(src.glob("*.py"))}
+
+    def calls(name):
+        return {(mod, scope) for mod, tree in trees.items()
+                for scope in _calls_by_scope(tree, name)}
+
+    assert calls("_in_dual") == {("cones.py", "in_K_star"),
+                                 ("cones.py", "in_L_ratio_batch")}
+    assert calls("in_L_ratio_batch") == {("cones.py", "in_L")}
+    assert {mod for mod, _ in calls("_kappa")} == {"cones.py"}
+    assert calls("breaking_pairs") == {("cones.py", "cone_condition"),
+                                       ("elliptic.py", "validate_graph")}

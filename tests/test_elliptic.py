@@ -85,6 +85,10 @@ def test_sigma_from_sources_validates():
         sigma_from_sources(2.0 * pts, CONE)
 
 
+def test_validate_graph_one_point(sigma):
+    validate_graph(sigma.prefix(1))  # no pairs, nothing to raise
+
+
 def _graph_violations(sig):
     """Every pair breaking the graph invariant at the sample's cone,
     eigensolving all pairs in one pass: the reference for validate_graph."""
