@@ -40,8 +40,11 @@ without solving it: for unit u, v, lambda_max(A - B) >= u.(A - B).u and
 >= v.(A - B).v, and with u the top eigenvector of A and v the bottom one of
 B these read lambda_max(A) - u.B.u and v.A.v - lambda_min(B).  _PairBounds
 caches each matrix's extreme eigenvectors, bounds every pair of two stacks
-with two GEMMs, floors every pair's gauge by the pinch lemma (pinch), and
-eigensolves only the pairs no bound settles.
+with two GEMMs, floors every pair's gauge by the pinch lemma with its
+rounding allowance folded in (pinch), and eigensolves only the pairs no
+floor settles.  Every pruned check forms one floor that arrives
+certified, floor <= entry with rounding included, so _pruned_min and
+breaking_pairs compare floors and nothing else.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from . import symspace
 from .eigen import _row_blocked, eigh_asc, eigvalsh_asc, eigvalsh_desc
 
 _SQRT_N = np.sqrt(12.0)
-_GUARD = 1e-9  # relative slack of every pruning certificate (_PairBounds)
+_GUARD = 1e-9  # relative rounding allowance folded into each pinch floor
 _PRUNE_CANDIDATES = 8  # entries per row solved in _pruned_min's first round
 
 
@@ -145,14 +148,14 @@ class _PairBounds:
     lambda_max(a_i - b_j) over every pair of this stack (a) and other (b,
     this stack again when None), from two (n, 144) @ (144, m) GEMMs; the
     bound on lambda_max(b_j - a_i) = -lambda_min(a_i - b_j) is lower() of
-    the reversed pair.  A caller certifies a pair when its test holds with a
-    margin of guard(other) = _GUARD (|a_i|_F + |b_j|_F), scaled to the
-    test's units.  Every rounding error on either side of a certificate --
-    the cached eigenpairs, the GEMMs, the matrix a pair's difference is
-    formed as, its eigenvalues (backward stable) and the gauge's closed
-    form -- is below 1e3 eps (|a_i|_F + |b_j|_F), eps =
-    2.2e-16, so the guard covers it more than four thousand times over and
-    a certified pair is one whose full computation returns the same verdict.
+    the reversed pair.  pinch() turns it into certified floors of the
+    gauges, less sqrt(12) _GUARD (|a_i|_F + |b_j|_F).  Every rounding error
+    on either side of a floor -- the cached eigenpairs, the GEMMs, the
+    matrix a pair's difference is formed as, its eigenvalues (backward
+    stable) and the gauge's closed form -- is below 1e3 eps (|a_i|_F +
+    |b_j|_F), eps = 2.2e-16, so the allowance covers it more than four
+    thousand times over and a pair its floor settles is one whose full
+    computation returns the same verdict.
 
     solve() eigensolves the pairs left open in eigen._row_blocked blocks,
     whose rows do not depend on the block (tests/test_cones.py), so each
@@ -177,17 +180,15 @@ class _PairBounds:
         return np.maximum(self.top[:, None] - self.top_outer @ b.flat.T,
                           self.flat @ b.bottom_outer.T - b.bottom[None, :])
 
-    def guard(self, other: "_PairBounds | None" = None) -> np.ndarray:
-        b = self if other is None else other
-        return _GUARD * (self.norm[:, None] + b.norm[None, :])
-
     def pinch(self, cone: ConeParams, other: "_PairBounds | None" = None):
-        """Pinch-lemma floors kappa sqrt(12) lower(other) of the gauges
-        x(b_j - a_i) at the cone, and their slack sqrt(12) guard(other)."""
-        floor, slack = self.lower(other), self.guard(other)
+        """Certified floors of the gauges x(b_j - a_i) at the cone: the
+        pinch-lemma bound kappa sqrt(12) lower(other) less its rounding
+        allowance sqrt(12) _GUARD (|a_i|_F + |b_j|_F)."""
+        b = self if other is None else other
+        floor = self.lower(other)
         floor *= _kappa(cone) * _SQRT_N
-        slack *= _SQRT_N
-        return floor, slack
+        floor -= _SQRT_N * _GUARD * (self.norm[:, None] + b.norm[None, :])
+        return floor
 
     @staticmethod
     def solve(diff, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -197,15 +198,16 @@ class _PairBounds:
             ii, jj)
 
 
-def _pruned_min(floor: np.ndarray, slack, solve) -> np.ndarray:
-    """Row minima of a table known only through floor - slack <= entry,
-    rounding included; solve(e, i) returns the entries at rows e, columns i.
+def _pruned_min(floor: np.ndarray, solve) -> np.ndarray:
+    """Row minima of a table known only through a certified floor, floor <=
+    entry with rounding included; solve(e, i) returns the entries at rows e,
+    columns i.
 
     Two batched rounds: the _PRUNE_CANDIDATES lowest floors of each row,
-    then every entry whose floor less the slack is at most its row's best
-    so far (no call when there is none); a third could only open entries
-    the second solved.  An unsolved entry cannot be a minimum and min is
-    exact, so when solve returns each entry bitwise as a full pass does
+    then every entry whose floor is at most its row's best so far (no call
+    when there is none); a third could only open entries the second
+    solved.  An unsolved entry cannot be a minimum and min is exact, so
+    when solve returns each entry bitwise as a full pass does
     (_PairBounds.solve), the minima are bitwise the full table's.
     """
     n_eval, n = floor.shape
@@ -213,7 +215,7 @@ def _pruned_min(floor: np.ndarray, slack, solve) -> np.ndarray:
     e1 = np.repeat(np.arange(n_eval), k)
     i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
     best = solve(e1, i1).reshape(n_eval, k).min(axis=1)
-    open_ = floor - slack <= best[:, None]
+    open_ = floor <= best[:, None]
     open_[e1, i1] = False
     e2, i2 = np.nonzero(open_)
     if e2.size:
@@ -241,14 +243,12 @@ def breaking_pairs(bounds: _PairBounds, z: np.ndarray, s: np.ndarray,
     and xr = x(z_j - z_i) at the cone; bounds is _PairBounds(embed(z)).
 
     breaks must be monotone: a pair it flags stays flagged as xf and xr
-    fall.  So a pair it passes at the pinch floors less their slack passes,
-    and only the others are eigensolved, in pair order and on bitwise the
-    spectra a full pass computes; x(-dz) is read from the negated, reversed
-    spectrum of dz.
+    fall.  So a pair it passes at the certified pinch floors (floor[j, i]
+    under xf, floor[i, j] under xr) passes, and only the others are
+    eigensolved, in pair order and on bitwise the spectra a full pass
+    computes; x(-dz) is read from the negated, reversed spectrum of dz.
     """
-    floor, slack = bounds.pinch(cone)
-    floor -= slack  # slack is symmetric, so floor[j, i] now has its margin
-    del slack  # the (n, n) tables go before the solve
+    floor = bounds.pinch(cone)
     ii, jj = np.nonzero(np.triu(
         breaks(s[:, None] - s[None, :], floor.T, floor), 1))
     del floor

@@ -35,9 +35,14 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
 def _row_blocked(kernel):
     """Run a row-wise batched kernel on ROW_BLOCK-row blocks of its array
     arguments and concatenate its results (a tuple's elementwise).  A block
-    of 12x12 stacks stays in cache, and no result depends on the block:
-    LAPACK solves each matrix alone, and a matrix product rounds every row
-    alike once a block has two rows, so a one-row block is padded to two."""
+    of 12x12 stacks stays in cache, and no result depends on the block
+    (tests/test_row_blocks.py holds each blocked kernel to one unblocked
+    call): LAPACK solves each matrix alone, the kernels' other products act
+    on one 12x12 matrix or row at a time, and symspace.embed_traceless
+    rounds every row alike from two rows up, so a one-row block is padded
+    to two.  Not every GEMM is so: symspace.to_coords' (m, 144) @ (144, 78)
+    product rounds a row alike only from 16 rows up, and no blocked kernel
+    calls it."""
     @functools.wraps(kernel)
     def blocked(*arrays):
         n = len(arrays[0])

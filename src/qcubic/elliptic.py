@@ -219,13 +219,15 @@ def load_cache(path: str) -> SigmaSample:
 
 def _extension_parts(z: np.ndarray, sigma: SigmaSample):
     """The evaluation rows' _PairBounds, the ascending spectra of
-    embed(z_e - z_i) for index arrays (e, i), and the floor, slack and solve
-    (cones._pruned_min) of the table s_i + x(z_e - z_i), x at sigma's cone.
+    embed(z_e - z_i) for index arrays (e, i), and the certified floor and
+    the solve (cones._pruned_min) of the table s_i + x(z_e - z_i), x at
+    sigma's cone.
 
     By the pinch lemma (cones), x(z - z_i) >= kappa sqrt(12)
     lambda_max(Z_i - Z), and _PairBounds.pinch floors that for every pair
-    at once.  The slack, sqrt(12) _GUARD (|z_i| + |z|) + _GUARD |s_i|,
-    covers the rounding of the bound, of the gauge and of the sum.
+    at once, its rounding allowance sqrt(12) _GUARD (|z_i| + |z|)
+    included.  The s-term's own allowance _GUARD |s_i| covers the rounding
+    of the sum.
     """
     def spectra(e, i):
         return _PairBounds.solve(
@@ -233,9 +235,9 @@ def _extension_parts(z: np.ndarray, sigma: SigmaSample):
 
     pts, cone = sigma.bounds, sigma.cone
     rows = _PairBounds(symspace.embed_traceless(z))
-    floor, slack = pts.pinch(cone, rows)
-    return (rows, spectra, sigma.s[None, :] + floor.T,
-            slack.T + _GUARD * np.abs(sigma.s)[None, :],
+    floor = sigma.s[None, :] + pts.pinch(cone, rows).T
+    floor -= _GUARD * np.abs(sigma.s)[None, :]
+    return (rows, spectra, floor,
             lambda e, i: sigma.s[i] + _gauge(spectra(e, i), cone))
 
 
@@ -315,11 +317,11 @@ def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
     The per-point certificate min_i (x(z - z_i) + x(z_i - z)) bounds |F|.
 
     Every minimum is pruned as g_tilde's (cones._pruned_min), the prefix minima
-    on the leading columns of one floor table.  The certificate's floor and
-    slack are the sums of both orders' (_PairBounds.pinch), and both gauges
-    come from one eigenvalue row: each slack covers its order's Rayleigh
-    bound and gauge, as in g_tilde, and the two sums round below 1e3 eps of
-    the same scale, far inside either guard.
+    on the leading columns of one floor table.  The certificate's floor is
+    the sum of both orders' certified floors (_PairBounds.pinch), and both
+    gauges come from one eigenvalue row: each floor's allowance covers its
+    order's Rayleigh bound and gauge, as in g_tilde, and the two sums round
+    below 1e3 eps of the same scale, far inside either allowance.
     """
     counts = sorted(int(c) for c in counts)
     if counts[-1] > sigma.count:
@@ -328,23 +330,20 @@ def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
     zh, sh = _coords_of_sources(held)
     pts, cone = sigma.bounds, sigma.cone
 
-    rows, spectra, floor, slack, solve = _extension_parts(zh, sigma)
+    rows, spectra, floor, solve = _extension_parts(zh, sigma)
     max_abs = []
     for c in counts:
-        g = _pruned_min(floor[:, :c], slack[:, :c], solve)
+        g = _pruned_min(floor[:, :c], solve)
         max_abs.append(float(np.max(np.abs(sh - g))))
     if counts[-1] < sigma.count:
-        g = _pruned_min(floor, slack, solve)
+        g = _pruned_min(floor, solve)
 
     def both_orders(e, i):
         mu = spectra(e, i)
         return _gauge(mu, cone) + _gauge(-mu[:, ::-1], cone)
-    floor, slack = rows.pinch(cone, pts)
-    floor_f, slack_f = pts.pinch(cone, rows)
-    floor += floor_f.T
-    slack += slack_f.T
-    del floor_f, slack_f
-    nn = _pruned_min(floor, slack, both_orders)
+    floor = rows.pinch(cone, pts)
+    floor += pts.pinch(cone, rows).T
+    nn = _pruned_min(floor, both_orders)
     return ZeroLevelReport(counts=list(counts), max_abs_F=max_abs,
                            nn_bound=nn, F_full=sh - g)
 
@@ -369,7 +368,6 @@ class EllipticityReport:
     slope_min: float
     slope_max: float           # the empirical ellipticity estimate
     identity_slope: float
-    monotone_worst: float      # min of F(A+E)-F(A) over the slope trials
     level_pairs: int
     level_violations: list
     paper_chain_bound: float   # 4 lam^2 sqrt(12) with the paper aperture
@@ -408,7 +406,6 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     return EllipticityReport(
         slope_min=float(np.min(slopes)), slope_max=float(np.max(slopes)),
         identity_slope=idn,
-        monotone_worst=float(np.min(FAE - FA)),
         level_pairs=level_rep.pairs_checked,
         level_violations=level_rep.violations,
         paper_chain_bound=float(4 * PAPER_LAM**2 * np.sqrt(12.0)))

@@ -170,7 +170,8 @@ def witness_floor(a_pts: np.ndarray, b_pts: np.ndarray):
 def witness_worst(rng: np.random.Generator, pairs: int) -> float:
     """Least witness_sweep slack, both sides, over `pairs` unit_pairs pairs
     (closer than 1e-6 dropped): bitwise a full pass's, few pairs solved,
-    one cones._pruned_min per block on witness_floor's lesser floor.
+    one cones._pruned_min per block on witness_floor's lesser floor less
+    WITNESS_GUARD.
 
     On unit e orthogonal to unit a, b, hess_w's rank-one terms vanish and
     q_matrix is linear: e^T (hess_w(a) - hess_w(b)) e = s e^T Q(d) e - dP,
@@ -185,7 +186,7 @@ def witness_worst(rng: np.random.Generator, pairs: int) -> float:
     """
     def block_min(a, b):
         return _pruned_min(
-            np.minimum(*witness_floor(a, b))[None], WITNESS_GUARD,
+            np.minimum(*witness_floor(a, b))[None] - WITNESS_GUARD,
             lambda e, i: np.minimum(*witness_sweep(a[i], b[i])))[0]
     return min((block_min(a, b) for a, b in unit_pairs(rng, pairs, 1e-6)),
                default=np.inf)
@@ -285,6 +286,6 @@ def ratio_bound_estimate(rng: np.random.Generator, pairs: int):
         def signed_ratios(e, i):  # r on row 0, -r on row 1
             return pair_ratio_sweep(a[i], b[i])[:, 2] * (1 - 2 * e)
 
-        lo, neg_hi = _pruned_min(floor, 0.0, signed_ratios)
+        lo, neg_hi = _pruned_min(floor, signed_ratios)
         r_min, r_max = min(r_min, float(lo)), max(r_max, -float(neg_hi))
     return max(r_max, 1.0 / r_min), r_min, r_max

@@ -47,6 +47,18 @@ def test_config_parser(tmp_path):
     assert vals == {"seed": 9, "tolerance": 1e-7, "lambda_policy": "paper"}
 
 
+def test_config_hash_inside_quotes_is_kept(tmp_path):
+    # '#' starts a comment only outside quotes; an unclosed quote runs on
+    path = os.path.join(tmp_path, "q.cfg")
+    with open(path, "w") as fh:
+        fh.write('out = "res#1"  # comment\n'
+                 "lambda_policy = 'paper' # 'quoted' comment\n"
+                 'label = "open # to the end\n')
+    vals = parse_config_file(path)
+    assert vals == {"out": "res#1", "lambda_policy": "paper",
+                    "label": "open # to the end"}
+
+
 def test_config_rejects_garbage(tmp_path):
     path = os.path.join(tmp_path, "b.cfg")
     with open(path, "w") as fh:

@@ -18,7 +18,9 @@ import pytest
 from qcubic import symspace
 from qcubic.cones import (ConeParams, _PairBounds, _PRUNE_CANDIDATES,
                           _kappa, _pruned_min, in_K, in_K_star, in_L,
-                          in_L_ratio_batch, support_x, cone_condition)
+                          in_L_ratio_batch, support_x, cone_condition,
+                          _gauge)
+from qcubic.elliptic import PAPER_LAM
 from qcubic.hessian import RATIO_BOUND, hess_w
 from qcubic.sampling import rng_for, unit_sphere, STREAM_CONE
 
@@ -273,6 +275,39 @@ def test_rayleigh_bounds_never_exceed_extreme_eigenvalues():
         assert np.all(pa.lower().T <= -own[..., 0] + allow)
 
 
+@pytest.mark.parametrize("lam", [1.5, 33.0, PAPER_LAM])
+def test_certified_pinch_floor_below_every_gauge(lam):
+    # pinch() folds its rounding allowance into the floor: in both orders
+    # and within one stack, no floor exceeds the gauge it bounds as a full
+    # pass computes it.  Planted pairs b = a + Z, with Z's bottom
+    # eigenvector a's top one and spectrum (-nu, nu/11, ..., nu/11), make
+    # the Rayleigh bound nu and the pinch lemma an equality, so there the
+    # floor without its allowance meets the gauge up to rounding.
+    cone = ConeParams(lam)
+    k = _kappa(cone) * SQ
+    rng = rng_for(91, STREAM_CONE)
+    a = _traceless(rng, 30)
+    vecs = np.linalg.eigh(a[:10])[1]
+    nu = rng.uniform(0.5, 2.0, 10)
+    spec = np.repeat(nu[:, None] / 11.0, 12, axis=1)
+    spec[:, -1] = -nu  # on a's top eigenvector (eigh is ascending)
+    z = np.einsum("nik,nk,njk->nij", vecs, spec, vecs)
+    b = np.concatenate([a[:10] + 0.5 * (z + np.swapaxes(z, 1, 2)),
+                        _traceless(rng, 20)])
+    for scale in (1e-6, 1.0, 1e8):
+        sa, sb = scale * a, scale * b
+        pa, pb = _PairBounds(sa), _PairBounds(sb)
+        mu = np.linalg.eigvalsh(sb[None, :] - sa[:, None])  # b_j - a_i
+        fwd, rev = _gauge(mu, cone), _gauge(-mu[..., ::-1], cone)
+        assert np.all(pa.pinch(cone, pb) <= fwd)
+        assert np.all(pb.pinch(cone, pa).T <= rev)
+        own = _gauge(np.linalg.eigvalsh(sa[None, :] - sa[:, None]), cone)
+        assert np.all(pa.pinch(cone) <= own)
+        tight = np.arange(10)
+        np.testing.assert_allclose((pa.lower(pb) * k)[tight, tight],
+                                   fwd[tight, tight], rtol=1e-10)
+
+
 def test_pair_solve_rows_do_not_depend_on_block(monkeypatch):
     # each pair's eigenvalues are bitwise those of one pass over all pairs,
     # whatever block it is solved in: what keeps pruned outputs unchanged
@@ -309,7 +344,7 @@ def test_pruned_min_is_the_full_tables_minimum():
     floor[0, decoys] = -1e3
     table[0, k] = table[0].min() - 1.0
     floor[0, k] = table[0, k] - 0.5
-    got = _pruned_min(floor, 1e-3, solve)
+    got = _pruned_min(floor, solve)
     assert got.tobytes() == table.min(axis=1).tobytes()
     assert len(calls) == 2 and len(calls[0]) == 30 * _PRUNE_CANDIDATES
     assert (0, k) not in calls[0] and (0, k) in calls[1]
@@ -321,7 +356,7 @@ def test_pruned_min_is_the_full_tables_minimum():
     for n in (1, 5, 50):
         table = full[:, :n].copy()  # what solve reads
         calls.clear()
-        got = _pruned_min(table.copy(), 0.0, solve)
+        got = _pruned_min(table.copy(), solve)
         assert got.tobytes() == table.min(axis=1).tobytes()
         assert len(calls) == 1
         assert len(calls[0]) == 30 * min(n, _PRUNE_CANDIDATES)

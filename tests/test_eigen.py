@@ -228,8 +228,8 @@ def test_import_starts_no_thread():
     assert out.split() == ["False", "1"]
 
 
-def _calls_by_scope(tree, name):
-    """'outer.inner' names of the defs in which `name(...)` is called."""
+def _scopes_of(tree, match):
+    """'outer.inner' names of the defs holding a node that match accepts."""
     found = []
 
     def visit(node, scope):
@@ -237,14 +237,19 @@ def _calls_by_scope(tree, name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = scope + [child.name]
-            elif (isinstance(child, ast.Call)
-                  and isinstance(child.func, ast.Name)
-                  and child.func.id == name):
+            elif match(child):
                 found.append(".".join(scope))
             visit(child, inner)
 
     visit(tree, [])
     return found
+
+
+def _calls_by_scope(tree, name):
+    """'outer.inner' names of the defs in which `name(...)` is called."""
+    return _scopes_of(tree, lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == name)
 
 
 def test_source_scan_one_eigensolver_module_one_prune_width():
@@ -279,15 +284,41 @@ def test_source_scan_one_eigensolver_module_one_prune_width():
 
 def test_source_scan_one_pairwise_gauge_test():
     # the graph invariant and the cone condition share one certified test,
-    # the p/q dual test serves only the membership API, and the pinch
-    # factor is formed in cones.py alone
+    # the p/q dual test serves only the membership API, the pinch factor is
+    # formed in cones.py alone, and every pruned minimum takes one floor
+    # with its rounding allowance folded in where the floor is formed
     src = pathlib.Path(eigen_mod.__file__).parent
     trees = {p.name: ast.parse(p.read_text())
              for p in sorted(src.glob("*.py"))}
 
+    def scopes(match):
+        return {(mod, scope) for mod, tree in trees.items()
+                for scope in _scopes_of(tree, match)}
+
     def calls(name):
         return {(mod, scope) for mod, tree in trees.items()
                 for scope in _calls_by_scope(tree, name)}
+
+    def names(node):
+        return {getattr(n, "id", getattr(n, "attr", None))
+                for n in ast.walk(node)}
+
+    def pinch_allowance(node):  # sqrt(12) _GUARD, however sqrt(12) is read
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and "_GUARD" in names(node)
+                and bool({"_SQRT_N", "sqrt"} & names(node)))
+
+    assert scopes(lambda node: isinstance(node, ast.Name)
+                  and node.id == "_GUARD"
+                  and isinstance(node.ctx, ast.Load)) == {
+        ("cones.py", "_PairBounds.pinch"), ("elliptic.py", "_extension_parts")}
+    assert scopes(pinch_allowance) == {("cones.py", "_PairBounds.pinch")}
+    pruned = next(node for node in ast.walk(trees["cones.py"])
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_pruned_min").args
+    assert ([a.arg for a in pruned.posonlyargs + pruned.args
+             + pruned.kwonlyargs] == ["floor", "solve"]
+            and pruned.vararg is None and pruned.kwarg is None)
 
     assert calls("_in_dual") == {("cones.py", "in_K_star"),
                                  ("cones.py", "in_L_ratio_batch")}

