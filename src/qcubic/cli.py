@@ -28,11 +28,12 @@ import numpy as np
 from .cones import cone_condition
 from .cubic import (spectrum_sweep, strata_directions, q_matrix, perp_sweep,
                     cubic_roots_check, cor4_check, invariants_mn, band_slack,
-                    charpoly_identity)
+                    charpoly_identity, SLACK_TOL)
 from .eigen import jacobi_eigh
 from .elliptic import (build_sigma, OperatorF, zero_level_curve,
                        ellipticity_probe, monotonicity_sweep, viscosity_probe,
-                       operator_cone, load_cache, CacheError, GraphError)
+                       operator_cone, load_cache, CacheError, GraphError,
+                       MINORANT_MARGIN, PAPER_LAM)
 from .hessian import (hess_w, grad_w, eval_w, witness_worst,
                       third_derivative_sweep, ratio_bound_estimate,
                       pair_ratio_sweep, RATIO_BOUND, THIRD_DERIVATIVE_BOUND)
@@ -45,32 +46,32 @@ from .sampling import (rng_for, unit_sphere, directions,
 SCHEMA_VERSION = 1
 
 
-def _count(default: int, least: int):
-    """A RunConfig sample count; validate() enforces the minimum."""
+def _at_least(default: int, least: int):
+    """A RunConfig count or seed; validate() enforces the minimum."""
     return field(default=default, metadata={"min": least})
 
 
 @dataclass
 class RunConfig:
-    seed: int = 42
+    seed: int = _at_least(42, 0)
     tolerance: float | None = None
     lambda_policy: str = "empirical"
     out: str = "qcubic-out"
     # per-suite sample counts
-    spectral_count: int = _count(10_000, 10)      # random directions
-    strata_count: int = _count(50, 2)             # per stratum class
-    perp_count: int = _count(100_000, 100)        # compression-ratio samples
-    cor4_pairs: int = _count(200, 2)              # growth-bound pairs
-    fd_count: int = _count(1_000, 10)             # finite-difference points
-    witness_pairs: int = _count(100_000, 10)      # witness pairs
-    ratio_pairs: int = _count(100_000, 100)       # pinch-estimate pairs
-    third_count: int = _count(10_000, 10)         # third-derivative samples
-    sigma_count: int = _count(500, 2)             # graph sample size
-    heldout_count: int = _count(200, 10)          # held-out graph points
-    heldout_seed: int = 7
-    elliptic_trials: int = _count(400, 4)         # slope probes
-    monotonicity_trials: int = _count(2_000, 10)  # psd-increment trials
-    viscosity_trials: int = _count(1_000, 2)      # one-sided quadratics
+    spectral_count: int = _at_least(10_000, 10)      # random directions
+    strata_count: int = _at_least(50, 2)             # per stratum class
+    perp_count: int = _at_least(100_000, 100)        # compression-ratio samples
+    cor4_pairs: int = _at_least(200, 2)              # growth-bound pairs
+    fd_count: int = _at_least(1_000, 10)             # finite-difference points
+    witness_pairs: int = _at_least(100_000, 10)      # witness pairs
+    ratio_pairs: int = _at_least(100_000, 100)       # pinch-estimate pairs
+    third_count: int = _at_least(10_000, 10)         # third-derivative samples
+    sigma_count: int = _at_least(500, 2)             # graph sample size
+    heldout_count: int = _at_least(200, 10)          # held-out graph points
+    heldout_seed: int = _at_least(7, 0)
+    elliptic_trials: int = _at_least(400, 4)         # slope probes
+    monotonicity_trials: int = _at_least(2_000, 10)  # psd-increment trials
+    viscosity_trials: int = _at_least(1_000, 2)      # one-sided quadratics
 
     def validate(self):
         for f in fields(self):
@@ -219,7 +220,7 @@ def spectral_suite(cfg: RunConfig) -> dict:
     res = cor4_check(u[kept], v[kept])
     lo = np.minimum(res["lower_slack"], res["upper_slack"])
     k = int(np.argmin(lo))  # the first minimal pair
-    checks.append(_check("growth_bound", lo[k] >= -1e-9, float(lo[k]),
+    checks.append(_check("growth_bound", lo[k] >= -SLACK_TOL, float(lo[k]),
                          witness={"pair_index": int(kept[k])}))
 
     agreed = charpoly_identity()
@@ -261,7 +262,7 @@ def hessian_suite(cfg: RunConfig) -> dict:
                             cfg.witness_pairs)
     checks.append(_check("witness_slopes", worst_w >= -1e-9, float(worst_w)))
 
-    m_hat, r_min, r_max = _pinch(cfg, cfg.ratio_pairs)
+    m_hat, r_min, r_max = _pinch(cfg)
     checks.append(_check(
         "pair_ratio_pinch",
         r_max <= RATIO_BOUND and r_min >= 1.0 / RATIO_BOUND,
@@ -289,12 +290,13 @@ def hessian_suite(cfg: RunConfig) -> dict:
                           "ratio": cfg.ratio_pairs, "third": cfg.third_count}})
 
 
-def _pinch(cfg: RunConfig, pairs: int):
-    """(M_hat, r_min, r_max): ratio_bound_estimate's extremes over `pairs`
-    random pairs merged with those of 500 antipodal pairs, M_hat =
-    max(r_max, 1/r_min); verify-hessian and build-operator both read it."""
+def _pinch(cfg: RunConfig):
+    """(M_hat, r_min, r_max): ratio_bound_estimate's extremes over
+    cfg.ratio_pairs random pairs merged with those of 500 antipodal pairs,
+    M_hat = max(r_max, 1/r_min); verify-hessian and build-operator both
+    read it."""
     _, r_min, r_max = ratio_bound_estimate(
-        rng_for(cfg.seed, STREAM_HESSIAN), pairs)
+        rng_for(cfg.seed, STREAM_HESSIAN), cfg.ratio_pairs)
     anti = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 300), 500)
     ratios = pair_ratio_sweep(anti, -anti)[:, 2]
     r_min = min(r_min, float(ratios.min()))
@@ -302,21 +304,21 @@ def _pinch(cfg: RunConfig, pairs: int):
     return max(r_max, 1.0 / r_min), r_min, r_max
 
 
-def _policy_cone(cfg: RunConfig):
-    """(M_hat, operator cone) from the pair-ratio pinch and the policy."""
-    m_hat = _pinch(cfg, cfg.ratio_pairs)[0]
-    return m_hat, operator_cone(
-        cfg.lambda_policy, None if cfg.lambda_policy == "paper" else m_hat)
+def _run_sample(cfg: RunConfig):
+    """(M_hat, sigma): the run's graph sample, built at the aperture its
+    lambda policy takes from M_hat and cached in cfg.out.  The sample's
+    cone is the run's only copy of that aperture."""
+    m_hat = _pinch(cfg)[0]
+    return m_hat, build_sigma(cfg.sigma_count, cfg.seed,
+                              operator_cone(cfg.lambda_policy, m_hat),
+                              cache_path=os.path.join(cfg.out, "sigma.cache"))
 
 
 def operator_suite(cfg: RunConfig) -> dict:
     checks = []
-    m_hat, cone = _policy_cone(cfg)
-
-    sigma = build_sigma(cfg.sigma_count, cfg.seed, cone,
-                        cache_path=os.path.join(cfg.out, "sigma.cache"))
+    m_hat, sigma = _run_sample(cfg)
     mats = hess_w(sigma.sources[:min(500, sigma.count)])
-    for label, c in (("policy", cone), ("paper", operator_cone("paper"))):
+    for label, c in (("policy", sigma.cone), ("paper", operator_cone("paper"))):
         rep = cone_condition(mats, c)
         checks.append(_check("cone_condition_" + label, rep.passed,
                              {"pairs": rep.pairs_checked,
@@ -354,7 +356,7 @@ def operator_suite(cfg: RunConfig) -> dict:
 
     return _suite_report(
         "operator", cfg, checks,
-        {"lambda_used": cone.lam, "M_hat": m_hat,
+        {"lambda_used": sigma.cone.lam, "M_hat": m_hat,
          "Lambda_hat": er.slope_max,
          "Lambda_paper_chain": er.paper_chain_bound,
          "maxF_curve": {"counts": zl.counts, "max_abs_F": zl.max_abs_F}},
@@ -364,11 +366,14 @@ def operator_suite(cfg: RunConfig) -> dict:
 
 def viscosity_suite(cfg: RunConfig) -> dict:
     cache = os.path.join(cfg.out, "sigma.cache")
-    if os.path.exists(cache):
-        sigma = load_cache(cache)
-    else:
-        sigma = build_sigma(cfg.sigma_count, cfg.seed, _policy_cone(cfg)[1],
-                            cache_path=cache)
+    sigma = (load_cache(cache) if os.path.exists(cache)
+             else _run_sample(cfg)[1])
+    # a cache serves only the run it was built for; the exact empirical lam
+    # is not recomputed, as that would cost a pinch on every run
+    built = (sigma.seed, sigma.count, bool(sigma.cone.lam == PAPER_LAM))
+    if built != (cfg.seed, cfg.sigma_count, cfg.lambda_policy == "paper"):
+        raise CacheError("%s was built for (seed, sigma_count, paper "
+                         "aperture) %r, not for this run's" % (cache, built))
     vr = viscosity_probe(OperatorF(sigma), cfg.viscosity_trials, cfg.seed)
     checks = [
         _check("minorants", vr.minorant_violations == 0,
@@ -380,7 +385,7 @@ def viscosity_suite(cfg: RunConfig) -> dict:
         "viscosity", cfg, checks,
         {"minorant_max_F": vr.minorant_max_F,
          "majorant_min_F": vr.majorant_min_F,
-         "trials": vr.trials, "margin": vr.margin,
+         "trials": cfg.viscosity_trials, "margin": MINORANT_MARGIN,
          "lambda_used": sigma.cone.lam})
 
 

@@ -292,8 +292,10 @@ def operator_cone(policy: str, ratio_hat: float | None = None) -> ConeParams:
 class ZeroLevelReport:
     counts: list
     max_abs_F: list          # per count, over the held-out set
-    nn_bound: np.ndarray     # per held-out point, at the largest count
-    F_full: np.ndarray       # per held-out point, at the largest count
+    # per held-out point, over the whole sample (which the largest count
+    # may stop short of)
+    nn_bound: np.ndarray
+    F_full: np.ndarray
 
     @property
     def worst_ratio(self) -> float:
@@ -438,8 +440,6 @@ def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:
 
 @dataclass
 class ViscosityReport:
-    trials: int
-    margin: float
     minorant_max_F: float     # acceptance: <= 1e-6
     majorant_min_F: float     # acceptance: >= -1e-6
     minorant_violations: int
@@ -506,7 +506,6 @@ def viscosity_probe(op: OperatorF, trials: int, seed: int,
     F_min = op.value(hb - 2.0 * down[:, None, None] * np.eye(12) - tilts)
     F_maj = op.value(hb + 2.0 * up[:, None, None] * np.eye(12) + tilts)
     return ViscosityReport(
-        trials=trials, margin=MINORANT_MARGIN,
         minorant_max_F=float(np.max(F_min)),
         majorant_min_F=float(np.min(F_maj)),
         minorant_violations=int(np.sum(F_min > VISCOSITY_TOL)),

@@ -11,7 +11,9 @@ import pytest
 
 from qcubic import cli
 from qcubic.cli import main, parse_config_file, RunConfig
+from qcubic.cones import ConeParams
 from qcubic.cubic import band_slack
+from qcubic.elliptic import PAPER_LAM
 from qcubic.hessian import ratio_bound_estimate
 from qcubic.sampling import rng_for, STREAM_HESSIAN
 
@@ -157,18 +159,26 @@ def test_hessian_and_operator_share_m_hat(tmp_path):
 
 def test_policy_cone_asks_for_every_ratio_pair(monkeypatch):
     # build-operator's pinch draws the pairs verify-hessian draws, above
-    # 100,000 too, so operator.json and hessian.json share M_hat
-    asked = []
+    # 100,000 too, so operator.json and hessian.json share M_hat; the run's
+    # sample is built at the aperture its policy takes from that M_hat
+    asked, built = [], []
 
     def spy(rng, pairs):
         asked.append(pairs)
         return 2.0, 0.5, 2.0
 
     monkeypatch.setattr(cli, "ratio_bound_estimate", spy)
-    cfg = RunConfig()
-    cfg.ratio_pairs = 200_000
-    cli._policy_cone(cfg)
-    assert asked == [200_000]
+    monkeypatch.setattr(cli, "build_sigma",
+                        lambda *args, **kw: built.append((args, kw)) or "sample")
+    for policy in ("empirical", "paper"):
+        cfg = RunConfig(lambda_policy=policy, out="run-dir")
+        cfg.ratio_pairs = 200_000
+        m_hat, sigma = cli._run_sample(cfg)
+        assert asked.pop() == 200_000 and not asked
+        assert m_hat >= 2.0 and sigma == "sample"
+        lam = PAPER_LAM if policy == "paper" else 11.0 * m_hat
+        assert built.pop() == ((500, 42, ConeParams(lam)), {
+            "cache_path": os.path.join("run-dir", "sigma.cache")})
 
 
 def test_operator_suite_and_viscosity_reuse_cache(tmp_path):
@@ -220,6 +230,50 @@ def test_corrupt_cache_exits_2(tmp_path, built_cache, mangle, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("qcubic viscosity-test: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra, overrides", [
+    (("--seed", "2"), {}),
+    ((), {"sigma_count": 70}),
+    (("--lambda-policy", "paper"), {}),
+], ids=["seed", "sigma_count", "policy"])
+def test_foreign_cache_exits_2(tmp_path, extra, overrides, capsys):
+    # viscosity-test reuses only a cache built for its seed, sigma_count and
+    # lambda policy, and leaves any other cache as it found it
+    code, out = _run(tmp_path, "build-operator", "--seed", "1")
+    assert code == 0
+    path = os.path.join(out, "sigma.cache")
+    with open(path, "rb") as fh:
+        before = fh.read()
+    stamp = os.stat(path).st_mtime_ns
+    capsys.readouterr()
+    code, _ = _run(tmp_path, "viscosity-test", *extra, cfg_path=_write_config(
+        tmp_path, seed=1, **overrides))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcubic viscosity-test: ") and err.count("\n") == 1
+    assert "not for this run's" in err
+    assert not os.path.exists(os.path.join(out, "viscosity.json"))
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.stat(path).st_mtime_ns == stamp
+
+
+@pytest.mark.parametrize("cmd, line, flags", [
+    ("verify-spectral", "", ("--seed", "-3")),
+    ("build-operator", "heldout_seed = -1", ()),
+], ids=["seed", "heldout_seed"])
+def test_negative_seed_exits_2(tmp_path, cmd, line, flags, capsys):
+    # seeds are config values with a minimum of 0, not a numpy crash
+    path = os.path.join(tmp_path, "e.cfg")
+    with open(path, "w") as fh:
+        fh.write(line + "\n")
+    out = os.path.join(tmp_path, "out")
+    assert main([cmd, "--config", path, "--out", out, *flags]) == 2
+    err = capsys.readouterr().err
+    name = "heldout_seed" if line else "seed"
+    assert err == "qcubic: config: %s must be >= 0\n" % name
+    assert not os.path.exists(out)
 
 
 def test_near_unit_cache_source_runs_like_clean(tmp_path):

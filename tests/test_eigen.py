@@ -282,6 +282,38 @@ def test_source_scan_one_eigensolver_module_one_prune_width():
     assert not re.search(r"sigma\.(z|s)\b|z\[77\]", body)
 
 
+def test_source_scan_one_run_sample_recipe():
+    # the CLI decides a run's graph sample and its aperture in one helper:
+    # only it builds a sample, the aperture is formed there and for the
+    # paper-aperture cone check, and the pinch reads its pair count from
+    # the config alone
+    src = pathlib.Path(eigen_mod.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    trees = {name: ast.parse(t) for name, t in texts.items()}
+
+    def calls(name):
+        return sorted((mod, scope) for mod, tree in trees.items()
+                      for scope in _calls_by_scope(tree, name))
+
+    assert calls("build_sigma") == [("cli.py", "_run_sample")]
+    assert not [name for name, t in texts.items() if "_policy_cone" in t]
+    assert calls("operator_cone") == [("cli.py", "_run_sample"),
+                                      ("cli.py", "operator_suite")]
+    assert _scopes_of(trees["cli.py"], lambda node: (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "operator_cone"
+        and [getattr(a, "value", None) for a in node.args] == ["paper"]
+        and not node.keywords)) == ["operator_suite"]
+    assert _calls_by_scope(trees["cli.py"], "operator_cone").count(
+        "operator_suite") == 1
+    pinch = next(node for node in ast.walk(trees["cli.py"])
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_pinch").args
+    assert ([a.arg for a in pinch.posonlyargs + pinch.args
+             + pinch.kwonlyargs] == ["cfg"]
+            and pinch.vararg is None and pinch.kwarg is None)
+
+
 def test_source_scan_one_pairwise_gauge_test():
     # the graph invariant and the cone condition share one certified test,
     # the p/q dual test serves only the membership API, the pinch factor is
