@@ -33,7 +33,7 @@ from .eigen import jacobi_eigh
 from .elliptic import (build_sigma, OperatorF, zero_level_curve,
                        ellipticity_probe, monotonicity_sweep, viscosity_probe,
                        operator_cone, load_cache, CacheError, GraphError,
-                       MINORANT_MARGIN, PAPER_LAM)
+                       LAMBDA_POLICIES, MINORANT_MARGIN, PAPER_LAM)
 from .hessian import (hess_w, grad_w, eval_w, witness_worst,
                       third_derivative_sweep, ratio_bound_estimate,
                       pair_ratio_sweep, RATIO_BOUND, THIRD_DERIVATIVE_BOUND)
@@ -44,6 +44,8 @@ from .sampling import (rng_for, unit_sphere, directions,
                        STREAM_FDCHECK)
 
 SCHEMA_VERSION = 1
+SPECTRUM_TOL = 1e-8  # closed-form spectrum mismatch bound (verify-spectral)
+FD_TOL = 1e-6        # finite-difference relative error bound (verify-hessian)
 
 
 def _at_least(default: int, least: int):
@@ -54,7 +56,6 @@ def _at_least(default: int, least: int):
 @dataclass
 class RunConfig:
     seed: int = _at_least(42, 0)
-    tolerance: float | None = None
     lambda_policy: str = "empirical"
     out: str = "qcubic-out"
     # per-suite sample counts
@@ -76,18 +77,15 @@ class RunConfig:
     def validate(self):
         for f in fields(self):
             val = getattr(self, f.name)
-            want = (int, float) if f.name == "tolerance" else (type(f.default),)
-            unset = val is None and f.default is None
-            if not unset and type(val) not in want:
+            if type(val) is not type(f.default):
                 raise ValueError("config: %s must be of type %s, got %r" % (
-                    f.name, " or ".join(t.__name__ for t in want), val))
+                    f.name, type(f.default).__name__, val))
             if "min" in f.metadata and val < f.metadata["min"]:
                 raise ValueError("config: %s must be >= %d" % (
                     f.name, f.metadata["min"]))
-        if self.lambda_policy not in ("paper", "empirical"):
-            raise ValueError("config: lambda_policy must be paper|empirical")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError("config: tolerance must be positive")
+        if self.lambda_policy not in LAMBDA_POLICIES:
+            raise ValueError("config: lambda_policy must be "
+                             + "|".join(LAMBDA_POLICIES))
 
 
 # a line up to its first '#' outside quotes (an unclosed quote runs to the end)
@@ -174,7 +172,6 @@ def _suite_report(name: str, cfg: RunConfig, checks: list, constants: dict,
 
 
 def spectral_suite(cfg: RunConfig) -> dict:
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
     checks = []
 
     dirs = directions(rng_for(cfg.seed, STREAM_SPECTRAL), cfg.spectral_count)
@@ -186,7 +183,7 @@ def spectral_suite(cfg: RunConfig) -> dict:
     k = int(np.argmax(err))  # strata rows are witnessed as -1, -2, ...
     worst = float(err[k])
     n = len(dirs)
-    checks.append(_check("closed_form_spectrum", worst <= tol, worst,
+    checks.append(_check("closed_form_spectrum", worst <= SPECTRUM_TOL, worst,
                          witness={"index": k if k < n else n - 1 - k,
                                   "direction": both[k]}))
 
@@ -217,8 +214,7 @@ def spectral_suite(cfg: RunConfig) -> dict:
     pts = unit_sphere(rng4, 2 * cfg.cor4_pairs) * np.sqrt(3.0)
     u, v = pts[0::2], pts[1::2]
     kept = np.nonzero(np.linalg.norm(u - v, axis=1) >= 1e-6)[0]
-    res = cor4_check(u[kept], v[kept])
-    lo = np.minimum(res["lower_slack"], res["upper_slack"])
+    lo = np.minimum(*cor4_check(u[kept], v[kept]))
     k = int(np.argmin(lo))  # the first minimal pair
     checks.append(_check("growth_bound", lo[k] >= -SLACK_TOL, float(lo[k]),
                          witness={"pair_index": int(kept[k])}))
@@ -232,7 +228,7 @@ def spectral_suite(cfg: RunConfig) -> dict:
     sample = np.column_stack([m_s / t_s**3, n_s / t_s**3, closed[:min(16, n)]])
     return _suite_report(
         "spectral", cfg, checks,
-        {"delta_hat": delta_hat, "spectrum_tolerance": tol,
+        {"delta_hat": delta_hat, "spectrum_tolerance": SPECTRUM_TOL,
          "max_spectrum_mismatch": worst},
         extra={"eigen_sample": sample,
                "counts": {"directions": cfg.spectral_count,
@@ -241,7 +237,6 @@ def spectral_suite(cfg: RunConfig) -> dict:
 
 
 def hessian_suite(cfg: RunConfig) -> dict:
-    fd_tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
     checks = []
 
     rng = rng_for(cfg.seed, STREAM_FDCHECK)
@@ -255,8 +250,8 @@ def hessian_suite(cfg: RunConfig) -> dict:
     worst_h = float(np.max(
         np.max(np.abs(hm - 0.5 * (hf + np.swapaxes(hf, 1, 2))), axis=(1, 2))
         / np.maximum(1.0, np.max(np.abs(hm), axis=(1, 2)))))
-    checks.append(_check("fd_gradient", worst_g < fd_tol, worst_g))
-    checks.append(_check("fd_hessian", worst_h < fd_tol, worst_h))
+    checks.append(_check("fd_gradient", worst_g < FD_TOL, worst_g))
+    checks.append(_check("fd_hessian", worst_h < FD_TOL, worst_h))
 
     worst_w = witness_worst(rng_for(cfg.seed, STREAM_WITNESS),
                             cfg.witness_pairs)
@@ -284,7 +279,7 @@ def hessian_suite(cfg: RunConfig) -> dict:
         "hessian", cfg, checks,
         {"M_hat": m_hat, "ratio_min": r_min, "ratio_max": r_max,
          "third_max": t_max, "ratio_bound": float(RATIO_BOUND),
-         "fd_tolerance": fd_tol},
+         "fd_tolerance": FD_TOL},
         extra={"ratio_hist": {"edges": edges, "counts": hist},
                "counts": {"fd": cfg.fd_count, "witness": cfg.witness_pairs,
                           "ratio": cfg.ratio_pairs, "third": cfg.third_count}})
@@ -325,10 +320,7 @@ def operator_suite(cfg: RunConfig) -> dict:
                               "violations": len(rep.violations)},
                              witness={"pairs": rep.violations[:8]}))
 
-    counts = sorted({max(2, cfg.sigma_count // 8), max(2, cfg.sigma_count // 4),
-                     max(2, cfg.sigma_count // 2), cfg.sigma_count})
-    zl = zero_level_curve(sigma, counts=counts,
-                          heldout_count=cfg.heldout_count,
+    zl = zero_level_curve(sigma, heldout_count=cfg.heldout_count,
                           heldout_seed=cfg.heldout_seed)
     checks.append(_check("zero_level_bound", zl.worst_ratio <= 5.0,
                          zl.worst_ratio,
@@ -392,26 +384,25 @@ def viscosity_suite(cfg: RunConfig) -> dict:
 @dataclass(frozen=True)
 class _Suite:
     """A suite subcommand: run(cfg) makes <output>.json, --count sets the
-    RunConfig fields in count, tolerance says whether it reads --tolerance,
-    and report.json lifts the named constants from its output."""
+    RunConfig fields in count, and report.json lifts the named constants
+    from its output."""
     output: str
     run: object
     count: tuple
-    tolerance: bool
     constants: tuple
 
 
 _SUITES = {
     "verify-spectral": _Suite("spectral", spectral_suite, ("spectral_count",),
-                              True, ("delta_hat",)),
+                              ("delta_hat",)),
     "verify-hessian": _Suite("hessian", hessian_suite,
-                             ("witness_pairs", "ratio_pairs"), True,
+                             ("witness_pairs", "ratio_pairs"),
                              ("M_hat", "ratio_min", "third_max")),
     "build-operator": _Suite("operator", operator_suite, ("sigma_count",),
-                             False, ("Lambda_hat", "Lambda_paper_chain",
-                                     "lambda_used", "maxF_curve")),
+                             ("Lambda_hat", "Lambda_paper_chain",
+                              "lambda_used", "maxF_curve")),
     "viscosity-test": _Suite("viscosity", viscosity_suite,
-                             ("viscosity_trials",), False,
+                             ("viscosity_trials",),
                              ("minorant_max_F", "majorant_min_F")),
 }
 
@@ -496,10 +487,8 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int)
             p.add_argument("--count", type=int,
                            help="sets " + " and ".join(suite.count))
-            if suite.tolerance:
-                p.add_argument("--tolerance", type=float)
             p.add_argument("--lambda-policy", dest="lambda_policy",
-                           choices=["paper", "empirical"])
+                           choices=LAMBDA_POLICIES)
         p.add_argument("--out", help="output directory (default qcubic-out)")
     args = parser.parse_args(argv)
 

@@ -257,7 +257,7 @@ def cubic_roots_check(m) -> np.ndarray:
     return np.sort(roots, axis=-1)[..., ::-1]
 
 
-def cor4_check(u, v) -> dict:
+def cor4_check(u, v):
     """Two-sided growth bound for the cubic form between sphere points.
 
     For point rows u, v (..., 12) on the sphere of radius sqrt(3), with
@@ -265,8 +265,9 @@ def cor4_check(u, v) -> dict:
 
         3 sqrt(3) l10(d) |u-v| / 4  <=  P(u) - P(v)  <=  3 sqrt(3) l3(d) |u-v| / 4
 
-    Returns arrays of the two slacks, l3, l10 and a pass flag per pair
-    (each bound allowed SLACK_TOL).
+    Returns (lower_slack, upper_slack), one entry per pair: P(u) - P(v)
+    less the lower bound and the upper bound less P(u) - P(v).  Each bound
+    holds iff its slack is >= -SLACK_TOL.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -278,17 +279,9 @@ def cor4_check(u, v) -> dict:
         raise ValueError("cor4_check: points too close")
     d = (u - v) * (np.sqrt(3.0) / gap)[..., None]
     ext = q_extremes(d.reshape(-1, 12)).reshape(gap.shape + (4,))
-    l3, l10 = ext[..., 1], ext[..., 2]
     diff = eval_P(u) - eval_P(v)
     scale = 3.0 * np.sqrt(3.0) * gap / 4.0
-    lower, upper = scale * l10, scale * l3
-    return {
-        "passed": (lower - SLACK_TOL <= diff) & (diff <= upper + SLACK_TOL),
-        "lower_slack": diff - lower,
-        "upper_slack": upper - diff,
-        "l3": l3,
-        "l10": l10,
-    }
+    return diff - scale * ext[..., 2], scale * ext[..., 1] - diff
 
 
 def strata_directions(rng: np.random.Generator, count_each: int = 50) -> np.ndarray:

@@ -40,9 +40,11 @@ GRAPH_TOL = 1e-8
 UNIT_TOL = 1e-9  # allowed | |a_i| - 1 | of a sample's source vectors
 MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
+VERIFICATION_COUNT = 10_000  # sphere points viscosity_probe sizes lifts on
 CACHE_MAGIC = "qcubic-sigma-cache"
 CACHE_VERSION = 2
 PAPER_LAM = 11.0 * RATIO_BOUND  # the paper's operator aperture
+LAMBDA_POLICIES = ("paper", "empirical")  # operator_cone's policy names
 
 
 class CacheError(RuntimeError):
@@ -292,8 +294,7 @@ def operator_cone(policy: str, ratio_hat: float | None = None) -> ConeParams:
 class ZeroLevelReport:
     counts: list
     max_abs_F: list          # per count, over the held-out set
-    # per held-out point, over the whole sample (which the largest count
-    # may stop short of)
+    # per held-out point, over the whole sample (the largest count)
     nn_bound: np.ndarray
     F_full: np.ndarray
 
@@ -307,11 +308,14 @@ class ZeroLevelReport:
                    for a, b in zip(self.max_abs_F, self.max_abs_F[1:]))
 
 
-def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
-                     heldout_count: int = 200,
+def zero_level_curve(sigma: SigmaSample, heldout_count: int = 200,
                      heldout_seed: int = 7) -> ZeroLevelReport:
     """Convergence of max |F| on held-out graph points as the sample grows,
     at the sample's cone.
+
+    An n-point sample is read at the prefix counts n // 8, n // 4, n // 2
+    and n, each raised to 2 but not past n, duplicates dropped: (250, 500,
+    1000, 2000) at n = 2000.  The last count is the whole sample.
 
     Prefix-nested sub-samples make the curve monotone by construction:
     adding points can only lower g_tilde toward the true extension, and F
@@ -325,9 +329,8 @@ def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
     order's Rayleigh bound and gauge, as in g_tilde, and the two sums round
     below 1e3 eps of the same scale, far inside either allowance.
     """
-    counts = sorted(int(c) for c in counts)
-    if counts[-1] > sigma.count:
-        raise ValueError("curve counts exceed the sample size")
+    n = sigma.count
+    counts = sorted({min(n, max(2, n // k)) for k in (8, 4, 2, 1)})
     held = unit_sphere(rng_for(heldout_seed, STREAM_HELDOUT), heldout_count)
     zh, sh = _coords_of_sources(held)
     pts, cone = sigma.bounds, sigma.cone
@@ -337,8 +340,6 @@ def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
     for c in counts:
         g = _pruned_min(floor[:, :c], solve)
         max_abs.append(float(np.max(np.abs(sh - g))))
-    if counts[-1] < sigma.count:
-        g = _pruned_min(floor, solve)
 
     def both_orders(e, i):
         mu = spectra(e, i)
@@ -346,7 +347,7 @@ def zero_level_curve(sigma: SigmaSample, counts=(250, 500, 1000, 2000),
     floor = rows.pinch(cone, pts)
     floor += pts.pinch(cone, rows).T
     nn = _pruned_min(floor, both_orders)
-    return ZeroLevelReport(counts=list(counts), max_abs_F=max_abs,
+    return ZeroLevelReport(counts=counts, max_abs_F=max_abs,
                            nn_bound=nn, F_full=sh - g)
 
 
@@ -468,19 +469,18 @@ def _lift_sizes(verif: np.ndarray, wv: np.ndarray, bases: np.ndarray,
     return down, up
 
 
-def viscosity_probe(op: OperatorF, trials: int, seed: int,
-                    verification_count: int = 10_000) -> ViscosityReport:
+def viscosity_probe(op: OperatorF, trials: int, seed: int) -> ViscosityReport:
     """One-sided quadratic comparison at the Hessian level.
 
     Every trial takes a base point x' and the quadratic form with matrix
     D2w(x') -- the second-order Taylor polynomial of the 2-homogeneous w at
     x' collapses to exactly that form, so one-sidedness against w reduces
     to the unit sphere.  The form is then pushed strictly one-sided by an
-    identity shift sized from a dense sphere verification sample (which
-    always contains x' and the graph sources), plus MINORANT_MARGIN; half
-    the trials add a random psd tilt on the safe side.  All trials are
-    lifted at once (_lift_sizes).  Minorants must report F <=
-    VISCOSITY_TOL, majorants F >= -VISCOSITY_TOL.
+    identity shift sized from a dense verification sample
+    (VERIFICATION_COUNT sphere points, x' and the graph sources), plus
+    MINORANT_MARGIN; half the trials add a random psd tilt on the safe
+    side.  All trials are lifted at once (_lift_sizes).  Minorants must
+    report F <= VISCOSITY_TOL, majorants F >= -VISCOSITY_TOL.
 
     The majorant lift is never small: the verification max of w - T is at
     least half the top eigenvalue gap of D2w(x'), which the spectral band
@@ -488,7 +488,7 @@ def viscosity_probe(op: OperatorF, trials: int, seed: int,
     sampling-density gap at the touching point.
     """
     rng = rng_for(seed, STREAM_VISCOSITY)
-    sphere = unit_sphere(rng, verification_count)
+    sphere = unit_sphere(rng, VERIFICATION_COUNT)
     verif = np.concatenate([sphere, op.sigma.sources], axis=0)
 
     n_half = trials // 2

@@ -156,8 +156,8 @@ def test_a08_support_gauge_properties():
 
 def test_a09_zero_level_convergence(sigma2000):
     sigma = sigma2000
-    rep = zero_level_curve(sigma, counts=(250, 500, 1000, 2000),
-                           heldout_count=200, heldout_seed=7)
+    rep = zero_level_curve(sigma, heldout_count=200, heldout_seed=7)
+    assert rep.counts == [250, 500, 1000, 2000]
     assert rep.worst_ratio <= 5.0, \
         "held-out |F| reaches %.3f x the pair certificate" % rep.worst_ratio
     assert rep.monotone, "curve not decreasing: %r" % (rep.max_abs_F,)

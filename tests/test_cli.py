@@ -9,12 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+import qcubic.cubic as cubic_mod
 from qcubic import cli
 from qcubic.cli import main, parse_config_file, RunConfig
 from qcubic.cones import ConeParams
 from qcubic.cubic import band_slack
 from qcubic.elliptic import PAPER_LAM
 from qcubic.hessian import ratio_bound_estimate
+from qcubic.quaternions import matrix_M
 from qcubic.sampling import rng_for, STREAM_HESSIAN
 
 SMALL = dict(spectral_count=200, strata_count=5, perp_count=500,
@@ -83,7 +85,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["build-operator", "--config", path]) == 2
 
 
-@pytest.mark.parametrize("line", ["spectral_count = 100.5", "tolerance = abc",
+@pytest.mark.parametrize("line", ["spectral_count = 100.5", "lambda_policy = 3",
                                   "seed = 1.5"])
 def test_mistyped_config_value_exits_2(tmp_path, line, capsys):
     # a config error, not a crash mid-suite
@@ -96,9 +98,10 @@ def test_mistyped_config_value_exits_2(tmp_path, line, capsys):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("cmd", ["build-operator", "viscosity-test", "report"])
+@pytest.mark.parametrize("cmd", ["verify-spectral", "verify-hessian",
+                                 "build-operator", "viscosity-test", "report"])
 def test_tolerance_rejected_where_unused(tmp_path, cmd, capsys):
-    # only verify-spectral and verify-hessian read a tolerance
+    # the suites' tolerances are constants: no subcommand takes the flag
     with pytest.raises(SystemExit) as exc:
         main([cmd, "--tolerance", "1e-3", "--out", str(tmp_path)])
     assert exc.value.code == 2
@@ -121,8 +124,15 @@ def test_spectral_suite(tmp_path):
     assert len(rep["eigen_sample"]) == 16
 
 
-def test_spectral_failing_tolerance_exits_1(tmp_path):
-    code, out = _run(tmp_path, "verify-spectral", "--tolerance", "1e-18")
+def test_spectral_failing_build_exits_1(tmp_path, monkeypatch):
+    # a13's corrupted build: one sign of a structure matrix flipped
+    def flipped(q):
+        m = matrix_M(q).copy()
+        m[..., 0, 1] = -m[..., 0, 1]
+        return m
+
+    monkeypatch.setattr(cubic_mod, "matrix_M", flipped)
+    code, out = _run(tmp_path, "verify-spectral")
     assert code == 1
     with open(os.path.join(out, "spectral.json")) as fh:
         rep = json.load(fh)

@@ -11,7 +11,8 @@ from qcubic.cubic import (closed_spectrum, eval_P, grad_P, q_matrix,
                           invariants_mn, spectrum_sweep, band_slack,
                           perp_basis, perp_sweep, cubic_roots_check,
                           cor4_check, strata_directions, charpoly_identity,
-                          closed_form_certified, q_extremes, CHARPOLY_POINTS)
+                          closed_form_certified, q_extremes, CHARPOLY_POINTS,
+                          SLACK_TOL)
 from qcubic.eigen import eigh_desc, eigvalsh_desc, jacobi_eigh
 from qcubic.numdiff import fd_gradient
 from qcubic.quaternions import matrix_M, qmul
@@ -272,14 +273,17 @@ def test_cor4_growth_bound():
     u, v = rng.standard_normal((2, 5, 5, 12))
     u *= np.sqrt(3.0) / np.linalg.norm(u, axis=-1, keepdims=True)
     v *= np.sqrt(3.0) / np.linalg.norm(v, axis=-1, keepdims=True)
-    res = cor4_check(u, v)
-    assert res["passed"].shape == (5, 5) and np.all(res["passed"]), res
-    assert np.all(res["l10"] <= res["l3"])
+    lower, upper = cor4_check(u, v)
+    assert lower.shape == upper.shape == (5, 5)
+    assert np.all(lower >= -SLACK_TOL) and np.all(upper >= -SLACK_TOL), \
+        (lower, upper)
+    d = (u - v) * (np.sqrt(3.0) / np.linalg.norm(u - v, axis=-1))[..., None]
+    ext = q_extremes(d.reshape(-1, 12))
+    assert np.all(ext[:, 2] <= ext[:, 1])  # l10 <= l3
     # a (5, 5) stack of pairs gives bitwise the one-pair results
     for i, k in ((0, 0), (2, 3), (4, 4)):
         one = cor4_check(u[i, k], v[i, k])
-        for key, val in res.items():
-            assert val[i, k] == one[key], key
+        assert lower[i, k] == one[0] and upper[i, k] == one[1]
     with pytest.raises(ValueError):
         cor4_check(np.ones(12), np.ones(12))  # off-sphere
     with pytest.raises(ValueError):

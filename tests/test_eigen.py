@@ -1,6 +1,8 @@
 """Reference Jacobi solver against LAPACK, both directions."""
 
 import ast
+import dataclasses
+import inspect
 import os
 import pathlib
 import re
@@ -358,3 +360,43 @@ def test_source_scan_one_pairwise_gauge_test():
     assert {mod for mod, _ in calls("_kappa")} == {"cones.py"}
     assert calls("breaking_pairs") == {("cones.py", "cone_condition"),
                                        ("elliptic.py", "validate_graph")}
+
+
+def test_source_scan_fixed_settings_are_constants():
+    # settings that no run changes are constants, not options: RunConfig
+    # holds counts, seeds and strings only, a suite declares no tolerance,
+    # the zero-level curve and the viscosity probe take no count of their
+    # own, and the lambda policy names are written once, in elliptic.py,
+    # for argparse's choices and RunConfig.validate to read
+    from qcubic import cli
+    from qcubic.elliptic import viscosity_probe, zero_level_curve
+
+    assert {type(f.default) for f in dataclasses.fields(cli.RunConfig)} \
+        == {int, str}
+    assert "tolerance" not in {f.name for f in
+                               dataclasses.fields(cli.RunConfig)}
+    assert [f.name for f in dataclasses.fields(cli._Suite)] == [
+        "output", "run", "count", "constants"]
+    assert list(inspect.signature(zero_level_curve).parameters) == [
+        "sigma", "heldout_count", "heldout_seed"]
+    assert list(inspect.signature(viscosity_probe).parameters) == [
+        "op", "trials", "seed"]
+
+    src = pathlib.Path(eigen_mod.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    trees = {name: ast.parse(t) for name, t in texts.items()}
+    assert {(mod, scope) for mod, tree in trees.items()
+            for scope in _scopes_of(tree, lambda node: (
+                isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                and {"paper", "empirical"} <= {getattr(e, "value", None)
+                                               for e in node.elts}))} == {
+        ("elliptic.py", "")}
+    assert not [name for name, t in texts.items() if "paper|empirical" in t]
+
+    def policies(node):
+        return isinstance(node, ast.Name) and node.id == "LAMBDA_POLICIES"
+
+    assert _scopes_of(trees["cli.py"], lambda node: (
+        isinstance(node, ast.keyword) and node.arg == "choices"
+        and policies(node.value))) == ["main"]
+    assert "RunConfig.validate" in _scopes_of(trees["cli.py"], policies)

@@ -16,6 +16,7 @@ from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              g_tilde, operator_cone, zero_level_curve,
                              ellipticity_probe, monotonicity_sweep,
                              viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
+                             VERIFICATION_COUNT,
                              _random_psd, _random_sym)
 from qcubic.hessian import RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
@@ -312,14 +313,14 @@ def test_operator_cone_policies():
 
 
 def test_zero_level_curve_monotone(sigma):
-    rep = zero_level_curve(sigma, counts=(20, 40, 80, 150),
-                           heldout_count=40, heldout_seed=7)
-    assert rep.counts == [20, 40, 80, 150]
+    rep = zero_level_curve(sigma, heldout_count=40, heldout_seed=7)
+    assert rep.counts == [18, 37, 75, 150]  # n // 8, n // 4, n // 2, n
     assert rep.monotone
     assert rep.worst_ratio <= 5.0
     assert np.all(rep.F_full <= 1e-12)
-    with pytest.raises(ValueError):
-        zero_level_curve(sigma, counts=(20, 200))
+    # each count is at least 2 but never past the sample
+    assert [zero_level_curve(sigma.prefix(n), heldout_count=10).counts
+            for n in (1, 3)] == [[1], [2, 3]]
 
 
 def test_zero_level_curve_equals_full_table(sigma, monkeypatch):
@@ -341,19 +342,18 @@ def test_zero_level_curve_equals_full_table(sigma, monkeypatch):
         fwd, rev = full_gauges(zh, sigma.z, cone)
         g = sigma.s[None, :] + fwd
         at = _at(sigma, cone)
-        for counts in ((20, 40, 80, 150), (10, 75)):
-            solved.clear()
-            rep = zero_level_curve(at, counts=counts,
-                                   heldout_count=40, heldout_seed=7)
-            assert rep.max_abs_F == [float(np.max(np.abs(sh - g[:, :c].min(1))))
-                                     for c in counts]
-            assert rep.F_full.tobytes() == (sh - g.min(axis=1)).tobytes()
-            assert rep.nn_bound.tobytes() == np.min(fwd + rev, 1).tobytes()
-            # one pruned minimum per count, one for F_full past the last
-            # count, one for nn_bound: together fewer rows than one table
-            assert len(solved) == len(counts) + (counts[-1] < 150) + 1
-            assert sum(solved) < fwd.size
-            assert solved[-1] < 0.3 * fwd.size
+        solved.clear()
+        rep = zero_level_curve(at, heldout_count=40, heldout_seed=7)
+        assert rep.counts == [18, 37, 75, 150]
+        assert rep.max_abs_F == [float(np.max(np.abs(sh - g[:, :c].min(1))))
+                                 for c in rep.counts]
+        assert rep.F_full.tobytes() == (sh - g.min(axis=1)).tobytes()
+        assert rep.nn_bound.tobytes() == np.min(fwd + rev, 1).tobytes()
+        # one pruned minimum per count (the last one gives F_full), one for
+        # nn_bound: together fewer rows than one table
+        assert len(solved) == len(rep.counts) + 1
+        assert sum(solved) < fwd.size
+        assert solved[-1] < 0.3 * fwd.size
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
@@ -379,14 +379,15 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
         scaled = SigmaSample(sigma.sources, scale * sigma.z, scale * sigma.s,
                              sigma.seed, cone)
         floors.clear()
-        rep = zero_level_curve(scaled, counts=(150,), heldout_count=60)
+        rep = zero_level_curve(scaled, heldout_count=60)
         fwd, rev = full_gauges(z, scaled.z, cone)
         pts, rows = scaled.bounds, _PairBounds(symspace.embed_traceless(z))
         k = _kappa(cone) * SQ
         assert np.all(scaled.s + (pts.lower(rows) * k).T <= scaled.s + fwd)
         assert np.all(rows.lower(pts) * k + (pts.lower(rows) * k).T
                       <= fwd + rev)
-        g_floor, nn_floor = floors  # certified: allowance folded in
+        # the whole sample's and nn_bound's, certified: allowance folded in
+        g_floor, nn_floor = floors[-2:]
         assert np.all(g_floor <= scaled.s + fwd)
         assert np.all(nn_floor <= fwd + rev)
         assert rep.nn_bound.tobytes() == np.min(fwd + rev, 1).tobytes()
@@ -435,7 +436,7 @@ def test_monotonicity_sweep_small(op):
 
 
 def test_viscosity_probe_small(op):
-    rep = viscosity_probe(op, 12, 7, verification_count=3000)
+    rep = viscosity_probe(op, 12, 7)
     assert rep.passed, rep
     assert rep.minorant_violations == 0
     assert rep.majorant_violations == 0
@@ -457,9 +458,9 @@ class _RecordingOperator:
 
 
 def test_viscosity_lifts_match_per_trial_reference(sigma):
-    trials, seed, count = 12, 7, 3000
+    trials, seed, count = 12, 7, VERIFICATION_COUNT
     stub = _RecordingOperator(sigma)
-    viscosity_probe(stub, trials, seed, verification_count=count)
+    viscosity_probe(stub, trials, seed)
     minorants, majorants = stub.seen
 
     # the same draws as viscosity_probe, in its order
