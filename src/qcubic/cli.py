@@ -33,7 +33,7 @@ from .eigen import jacobi_eigh
 from .elliptic import (build_sigma, OperatorF, zero_level_curve,
                        ellipticity_probe, monotonicity_sweep, viscosity_probe,
                        operator_cone, load_cache, CacheError, GraphError,
-                       LAMBDA_POLICIES, MINORANT_MARGIN, PAPER_LAM)
+                       LAMBDA_POLICIES, MINORANT_MARGIN, PAPER_CHAIN_BOUND)
 from .hessian import (hess_w, grad_w, eval_w, witness_worst,
                       third_derivative_sweep, ratio_bound_estimate,
                       pair_ratio_sweep, RATIO_BOUND, THIRD_DERIVATIVE_BOUND)
@@ -93,7 +93,7 @@ _UNCOMMENTED = re.compile(r"""(?:[^#"']|"[^"]*"?|'[^']*'?)*""")
 
 
 def parse_config_file(path: str) -> dict:
-    """key = value lines; '#' outside quotes starts a comment; ints/floats
+    """key = value lines; '#' outside quotes starts a comment; ints
     coerced."""
     out = {}
     with open(path) as fh:
@@ -108,10 +108,7 @@ def parse_config_file(path: str) -> dict:
             try:
                 out[key] = int(val)
             except ValueError:
-                try:
-                    out[key] = float(val)
-                except ValueError:
-                    out[key] = val.strip("\"'")
+                out[key] = val.strip("\"'")
     return out
 
 
@@ -274,7 +271,7 @@ def hessian_suite(cfg: RunConfig) -> dict:
     aa = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 301), sample_pairs)
     bb = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 302), sample_pairs)
     keep = np.linalg.norm(aa - bb, axis=1) >= 1e-9
-    hist, _ = np.histogram(pair_ratio_sweep(aa[keep], bb[keep])[:, 2], bins=edges)
+    hist, _ = np.histogram(pair_ratio_sweep(aa[keep], bb[keep]), bins=edges)
     return _suite_report(
         "hessian", cfg, checks,
         {"M_hat": m_hat, "ratio_min": r_min, "ratio_max": r_max,
@@ -293,7 +290,7 @@ def _pinch(cfg: RunConfig):
     _, r_min, r_max = ratio_bound_estimate(
         rng_for(cfg.seed, STREAM_HESSIAN), cfg.ratio_pairs)
     anti = unit_sphere(rng_for(cfg.seed, STREAM_HESSIAN + 300), 500)
-    ratios = pair_ratio_sweep(anti, -anti)[:, 2]
+    ratios = pair_ratio_sweep(anti, -anti)
     r_min = min(r_min, float(ratios.min()))
     r_max = max(r_max, float(ratios.max()))
     return max(r_max, 1.0 / r_min), r_min, r_max
@@ -350,7 +347,7 @@ def operator_suite(cfg: RunConfig) -> dict:
         "operator", cfg, checks,
         {"lambda_used": sigma.cone.lam, "M_hat": m_hat,
          "Lambda_hat": er.slope_max,
-         "Lambda_paper_chain": er.paper_chain_bound,
+         "Lambda_paper_chain": PAPER_CHAIN_BOUND,
          "maxF_curve": {"counts": zl.counts, "max_abs_F": zl.max_abs_F}},
         extra={"counts": {"sigma": cfg.sigma_count,
                           "heldout": cfg.heldout_count}})
@@ -358,14 +355,10 @@ def operator_suite(cfg: RunConfig) -> dict:
 
 def viscosity_suite(cfg: RunConfig) -> dict:
     cache = os.path.join(cfg.out, "sigma.cache")
-    sigma = (load_cache(cache) if os.path.exists(cache)
-             else _run_sample(cfg)[1])
-    # a cache serves only the run it was built for; the exact empirical lam
-    # is not recomputed, as that would cost a pinch on every run
-    built = (sigma.seed, sigma.count, bool(sigma.cone.lam == PAPER_LAM))
-    if built != (cfg.seed, cfg.sigma_count, cfg.lambda_policy == "paper"):
-        raise CacheError("%s was built for (seed, sigma_count, paper "
-                         "aperture) %r, not for this run's" % (cache, built))
+    # the exact empirical lam of a cache is not recomputed, as that would
+    # cost a pinch on every run
+    sigma = (load_cache(cache, cfg.seed, cfg.sigma_count, cfg.lambda_policy)
+             if os.path.exists(cache) else _run_sample(cfg)[1])
     vr = viscosity_probe(OperatorF(sigma), cfg.viscosity_trials, cfg.seed)
     checks = [
         _check("minorants", vr.minorant_violations == 0,

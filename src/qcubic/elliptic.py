@@ -42,8 +42,12 @@ MINORANT_MARGIN = 1e-6
 VISCOSITY_TOL = 1e-6  # minorants pass at F <= tol, majorants at F >= -tol
 VERIFICATION_COUNT = 10_000  # sphere points viscosity_probe sizes lifts on
 CACHE_MAGIC = "qcubic-sigma-cache"
-CACHE_VERSION = 2
+# the file stores build_sigma's inputs, not its draw: change the version
+# whenever build_sigma draws another sample from the same seed and count
+CACHE_VERSION = 3
 PAPER_LAM = 11.0 * RATIO_BOUND  # the paper's operator aperture
+# the paper's ellipticity chain 4 lam^2 sqrt(12) at that aperture
+PAPER_CHAIN_BOUND = float(4 * PAPER_LAM**2 * np.sqrt(12.0))
 LAMBDA_POLICIES = ("paper", "empirical")  # operator_cone's policy names
 
 
@@ -145,29 +149,27 @@ def validate_graph(sigma: SigmaSample) -> None:
 
 
 def save_cache(sigma: SigmaSample, path: str) -> None:
-    """Write the sample's inputs as versioned CSV, atomically (temp + rename):
-    a header with seed, count and aperture lam, then the 12 coordinates of
-    each source vector.  The Hessian coordinates are not stored."""
+    """Write the recipe of a sample build_sigma drew, atomically (temp +
+    rename): a versioned header line, then its seed, count and aperture
+    lam.  load_cache redraws the sample from them."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write("# %s v%d\n" % (CACHE_MAGIC, CACHE_VERSION))
         fh.write("# seed=%d count=%d lam=%s\n"
                  % (sigma.seed, sigma.count, repr(float(sigma.cone.lam))))
-        fh.write("# columns: a[12]\n")
-        for row in sigma.sources:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
     os.replace(tmp, path)
 
 
-def load_cache(path: str) -> SigmaSample:
-    """Read a cached sample and rebuild it through sigma_from_sources.
+def load_cache(path: str, seed: int, count: int, policy: str) -> SigmaSample:
+    """The cached sample of a run with this seed, sample count and lambda
+    policy, redrawn by build_sigma at the cached aperture lam.
 
-    Integrity: header magic/version, an aperture lam that is finite and
-    > 1, row count/width, finite entries; then sigma_from_sources checks
-    the sources are unit length, recomputes their Hessian coordinates and
-    validates the graph invariant at lam.
-    Any failure raises CacheError; no partial sample is ever returned.
+    Before anything is drawn: the header magic, version and fields, an
+    aperture lam that is finite and > 1, and the cache key (seed, count,
+    whether lam is the paper aperture) against the run's -- a cache serves
+    only the run it was built for.  build_sigma then validates the graph
+    invariant at lam.  Any failure raises CacheError; no partial sample is
+    ever returned.
     """
     if not os.path.exists(path):
         raise CacheError("no cache file at %r" % path)
@@ -176,7 +178,7 @@ def load_cache(path: str) -> SigmaSample:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise CacheError("unreadable cache file: %s" % exc) from exc
-    if len(lines) < 4 or not lines[0].startswith("# %s v" % CACHE_MAGIC):
+    if not lines or not lines[0].startswith("# %s v" % CACHE_MAGIC):
         raise CacheError("not a sigma cache file")
     try:
         version = int(lines[0].rsplit("v", 1)[1])
@@ -184,34 +186,23 @@ def load_cache(path: str) -> SigmaSample:
         raise CacheError("bad version line") from exc
     if version != CACHE_VERSION:
         raise CacheError("unsupported cache version %d" % version)
-    meta = {}
-    for tok in lines[1].lstrip("# ").split():
-        key, _, val = tok.partition("=")
-        meta[key] = val
     try:
-        seed = int(meta["seed"])
-        count = int(meta["count"])
+        (line,) = lines[1:]
+        meta = dict(tok.partition("=")[::2]
+                    for tok in line.lstrip("# ").split())
+        built = (int(meta["seed"]), int(meta["count"]))
         lam = float(meta["lam"])
     except (KeyError, ValueError) as exc:
-        raise CacheError("bad metadata line: %r" % lines[1]) from exc
+        raise CacheError("bad metadata line: %r" % lines[1:]) from exc
     if not 1.0 < lam < np.inf:
         raise CacheError("cached sample has no usable aperture: lam=%r" % lam)
-    data = [ln for ln in lines if not ln.startswith("#")]
-    if len(data) != count:
-        raise CacheError("row count %d does not match header count %d"
-                         % (len(data), count))
+    built += (bool(lam == PAPER_LAM),)
+    if built != (seed, count, policy == "paper"):
+        raise CacheError("%s was built for (seed, sigma_count, paper "
+                         "aperture) %r, not for this run's" % (path, built))
     try:
-        rows = np.array([[float(tok) for tok in ln.split(",")]
-                         for ln in data])
-    except ValueError as exc:
-        raise CacheError("unparseable data row") from exc
-    if rows.ndim != 2 or rows.shape[1] != 12:
-        raise CacheError("expected 12 source columns")
-    if not np.all(np.isfinite(rows)):
-        raise CacheError("non-finite entries in cache")
-    try:
-        return sigma_from_sources(rows, ConeParams(lam), seed)
-    except ValueError as exc:  # a non-unit source, or a GraphError
+        return build_sigma(count, seed, ConeParams(lam))
+    except GraphError as exc:
         raise CacheError(str(exc)) from exc
 
 
@@ -373,7 +364,6 @@ class EllipticityReport:
     identity_slope: float
     level_pairs: int
     level_violations: list
-    paper_chain_bound: float   # 4 lam^2 sqrt(12) with the paper aperture
 
 
 def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityReport:
@@ -410,8 +400,7 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
         slope_min=float(np.min(slopes)), slope_max=float(np.max(slopes)),
         identity_slope=idn,
         level_pairs=level_rep.pairs_checked,
-        level_violations=level_rep.violations,
-        paper_chain_bound=float(4 * PAPER_LAM**2 * np.sqrt(12.0)))
+        level_violations=level_rep.violations)
 
 
 def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:

@@ -48,7 +48,7 @@ def test_config_parser(tmp_path):
         fh.write("seed = 9\n# comment\ntolerance = 1e-7\n"
                  "lambda_policy = paper  # trailing\n")
     vals = parse_config_file(path)
-    assert vals == {"seed": 9, "tolerance": 1e-7, "lambda_policy": "paper"}
+    assert vals == {"seed": 9, "tolerance": "1e-7", "lambda_policy": "paper"}
 
 
 def test_config_hash_inside_quotes_is_kept(tmp_path):
@@ -94,7 +94,12 @@ def test_mistyped_config_value_exits_2(tmp_path, line, capsys):
         fh.write(line + "\n")
     out = os.path.join(tmp_path, "out")
     assert main(["verify-spectral", "--config", path, "--out", out]) == 2
-    assert line.split()[0] in capsys.readouterr().err
+    key, _, val = line.partition(" = ")
+    # a value int() cannot parse stays the string it was written as
+    assert capsys.readouterr().err == (
+        "qcubic: config: %s must be of type %s, got %s\n"
+        % (key, type(getattr(RunConfig(), key)).__name__,
+           {"3": "3"}.get(val, repr(val))))
     assert not os.path.exists(out)
 
 
@@ -227,7 +232,7 @@ def built_cache(tmp_path_factory):
     lambda t: re.sub(r" lam=\S+", "", t),
     # an aperture the sample violates (pair (1, 57))
     lambda t: re.sub(r"lam=\S+", "lam=1.5", t),
-    lambda t: t.replace(" v2\n", " v1\n"),
+    lambda t: t.replace(" v3\n", " v1\n"),
 ], ids=["count", "lam-nan", "lam-inf", "lam-1", "lam-missing", "lam-low",
         "v1"])
 def test_corrupt_cache_exits_2(tmp_path, built_cache, mangle, capsys):
@@ -286,21 +291,29 @@ def test_negative_seed_exits_2(tmp_path, cmd, line, flags, capsys):
     assert not os.path.exists(out)
 
 
-def test_near_unit_cache_source_runs_like_clean(tmp_path):
-    # a source within load_cache's 1e-9 norm tolerance is accepted by the
-    # cache and by everything downstream of it
-    code, out = _run(tmp_path, "build-operator")
-    assert code == 0
-    clean, _ = _run(tmp_path, "viscosity-test")
+def test_row_format_cache_exits_2(tmp_path, built_cache, capsys):
+    # a v2 cache (header, column line, one row per source vector) is
+    # refused by its version and left as it was, for build-operator to
+    # rebuild
+    out = os.path.join(tmp_path, "out")
+    os.makedirs(out)
     path = os.path.join(out, "sigma.cache")
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    row = lines[3].split(",")
-    row[:12] = [repr(float(v) * (1.0 + 5e-10)) for v in row[:12]]
-    lines[3] = ",".join(row)
+    rows = ",".join(["0.5"] * 4 + ["0.0"] * 8) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-    assert _run(tmp_path, "viscosity-test")[0] == clean == 0
+        fh.write(built_cache.replace(" v3\n", " v2\n")
+                 + "# columns: a[12]\n" + rows * 60)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    stamp = os.stat(path).st_mtime_ns
+    capsys.readouterr()
+    code, _ = _run(tmp_path, "viscosity-test")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "qcubic viscosity-test: unsupported cache version 2\n")
+    assert not os.path.exists(os.path.join(out, "viscosity.json"))
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.stat(path).st_mtime_ns == stamp
 
 
 def test_band_report_path_runs_reference_solver(tmp_path, monkeypatch):

@@ -257,8 +257,8 @@ def _calls_by_scope(tree, name):
 def test_source_scan_one_eigensolver_module_one_prune_width():
     # numpy's (or any) linalg eigensolver is called only in eigen.py, the
     # pruned minimum's first-round width is assigned in one module, the
-    # paper aperture is written out once, and a graph sample is built in
-    # one place and cached as its sources only
+    # paper aperture is written out once, and a graph sample is drawn in
+    # one place and cached as its recipe only
     src = pathlib.Path(eigen_mod.__file__).parent
     texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     eig = re.compile(r"linalg\s*\.\s*eig|getattr\(\s*np\.linalg"
@@ -280,15 +280,19 @@ def test_source_scan_one_eigensolver_module_one_prune_width():
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "save_cache")
     body = ast.get_source_segment(texts["elliptic.py"], save)
-    assert "sigma.sources" in body
-    assert not re.search(r"sigma\.(z|s)\b|z\[77\]", body)
+    assert not re.search(r"sigma\.(sources|z|s)\b|z\[77\]", body)
+    assert {(name, scope) for name, tree in trees.items()
+            for scope in _scopes_of(tree, lambda node: (
+                isinstance(node, ast.Name) and node.id == "STREAM_SIGMA"
+                and isinstance(node.ctx, ast.Load)))} == {
+        ("elliptic.py", "build_sigma")}
 
 
 def test_source_scan_one_run_sample_recipe():
     # the CLI decides a run's graph sample and its aperture in one helper:
-    # only it builds a sample, the aperture is formed there and for the
-    # paper-aperture cone check, and the pinch reads its pair count from
-    # the config alone
+    # only it builds a sample (load_cache redraws a cached one), the
+    # aperture is formed there and for the paper-aperture cone check, and
+    # the pinch reads its pair count from the config alone
     src = pathlib.Path(eigen_mod.__file__).parent
     texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     trees = {name: ast.parse(t) for name, t in texts.items()}
@@ -297,7 +301,8 @@ def test_source_scan_one_run_sample_recipe():
         return sorted((mod, scope) for mod, tree in trees.items()
                       for scope in _calls_by_scope(tree, name))
 
-    assert calls("build_sigma") == [("cli.py", "_run_sample")]
+    assert calls("build_sigma") == [("cli.py", "_run_sample"),
+                                    ("elliptic.py", "load_cache")]
     assert not [name for name, t in texts.items() if "_policy_cone" in t]
     assert calls("operator_cone") == [("cli.py", "_run_sample"),
                                       ("cli.py", "operator_suite")]

@@ -16,7 +16,7 @@ from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              g_tilde, operator_cone, zero_level_curve,
                              ellipticity_probe, monotonicity_sweep,
                              viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
-                             VERIFICATION_COUNT,
+                             PAPER_CHAIN_BOUND, VERIFICATION_COUNT,
                              _random_psd, _random_sym)
 from qcubic.hessian import RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
@@ -144,17 +144,21 @@ def test_validate_graph_flags_planted_violation(sigma, monkeypatch):
     assert sum(rows) < 0.01 * sigma.count * (sigma.count - 1) // 2
 
 
-def test_cache_roundtrip_exact(tmp_path, sigma):
+def _cached(tmp_path, sigma):
     path = os.path.join(tmp_path, "sigma.cache")
     save_cache(sigma, path)
-    back = load_cache(path)
-    # the file holds only the inputs: 3 header lines, one 12-field row each
+    return path
+
+
+def test_cache_roundtrip_exact(tmp_path, sigma):
+    path = _cached(tmp_path, sigma)
+    back = load_cache(path, 5, 150, "empirical")
+    # the file holds only the recipe: two header lines, no data row
     with open(path) as fh:
         lines = fh.read().splitlines()
-    assert len(lines) == 3 + sigma.count
-    assert all(ln.startswith("#") for ln in lines[:3])
-    assert all(len(ln.split(",")) == 12 for ln in lines[3:])
-    # z and s are recomputed on load, bitwise the built sample's
+    assert lines == ["# qcubic-sigma-cache v3",
+                     "# seed=5 count=150 lam=%r" % CONE.lam]
+    # the sample is redrawn, bitwise the built one
     assert np.array_equal(back.sources, sigma.sources)
     assert np.array_equal(back.z, sigma.z)
     assert np.array_equal(back.s, sigma.s)
@@ -162,11 +166,18 @@ def test_cache_roundtrip_exact(tmp_path, sigma):
     assert back.cone == sigma.cone
 
 
+def test_paper_cache_roundtrip(tmp_path):
+    sig = build_sigma(30, 3, operator_cone("paper"))
+    back = load_cache(_cached(tmp_path, sig), 3, 30, "paper")
+    assert np.array_equal(back.sources, sig.sources)
+    assert back.cone == sig.cone
+
+
 @pytest.mark.parametrize("mangle", [
     lambda t: t.replace("qcubic-sigma-cache", "qcubic-sigma-cashe"),
     lambda t: t.replace("count=150", "count=149"),
-    lambda t: t.replace(" v2\n", " v1\n"),  # a cache of the old format
-    lambda t: "\n".join(t.split("\n")[:-10]),
+    lambda t: t.replace(" v3\n", " v2\n"),  # a cache of the row format
+    lambda t: t.split("\n")[0] + "\n",  # no metadata line
     # the header's aperture: missing, non-finite, or not above 1
     lambda t: re.sub(r"lam=\S+", "lam=nan", t),
     lambda t: re.sub(r"lam=\S+", "lam=inf", t),
@@ -174,47 +185,54 @@ def test_cache_roundtrip_exact(tmp_path, sigma):
     lambda t: re.sub(r" lam=\S+", "", t),
     # an aperture the sample violates (pair (0, 52))
     lambda t: re.sub(r"lam=\S+", "lam=1.5", t),
+    lambda t: t + "0.5,0.5\n",  # a data row
 ])
 def test_cache_corruption_detected(tmp_path, sigma, mangle):
-    path = os.path.join(tmp_path, "sigma.cache")
-    save_cache(sigma, path)
+    path = _cached(tmp_path, sigma)
     with open(path) as fh:
         text = fh.read()
     with open(path, "w") as fh:
         fh.write(mangle(text))
     with pytest.raises(CacheError):
-        load_cache(path)
+        load_cache(path, 5, 150, "empirical")
 
 
-def test_cache_value_tamper_detected(tmp_path, sigma):
-    path = os.path.join(tmp_path, "sigma.cache")
-    save_cache(sigma, path)
+@pytest.mark.parametrize("header, key", [
+    ("seed=5 count=150", (6, 150, "empirical")),
+    ("seed=5 count=150", (5, 151, "empirical")),
+    ("seed=5 count=150", (5, 150, "paper")),
+    ("seed=5 count=%d" % 10**12, (5, 150, "empirical")),
+], ids=["seed", "count", "policy", "huge-count"])
+def test_foreign_cache_key_refused_before_any_draw(tmp_path, sigma, header,
+                                                   key, monkeypatch):
+    path = _cached(tmp_path, sigma)
     with open(path) as fh:
-        lines = fh.read().split("\n")
-    row = lines[4].split(",")
-    row[0] = repr(float(row[0]) + 1e-3)   # nudge a source coordinate
-    lines[4] = ",".join(row)
+        text = fh.read()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-    with pytest.raises(CacheError):
-        load_cache(path)
+        fh.write(text.replace("seed=5 count=150", header))
+    drawn = []
+    for name in ("build_sigma", "validate_graph", "unit_sphere"):
+        monkeypatch.setattr(elliptic, name, lambda *args, _name=name, **kw:
+                            drawn.append(_name))
+    with pytest.raises(CacheError, match="not for this run's"):
+        load_cache(path, *key)
+    assert drawn == []
 
 
-def test_cache_unit_tolerance_decides(tmp_path, sigma):
-    # sigma_from_sources' norm check is the only unit check on a cache: a
-    # source within its 1e-9 tolerance loads (the Hessian coordinates are
-    # 0-homogeneous, so the graph is unchanged), one beyond it is rejected
-    path = os.path.join(tmp_path, "sigma.cache")
+def test_cache_unit_tolerance_decides(sigma):
+    # no cache holds a source vector any more, so the unit check is
+    # sigma_from_sources' alone: a source within its 1e-9 norm tolerance
+    # loads (the Hessian coordinates are 0-homogeneous, so the graph is
+    # unchanged), one beyond it is rejected
     for scale, loads in ((1.0 + 5e-10, True), (1.0 + 2e-9, False)):
         sources = sigma.sources.copy()
         sources[3] *= scale
-        save_cache(SigmaSample(sources, sigma.z, sigma.s, sigma.seed,
-                               sigma.cone), path)
         if loads:
-            assert np.array_equal(load_cache(path).sources, sources)
+            back = sigma_from_sources(sources, sigma.cone, sigma.seed)
+            assert np.array_equal(back.sources, sources)
         else:
-            with pytest.raises(CacheError, match="unit length"):
-                load_cache(path)
+            with pytest.raises(ValueError, match="unit length"):
+                sigma_from_sources(sources, sigma.cone, sigma.seed)
 
 
 # --- extension and operator ---------------------------------------------------
@@ -426,7 +444,7 @@ def test_ellipticity_probe_small(op):
     # difference quotient at t = 1e-3 is off only by rounding in the F values
     assert rep.identity_slope == pytest.approx(SQ, abs=1e-10)
     assert rep.slope_min >= -1e-9
-    assert rep.slope_max <= rep.paper_chain_bound
+    assert rep.slope_max <= PAPER_CHAIN_BOUND
     assert rep.level_violations == []
 
 

@@ -154,12 +154,10 @@ def test_hess_w_batch_matches_single():
 def test_pair_spectrum_matches_ratio_sweep():
     a = _units(71, 3)
     b = _units(81, 3)
-    rows = pair_ratio_sweep(a, b)
+    r = pair_ratio_sweep(a, b)
     for k in range(3):
         vals, _ = jacobi_eigh(hess_w(a[k]) - hess_w(b[k]))
-        assert abs(vals[0] - rows[k, 0]) < 1e-10
-        assert abs(vals[-1] - rows[k, 1]) < 1e-10
-        assert abs(-vals[0] / vals[-1] - rows[k, 2]) < 1e-10
+        assert abs(-vals[0] / vals[-1] - r[k]) < 1e-10
 
 
 def test_witness_pair_properties():
@@ -282,7 +280,7 @@ def test_witness_floor_is_below_the_slack():
 
 def test_pinch_bounds_hold():
     for name, (x, y) in _pair_cases().items():
-        r = pair_ratio_sweep(x, y)[:, 2]
+        r = pair_ratio_sweep(x, y)
         r_lo, r_hi, rel = pinch_bounds(x, y)
         assert np.all(np.isfinite(rel)), name
         assert np.all(r_lo - rel * (1.0 + r_lo) <= r), name
@@ -326,10 +324,9 @@ def test_witness_slope_constant():
 
 def test_antipodal_pair_is_doubled_hessian():
     a = _units(76, 3)
-    d = pair_ratio_sweep(a, -a)
+    r = pair_ratio_sweep(a, -a)
     vals = np.linalg.eigvalsh(2.0 * hess_w(a))
-    assert np.max(np.abs(d[:, 0] - vals[:, -1])) < 1e-10
-    assert np.max(np.abs(d[:, 1] - vals[:, 0])) < 1e-10
+    assert np.max(np.abs(r + vals[:, -1] / vals[:, 0])) < 1e-10
 
 
 def test_third_derivative_sweep_bounded():
@@ -342,7 +339,7 @@ def _full_pinch(seed, pairs):
     """The unpruned extremes: pair_ratio_sweep over every pair."""
     r_min, r_max = np.inf, 0.0
     for a, b in unit_pairs(rng_for(seed, STREAM_HESSIAN), pairs, 1e-9):
-        r = pair_ratio_sweep(a, b)[:, 2]
+        r = pair_ratio_sweep(a, b)
         r_min, r_max = min(r_min, float(r.min())), max(r_max, float(r.max()))
     return max(r_max, 1.0 / r_min), r_min, r_max
 
@@ -362,8 +359,8 @@ def test_ratio_bound_estimate_second_round_reaches_planted_extremes(
         monkeypatch):
     a, b = next(unit_pairs(rng_for(42, STREAM_HESSIAN), 1000, 1e-9))
     pa, pb = next(unit_pairs(rng_for(43, STREAM_HESSIAN), PAIR_CHUNK, 1e-9))
-    pool = pair_ratio_sweep(pa, pb)[:, 2]
-    r = pair_ratio_sweep(a, b)[:, 2]
+    pool = pair_ratio_sweep(pa, pb)
+    r = pair_ratio_sweep(a, b)
     top, bottom = int(np.argmax(pool)), int(np.argmin(pool))
     assert pool[top] > r.max() and pool[bottom] < r.min()
     a[[100, 200]], b[[100, 200]] = pa[[top, bottom]], pb[[top, bottom]]
