@@ -30,10 +30,10 @@ from .cubic import (spectrum_sweep, strata_directions, q_matrix, perp_sweep,
                     cubic_roots_check, cor4_check, invariants_mn, band_slack,
                     charpoly_identity, SLACK_TOL)
 from .eigen import jacobi_eigh
-from .elliptic import (build_sigma, OperatorF, zero_level_curve,
-                       ellipticity_probe, monotonicity_sweep, viscosity_probe,
-                       operator_cone, load_cache, CacheError, GraphError,
-                       LAMBDA_POLICIES, MINORANT_MARGIN, PAPER_CHAIN_BOUND)
+from .elliptic import (build_sigma, zero_level_curve, ellipticity_probe,
+                       monotonicity_sweep, viscosity_probe, operator_cone,
+                       load_cache, CacheError, GraphError, LAMBDA_POLICIES,
+                       MINORANT_MARGIN, PAPER_CHAIN_BOUND)
 from .hessian import (hess_w, grad_w, eval_w, witness_worst,
                       third_derivative_sweep, ratio_bound_estimate,
                       pair_ratio_sweep, RATIO_BOUND, THIRD_DERIVATIVE_BOUND)
@@ -132,13 +132,15 @@ def load_config(args) -> RunConfig:
 # serialization helpers
 
 
-def _write_json(path: str, obj) -> None:
-    # every non-JSON value a suite reports is an ndarray or numpy scalar
-    text = json.dumps(obj, sort_keys=True, indent=2,
-                      default=lambda a: a.tolist())
+def _write(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
-        fh.write("\n")
+
+
+def _write_json(path: str, obj) -> None:
+    # every non-JSON value a suite reports is an ndarray or numpy scalar
+    _write(path, json.dumps(obj, sort_keys=True, indent=2,
+                            default=lambda a: a.tolist()) + "\n")
 
 
 def _check(name: str, passed: bool, worst, witness=None) -> dict:
@@ -317,15 +319,13 @@ def operator_suite(cfg: RunConfig) -> dict:
                               "violations": len(rep.violations)},
                              witness={"pairs": rep.violations[:8]}))
 
-    zl = zero_level_curve(sigma, heldout_count=cfg.heldout_count,
-                          heldout_seed=cfg.heldout_seed)
+    zl = zero_level_curve(sigma, cfg.heldout_count, cfg.heldout_seed)
     checks.append(_check("zero_level_bound", zl.worst_ratio <= 5.0,
                          zl.worst_ratio,
                          witness={"index": int(np.argmax(np.abs(zl.F_full) / zl.nn_bound))}))
     checks.append(_check("zero_level_monotone", zl.monotone, zl.max_abs_F))
 
-    op = OperatorF(sigma)
-    er = ellipticity_probe(op, cfg.elliptic_trials, cfg.seed)
+    er = ellipticity_probe(sigma, cfg.elliptic_trials, cfg.seed)
     checks.append(_check("ellipticity_slopes", er.slope_min >= -1e-9,
                          {"slope_min": er.slope_min, "slope_max": er.slope_max,
                           "identity_slope": er.identity_slope}))
@@ -334,11 +334,11 @@ def operator_suite(cfg: RunConfig) -> dict:
                           "violations": len(er.level_violations)},
                          witness={"pairs": er.level_violations[:8]}))
 
-    mono_worst = monotonicity_sweep(op, cfg.monotonicity_trials, cfg.seed + 1)
+    mono_worst = monotonicity_sweep(sigma, cfg.monotonicity_trials, cfg.seed + 1)
     checks.append(_check("degenerate_ellipticity", mono_worst >= -1e-9,
                          mono_worst))
 
-    vr = viscosity_probe(op, max(2, cfg.viscosity_trials // 5), cfg.seed)
+    vr = viscosity_probe(sigma, max(2, cfg.viscosity_trials // 5), cfg.seed)
     checks.append(_check("viscosity_spot", vr.passed,
                          {"minorant_max_F": vr.minorant_max_F,
                           "majorant_min_F": vr.majorant_min_F}))
@@ -359,7 +359,7 @@ def viscosity_suite(cfg: RunConfig) -> dict:
     # cost a pinch on every run
     sigma = (load_cache(cache, cfg.seed, cfg.sigma_count, cfg.lambda_policy)
              if os.path.exists(cache) else _run_sample(cfg)[1])
-    vr = viscosity_probe(OperatorF(sigma), cfg.viscosity_trials, cfg.seed)
+    vr = viscosity_probe(sigma, cfg.viscosity_trials, cfg.seed)
     checks = [
         _check("minorants", vr.minorant_violations == 0,
                {"max_F": vr.minorant_max_F, "violations": vr.minorant_violations}),
@@ -410,20 +410,55 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+def _csv_text(header: list, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in [header] + [
+        [_cell(v) for v in row] for row in rows])
+
+
+def _hist_rows(hist: dict) -> list:
+    return [(0.5 * (hist["edges"][i] + hist["edges"][i + 1]), hist["counts"][i])
+            for i in range(len(hist["counts"]))]
+
+
+# the CSV table report makes from a suite output: (file, header, rows of it)
+_TABLES = {
+    "spectral": ("eigenvalues.csv",
+                 ["m", "n"] + ["l%d" % (i + 1) for i in range(12)],
+                 lambda rep: rep["eigen_sample"]),
+    "hessian": ("ratio_hist.csv", ["ratio_bin_center", "count"],
+                lambda rep: _hist_rows(rep["ratio_hist"])),
+    "operator": ("maxF_curve.csv", ["sample_count", "max_abs_F"],
+                 lambda rep: zip(rep["constants"]["maxF_curve"]["counts"],
+                                 rep["constants"]["maxF_curve"]["max_abs_F"])),
+}
+
+
+def _file_error(command: str, path: str, exc: Exception) -> int:
+    """One stderr line for an unusable input or output path; exit code 2."""
+    reason = (exc.strerror if isinstance(exc, OSError)
+              else "%s: %s" % (type(exc).__name__, exc))
+    print("qcubic %s: %s: %s" % (command, path, reason), file=sys.stderr)
+    return 2
 
 
 def report_cmd(cfg: RunConfig) -> int:
-    suites = {}
-    for suite in _SUITES.values():
-        path = os.path.join(cfg.out, suite.output + ".json")
-        if os.path.exists(path):
+    # every suite output is read and merged before anything is written
+    suites, constants, tables = {}, {}, {}
+    for s in _SUITES.values():
+        path = os.path.join(cfg.out, s.output + ".json")
+        if not os.path.exists(path):
+            continue
+        try:
             with open(path) as fh:
-                suites[suite.output] = json.load(fh)
+                rep = json.load(fh)
+            suites[s.output] = {"passed": rep["passed"], "checks": [
+                {"name": c["name"], "passed": c["passed"]} for c in rep["checks"]]}
+            constants.update((k, rep["constants"][k]) for k in s.constants)
+            if s.output in _TABLES:
+                name, header, rows = _TABLES[s.output]
+                tables[name] = _csv_text(header, rows(rep))
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            return _file_error("report", path, exc)
     missing = [n for n in ("spectral", "hessian", "operator")
                if n not in suites]
     if missing:
@@ -431,34 +466,17 @@ def report_cmd(cfg: RunConfig) -> int:
               "commands first)" % ", ".join(missing), file=sys.stderr)
         return 2
 
-    constants = {key: suites[s.output]["constants"][key]
-                 for s in _SUITES.values() if s.output in suites
-                 for key in s.constants}
     merged = {
         "schema_version": SCHEMA_VERSION,
         "passed": all(s["passed"] for s in suites.values()),
-        "suites": {k: {"passed": v["passed"],
-                       "checks": [{"name": c["name"], "passed": c["passed"]}
-                                  for c in v["checks"]]}
-                   for k, v in suites.items()},
+        "suites": suites,
         "constants": constants,
     }
     _write_json(os.path.join(cfg.out, "report.json"), merged)
 
-    tables = os.path.join(cfg.out, "tables")
-    os.makedirs(tables, exist_ok=True)
-    sample = suites["spectral"]["eigen_sample"]
-    _write_csv(os.path.join(tables, "eigenvalues.csv"),
-               ["m", "n"] + ["l%d" % (i + 1) for i in range(12)], sample)
-    hist = suites["hessian"]["ratio_hist"]
-    rows = [(0.5 * (hist["edges"][i] + hist["edges"][i + 1]), hist["counts"][i])
-            for i in range(len(hist["counts"]))]
-    _write_csv(os.path.join(tables, "ratio_hist.csv"),
-               ["ratio_bin_center", "count"], rows)
-    curve = constants["maxF_curve"]
-    _write_csv(os.path.join(tables, "maxF_curve.csv"),
-               ["sample_count", "max_abs_F"],
-               zip(curve["counts"], curve["max_abs_F"]))
+    os.makedirs(os.path.join(cfg.out, "tables"), exist_ok=True)
+    for name, text in tables.items():
+        _write(os.path.join(cfg.out, "tables", name), text)
     print("report: %s" % ("PASS" if merged["passed"] else "FAIL"))
     return 0 if merged["passed"] else 1
 
@@ -491,7 +509,10 @@ def main(argv=None) -> int:
         print("qcubic: %s" % exc, file=sys.stderr)
         return 2
 
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        return _file_error(args.command, cfg.out, exc)
     if args.command == "report":
         return report_cmd(cfg)
 

@@ -40,11 +40,12 @@ without solving it: for unit u, v, lambda_max(A - B) >= u.(A - B).u and
 >= v.(A - B).v, and with u the top eigenvector of A and v the bottom one of
 B these read lambda_max(A) - u.B.u and v.A.v - lambda_min(B).  _PairBounds
 caches each matrix's extreme eigenvectors, bounds every pair of two stacks
-with two GEMMs, floors every pair's gauge by the pinch lemma with its
-rounding allowance folded in (pinch), and eigensolves only the pairs no
-floor settles.  Every pruned check forms one floor that arrives
-certified, floor <= entry with rounding included, so _pruned_min and
-breaking_pairs compare floors and nothing else.
+with two GEMMs, and floors every pair's gauge by the pinch lemma with its
+rounding allowance folded in (pinch).  Only the pairs no floor settles are
+eigensolved, all by _pair_spectra, which forms a pair's difference of
+coordinates and solves it.  Every pruned check forms one floor that
+arrives certified, floor <= entry with rounding included, so _pruned_min
+and breaking_pairs compare floors and nothing else.
 """
 
 from __future__ import annotations
@@ -144,23 +145,18 @@ class _PairBounds:
     12x12 matrices.
 
     One eigh of the stack caches each matrix's top and bottom eigenpair.
-    lower(other) is the table of Rayleigh lower bounds on
-    lambda_max(a_i - b_j) over every pair of this stack (a) and other (b,
-    this stack again when None), from two (n, 144) @ (144, m) GEMMs; the
-    bound on lambda_max(b_j - a_i) = -lambda_min(a_i - b_j) is lower() of
-    the reversed pair.  pinch() turns it into certified floors of the
-    gauges, less sqrt(12) _GUARD (|a_i|_F + |b_j|_F).  Every rounding error
-    on either side of a floor -- the cached eigenpairs, the GEMMs, the
-    matrix a pair's difference is formed as, its eigenvalues (backward
-    stable) and the gauge's closed form -- is below 1e3 eps (|a_i|_F +
-    |b_j|_F), eps = 2.2e-16, so the allowance covers it more than four
-    thousand times over and a pair its floor settles is one whose full
-    computation returns the same verdict.
-
-    solve() eigensolves the pairs left open in eigen._row_blocked blocks,
-    whose rows do not depend on the block (tests/test_cones.py), so each
-    solved row, and every verdict, minimum and violation list built from
-    the rows, is bitwise that of a pass over all pairs.
+    lower(b) is the table of Rayleigh lower bounds on lambda_max(a_i - b_j)
+    over every pair of this stack (a) and the stack b (this one again for
+    the pairs within a stack), from two (n, 144) @ (144, m) GEMMs; the
+    bound on lambda_max(b_j - a_i) = -lambda_min(a_i - b_j) is b.lower(a)
+    transposed.  pinch() turns it into certified floors of the gauges, less
+    sqrt(12) _GUARD (|a_i|_F + |b_j|_F).  Every rounding error on either
+    side of a floor -- the cached eigenpairs, the GEMMs, the matrix a
+    pair's difference is formed as, its eigenvalues (backward stable) and
+    the gauge's closed form -- is below 1e3 eps (|a_i|_F + |b_j|_F), eps =
+    2.2e-16, so the allowance covers it more than four thousand times over
+    and a pair its floor settles is one whose full computation returns the
+    same verdict.  The pairs left open are solved by _pair_spectra.
     """
 
     def __init__(self, mats: np.ndarray):
@@ -175,27 +171,33 @@ class _PairBounds:
         self.bottom_outer = (bottom[:, :, None]
                              * bottom[:, None, :]).reshape(n, 144)
 
-    def lower(self, other: "_PairBounds | None" = None) -> np.ndarray:
-        b = self if other is None else other
+    def lower(self, b: "_PairBounds") -> np.ndarray:
         return np.maximum(self.top[:, None] - self.top_outer @ b.flat.T,
                           self.flat @ b.bottom_outer.T - b.bottom[None, :])
 
-    def pinch(self, cone: ConeParams, other: "_PairBounds | None" = None):
+    def pinch(self, cone: ConeParams, b: "_PairBounds") -> np.ndarray:
         """Certified floors of the gauges x(b_j - a_i) at the cone: the
-        pinch-lemma bound kappa sqrt(12) lower(other) less its rounding
+        pinch-lemma bound kappa sqrt(12) lower(b) less its rounding
         allowance sqrt(12) _GUARD (|a_i|_F + |b_j|_F)."""
-        b = self if other is None else other
-        floor = self.lower(other)
+        floor = self.lower(b)
         floor *= _kappa(cone) * _SQRT_N
         floor -= _SQRT_N * _GUARD * (self.norm[:, None] + b.norm[None, :])
         return floor
 
-    @staticmethod
-    def solve(diff, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalue rows of diff(ii, jj), aligned with the index
-        pairs, solved in blocks of eigen.ROW_BLOCK."""
-        return _row_blocked(lambda i, j: eigvalsh_asc(diff(i, j)))(
-            ii, jj)
+
+def _pair_spectra(za: np.ndarray, zb: np.ndarray, ii: np.ndarray,
+                  jj: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalue rows of embed(za[ii] - zb[jj]), aligned with
+    the index pairs: the one place a pair's difference is formed and
+    solved.
+
+    Only the index arrays are cut into eigen._row_blocked blocks, and each
+    row does not depend on its block (tests/test_cones.py), so each solved
+    row, and every verdict, minimum and violation list built from the rows,
+    is bitwise that of a pass over all pairs.
+    """
+    return _row_blocked(lambda i, j: eigvalsh_asc(
+        symspace.embed_traceless(za[i] - zb[j])))(ii, jj)
 
 
 def _pruned_min(floor: np.ndarray, solve) -> np.ndarray:
@@ -208,7 +210,7 @@ def _pruned_min(floor: np.ndarray, solve) -> np.ndarray:
     when there is none); a third could only open entries the second
     solved.  An unsolved entry cannot be a minimum and min is exact, so
     when solve returns each entry bitwise as a full pass does
-    (_PairBounds.solve), the minima are bitwise the full table's.
+    (_pair_spectra), the minima are bitwise the full table's.
     """
     n_eval, n = floor.shape
     k = min(_PRUNE_CANDIDATES, n)
@@ -248,12 +250,11 @@ def breaking_pairs(bounds: _PairBounds, z: np.ndarray, s: np.ndarray,
     eigensolved, in pair order and on bitwise the spectra a full pass
     computes; x(-dz) is read from the negated, reversed spectrum of dz.
     """
-    floor = bounds.pinch(cone)
+    floor = bounds.pinch(cone, bounds)
     ii, jj = np.nonzero(np.triu(
         breaks(s[:, None] - s[None, :], floor.T, floor), 1))
     del floor
-    mu = bounds.solve(
-        lambda i, j: symspace.embed_traceless(z[i] - z[j]), ii, jj)
+    mu = _pair_spectra(z, z, ii, jj)
     bad = breaks(s[ii] - s[jj], _gauge(mu, cone), _gauge(-mu[:, ::-1], cone))
     return ii[bad], jj[bad]
 

@@ -284,7 +284,7 @@ def cor4_check(u, v):
     return diff - scale * ext[..., 2], scale * ext[..., 1] - diff
 
 
-def strata_directions(rng: np.random.Generator, count_each: int = 50) -> np.ndarray:
+def strata_directions(rng: np.random.Generator, count_each: int) -> np.ndarray:
     """Targeted direction samples on the degenerate strata.
 
     * m = 0: one block zero, the others filling the norm budget;

@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from . import symspace
-from .cones import (_GUARD, ConeParams, _PairBounds, _gauge, _pruned_min,
-                    breaking_pairs, cone_condition)
+from .cones import (_GUARD, ConeParams, _PairBounds, _gauge, _pair_spectra,
+                    _pruned_min, breaking_pairs, cone_condition)
 from .hessian import RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY)
@@ -63,7 +63,7 @@ class GraphError(ValueError):
 class SigmaSample:
     """Sampled graph points: source unit vectors a_i, the coordinates
     (z_i, s_i) of their Hessians, and the cone whose graph invariant they
-    were validated against; g_tilde and every probe work at that cone.
+    were validated against; F, g_tilde and every probe work at that cone.
     Built by sigma_from_sources, or as a prefix of a sample it built."""
 
     sources: np.ndarray
@@ -81,6 +81,13 @@ class SigmaSample:
         """Extreme eigenpairs of the sample's traceless parts, built once
         and shared by validate_graph and every g_tilde call."""
         return _PairBounds(symspace.embed_traceless(self.z))
+
+    def F(self, mats: np.ndarray) -> np.ndarray:
+        """F(A) = s(A) - g_tilde(z(A)) at the sample's cone, row by row;
+        zero on the sampled graph, monotone under psd increments, Lipschitz
+        in the trace norm."""
+        z, s = symspace.to_coords(np.asarray(mats, dtype=float))
+        return s - g_tilde(z, self)
 
     def prefix(self, count: int) -> "SigmaSample":
         if not 1 <= count <= self.count:
@@ -211,9 +218,8 @@ def load_cache(path: str, seed: int, count: int, policy: str) -> SigmaSample:
 
 
 def _extension_parts(z: np.ndarray, sigma: SigmaSample):
-    """The evaluation rows' _PairBounds, the ascending spectra of
-    embed(z_e - z_i) for index arrays (e, i), and the certified floor and
-    the solve (cones._pruned_min) of the table s_i + x(z_e - z_i), x at
+    """The evaluation rows' _PairBounds, and the certified floor and the
+    solve (cones._pruned_min) of the table s_i + x(z_e - z_i), x at
     sigma's cone.
 
     By the pinch lemma (cones), x(z - z_i) >= kappa sqrt(12)
@@ -222,23 +228,19 @@ def _extension_parts(z: np.ndarray, sigma: SigmaSample):
     included.  The s-term's own allowance _GUARD |s_i| covers the rounding
     of the sum.
     """
-    def spectra(e, i):
-        return _PairBounds.solve(
-            lambda a, b: symspace.embed_traceless(z[a] - sigma.z[b]), e, i)
-
     pts, cone = sigma.bounds, sigma.cone
     rows = _PairBounds(symspace.embed_traceless(z))
     floor = sigma.s[None, :] + pts.pinch(cone, rows).T
     floor -= _GUARD * np.abs(sigma.s)[None, :]
-    return (rows, spectra, floor,
-            lambda e, i: sigma.s[i] + _gauge(spectra(e, i), cone))
+    return rows, floor, lambda e, i: sigma.s[i] + _gauge(
+        _pair_spectra(z, sigma.z, e, i), cone)
 
 
 def g_tilde(z: np.ndarray, sigma: SigmaSample):
-    """Minimal cone-Lipschitz extension min_i (s_i + x(z - z_i)), with x
-    the support gauge of sigma's cone.
+    """Minimal cone-Lipschitz extension min_i (s_i + x(z - z_i)) at each
+    row of the stack z, with x the support gauge of sigma's cone.
 
-    Accepts one 77-vector or a stack; two-sided bound
+    Two-sided bound
     -x(z2 - z1) <= g_tilde(z1) - g_tilde(z2) <= x(z1 - z2) holds for any
     point set by subadditivity of x.
 
@@ -246,23 +248,8 @@ def g_tilde(z: np.ndarray, sigma: SigmaSample):
     (_extension_parts), so the minimum is pruned (cones._pruned_min): few pairs
     are solved, and the result is bitwise that of the full gauge table.
     """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    zz = z[None, :] if single else z
-    best = _pruned_min(*_extension_parts(zz, sigma)[2:])
-    return float(best[0]) if single else best
-
-
-@dataclass(frozen=True)
-class OperatorF:
-    """F(A) = s(A) - g_tilde(z(A)) at the sample's cone; zero on the sampled
-    graph, monotone under psd increments, Lipschitz in the trace norm."""
-
-    sigma: SigmaSample
-
-    def value(self, mats: np.ndarray) -> np.ndarray:
-        z, s = symspace.to_coords(np.asarray(mats, dtype=float))
-        return s - g_tilde(z, self.sigma)
+    return _pruned_min(*_extension_parts(np.asarray(z, dtype=float),
+                                         sigma)[1:])
 
 
 def operator_cone(policy: str, ratio_hat: float | None = None) -> ConeParams:
@@ -299,8 +286,8 @@ class ZeroLevelReport:
                    for a, b in zip(self.max_abs_F, self.max_abs_F[1:]))
 
 
-def zero_level_curve(sigma: SigmaSample, heldout_count: int = 200,
-                     heldout_seed: int = 7) -> ZeroLevelReport:
+def zero_level_curve(sigma: SigmaSample, heldout_count: int,
+                     heldout_seed: int) -> ZeroLevelReport:
     """Convergence of max |F| on held-out graph points as the sample grows,
     at the sample's cone.
 
@@ -326,14 +313,14 @@ def zero_level_curve(sigma: SigmaSample, heldout_count: int = 200,
     zh, sh = _coords_of_sources(held)
     pts, cone = sigma.bounds, sigma.cone
 
-    rows, spectra, floor, solve = _extension_parts(zh, sigma)
+    rows, floor, solve = _extension_parts(zh, sigma)
     max_abs = []
     for c in counts:
         g = _pruned_min(floor[:, :c], solve)
         max_abs.append(float(np.max(np.abs(sh - g))))
 
     def both_orders(e, i):
-        mu = spectra(e, i)
+        mu = _pair_spectra(zh, sigma.z, e, i)
         return _gauge(mu, cone) + _gauge(-mu[:, ::-1], cone)
     floor = rows.pinch(cone, pts)
     floor += pts.pinch(cone, rows).T
@@ -366,7 +353,7 @@ class EllipticityReport:
     level_violations: list
 
 
-def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityReport:
+def ellipticity_probe(sigma: SigmaSample, trials: int, seed: int) -> EllipticityReport:
     """Directional slopes along unit-Frobenius psd increments, plus the
     level-set cone condition at doubled aperture.
 
@@ -384,17 +371,17 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
     A[half:] = _random_sym(rng, trials - half, scale=1.5)
     E = _random_psd(rng, trials)
     t = 1e-3
-    FA = op.value(A)
-    FAE = op.value(A + t * E)
+    FA = sigma.F(A)
+    FAE = sigma.F(A + t * E)
     slopes = (FAE - FA) / t
-    idn = float((op.value(A[:1] + t * np.eye(12))[0] - FA[0]) / t)
+    idn = float((sigma.F(A[:1] + t * np.eye(12))[0] - FA[0]) / t)
 
     # level-set pool: half graph-based, half generic, moved onto {F = 0}
     k = min(20, half, trials - half)
     sel = np.concatenate([np.arange(k), np.arange(half, half + k)])
     shift = -FA[sel] / np.sqrt(12.0)
     level = A[sel] + shift[:, None, None] * np.eye(12)
-    level_rep = cone_condition(level, ConeParams(2 * op.sigma.cone.lam))
+    level_rep = cone_condition(level, ConeParams(2 * sigma.cone.lam))
 
     return EllipticityReport(
         slope_min=float(np.min(slopes)), slope_max=float(np.max(slopes)),
@@ -403,7 +390,7 @@ def ellipticity_probe(op: OperatorF, trials: int, seed: int) -> EllipticityRepor
         level_violations=level_rep.violations)
 
 
-def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:
+def monotonicity_sweep(sigma: SigmaSample, trials: int, seed: int) -> float:
     """Worst value of F(A+E) - F(A) over random A and full-size psd E.
 
     Nonnegative up to roundoff: the increment's trace part dominates its
@@ -422,7 +409,7 @@ def monotonicity_sweep(op: OperatorF, trials: int, seed: int) -> float:
         pts = unit_sphere(rng, third)
         A[:third] = hess_w(pts)
         E = _random_psd(rng, b) * rng.uniform(0.0, 3.0, (b, 1, 1))
-        diff = op.value(A + E) - op.value(A)
+        diff = sigma.F(A + E) - sigma.F(A)
         worst = min(worst, float(np.min(diff)))
         done += b
     return worst
@@ -458,7 +445,7 @@ def _lift_sizes(verif: np.ndarray, wv: np.ndarray, bases: np.ndarray,
     return down, up
 
 
-def viscosity_probe(op: OperatorF, trials: int, seed: int) -> ViscosityReport:
+def viscosity_probe(sigma: SigmaSample, trials: int, seed: int) -> ViscosityReport:
     """One-sided quadratic comparison at the Hessian level.
 
     Every trial takes a base point x' and the quadratic form with matrix
@@ -478,22 +465,22 @@ def viscosity_probe(op: OperatorF, trials: int, seed: int) -> ViscosityReport:
     """
     rng = rng_for(seed, STREAM_VISCOSITY)
     sphere = unit_sphere(rng, VERIFICATION_COUNT)
-    verif = np.concatenate([sphere, op.sigma.sources], axis=0)
+    verif = np.concatenate([sphere, sigma.sources], axis=0)
 
     n_half = trials // 2
     bases = unit_sphere(rng, trials)
     # half the bases are graph sources: snug majorants whose touching point
     # is stored, where F vanishes exactly
-    idx = rng.integers(0, op.sigma.count, n_half)
-    bases[:n_half] = op.sigma.sources[idx]
+    idx = rng.integers(0, sigma.count, n_half)
+    bases[:n_half] = sigma.sources[idx]
 
     tilts = _random_psd(rng, trials) * rng.uniform(0.0, 0.5, (trials, 1, 1))
     tilt_on = rng.uniform(size=trials) < 0.5
     tilts[~tilt_on] = 0.0
     hb = hess_w(bases)
     down, up = _lift_sizes(verif, eval_w(verif), bases, hb)
-    F_min = op.value(hb - 2.0 * down[:, None, None] * np.eye(12) - tilts)
-    F_maj = op.value(hb + 2.0 * up[:, None, None] * np.eye(12) + tilts)
+    F_min = sigma.F(hb - 2.0 * down[:, None, None] * np.eye(12) - tilts)
+    F_maj = sigma.F(hb + 2.0 * up[:, None, None] * np.eye(12) + tilts)
     return ViscosityReport(
         minorant_max_F=float(np.max(F_min)),
         majorant_min_F=float(np.min(F_maj)),

@@ -26,7 +26,7 @@ import qcubic.cubic as cubic_mod
 from qcubic.cli import RunConfig, hessian_suite, spectral_suite
 from qcubic.cones import ConeParams, cone_condition, support_x
 from qcubic.cubic import spectrum_sweep
-from qcubic.elliptic import (build_sigma, OperatorF, zero_level_curve,
+from qcubic.elliptic import (build_sigma, zero_level_curve,
                              monotonicity_sweep, viscosity_probe,
                              operator_cone)
 from qcubic.hessian import hess_w, ratio_bound_estimate, RATIO_BOUND
@@ -166,15 +166,14 @@ def test_a09_zero_level_convergence(sigma2000):
 
 def test_a10_degenerate_ellipticity(sigma2000):
     sigma = sigma2000
-    op = OperatorF(sigma.prefix(500))
-    worst = monotonicity_sweep(op, 10_000, SEED)
+    worst = monotonicity_sweep(sigma.prefix(500), 10_000, SEED)
     assert worst >= -1e-9, \
         "psd increment decreased F by %.3e" % max(0.0, -worst)
 
 
 def test_a11_viscosity_quadratics(sigma2000):
     sigma = sigma2000
-    rep = viscosity_probe(OperatorF(sigma), 1000, SEED)
+    rep = viscosity_probe(sigma, 1000, SEED)
     assert rep.minorant_violations == 0 and rep.minorant_max_F <= 1e-6, \
         "touching minorant with F = %.3e > 1e-6" % rep.minorant_max_F
     assert rep.majorant_violations == 0 and rep.majorant_min_F >= -1e-6, \

@@ -342,6 +342,63 @@ def test_report_requires_suites(tmp_path):
     assert main(["report", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("cmd, extra", [
+    ("report", ()), ("verify-spectral", ("--count", "10"))],
+    ids=["report", "verify-spectral"])
+def test_out_naming_a_file_exits_2(tmp_path, cmd, extra, capsys):
+    # an --out that names an existing file is an unusable path, reported on
+    # one line, not a traceback
+    out = os.path.join(tmp_path, "out")
+    with open(out, "w") as fh:
+        fh.write("not a directory\n")
+    assert main([cmd, "--out", out, *extra]) == 2
+    assert capsys.readouterr().err == "qcubic %s: %s: File exists\n" % (
+        cmd, out)
+
+
+@pytest.fixture(scope="module")
+def suite_outputs(tmp_path_factory):
+    """The texts of the three suite outputs report merges."""
+    tmp = tmp_path_factory.mktemp("suites")
+    for cmd in ("verify-spectral", "verify-hessian", "build-operator"):
+        code, out = _run(tmp, cmd)
+        assert code == 0
+    texts = {}
+    for name in ("spectral", "hessian", "operator"):
+        with open(os.path.join(out, name + ".json")) as fh:
+            texts[name] = fh.read()
+    return texts
+
+
+def _without_maxF_curve(text):
+    rep = json.loads(text)
+    del rep["constants"]["maxF_curve"]
+    return json.dumps(rep)
+
+
+@pytest.mark.parametrize("name, mangle, reason", [
+    ("hessian", lambda t: t[:len(t) // 2], "JSONDecodeError: "),
+    ("operator", _without_maxF_curve, "KeyError: 'maxF_curve'"),
+], ids=["truncated", "no-maxF-curve"])
+def test_bad_suite_output_exits_2_before_writing(tmp_path, suite_outputs,
+                                                 name, mangle, reason, capsys):
+    # report reads and merges every suite output before it writes: a bad
+    # one exits 2 on one line naming it, and leaves no report.json or tables
+    out = os.path.join(tmp_path, "out")
+    os.makedirs(out)
+    for key, text in suite_outputs.items():
+        with open(os.path.join(out, key + ".json"), "w") as fh:
+            fh.write(mangle(text) if key == name else text)
+    capsys.readouterr()
+    assert main(["report", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qcubic report: %s: %s" % (
+        os.path.join(out, name + ".json"), reason))
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(out)) == ["hessian.json", "operator.json",
+                                       "spectral.json"]
+
+
 def test_full_pipeline_and_determinism(tmp_path):
     cfg = _write_config(tmp_path)
     outs = []

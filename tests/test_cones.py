@@ -17,9 +17,9 @@ import pytest
 
 from qcubic import symspace
 from qcubic.cones import (ConeParams, _PairBounds, _PRUNE_CANDIDATES,
-                          _kappa, _pruned_min, in_K, in_K_star, in_L,
-                          in_L_ratio_batch, support_x, cone_condition,
-                          _gauge)
+                          _kappa, _pair_spectra, _pruned_min, in_K,
+                          in_K_star, in_L, in_L_ratio_batch, support_x,
+                          cone_condition, _gauge)
 from qcubic.elliptic import PAPER_LAM
 from qcubic.hessian import RATIO_BOUND, hess_w
 from qcubic.sampling import rng_for, unit_sphere, STREAM_CONE
@@ -270,9 +270,9 @@ def test_rayleigh_bounds_never_exceed_extreme_eigenvalues():
         assert np.all(pa.lower(pb) <= spec[..., -1] + allow)
         own = np.linalg.eigvalsh(a[:, None] - a[None, :])
         allow = 1e3 * eps * (pa.norm[:, None] + pa.norm[None, :])
-        assert np.all(pa.lower() <= own[..., -1] + allow)
+        assert np.all(pa.lower(pa) <= own[..., -1] + allow)
         # the reversed pair bounds -lambda_min
-        assert np.all(pa.lower().T <= -own[..., 0] + allow)
+        assert np.all(pa.lower(pa).T <= -own[..., 0] + allow)
 
 
 @pytest.mark.parametrize("lam", [1.5, 33.0, PAPER_LAM])
@@ -302,7 +302,7 @@ def test_certified_pinch_floor_below_every_gauge(lam):
         assert np.all(pa.pinch(cone, pb) <= fwd)
         assert np.all(pb.pinch(cone, pa).T <= rev)
         own = _gauge(np.linalg.eigvalsh(sa[None, :] - sa[:, None]), cone)
-        assert np.all(pa.pinch(cone) <= own)
+        assert np.all(pa.pinch(cone, pa) <= own)
         tight = np.arange(10)
         np.testing.assert_allclose((pa.lower(pb) * k)[tight, tight],
                                    fwd[tight, tight], rtol=1e-10)
@@ -315,14 +315,10 @@ def test_pair_solve_rows_do_not_depend_on_block(monkeypatch):
     z = rng.standard_normal((40, 77)) * rng.uniform(1e-3, 1e3, (40, 1))
     ii, jj = np.triu_indices(40, k=1)
     full = np.linalg.eigvalsh(symspace.embed_traceless(z[ii] - z[jj]))
-
-    def diff(i, j):
-        return symspace.embed_traceless(z[i] - z[j])
-
     monkeypatch.setattr("qcubic.eigen.ROW_BLOCK", 4)
     for size in (1, 2, 3, 9):
         pick = np.sort(rng.choice(ii.size, size, replace=False))
-        rows = _PairBounds.solve(diff, ii[pick], jj[pick])
+        rows = _pair_spectra(z, z, ii[pick], jj[pick])
         assert rows.shape == (size, 12)
         assert rows.tobytes() == full[pick].tobytes(), size
 

@@ -371,9 +371,11 @@ def test_source_scan_fixed_settings_are_constants():
     # settings that no run changes are constants, not options: RunConfig
     # holds counts, seeds and strings only, a suite declares no tolerance,
     # the zero-level curve and the viscosity probe take no count of their
-    # own, and the lambda policy names are written once, in elliptic.py,
-    # for argparse's choices and RunConfig.validate to read
+    # own, no function repeats a RunConfig default, and the lambda policy
+    # names are written once, in elliptic.py, for argparse's choices and
+    # RunConfig.validate to read
     from qcubic import cli
+    from qcubic.cubic import strata_directions
     from qcubic.elliptic import viscosity_probe, zero_level_curve
 
     assert {type(f.default) for f in dataclasses.fields(cli.RunConfig)} \
@@ -385,7 +387,11 @@ def test_source_scan_fixed_settings_are_constants():
     assert list(inspect.signature(zero_level_curve).parameters) == [
         "sigma", "heldout_count", "heldout_seed"]
     assert list(inspect.signature(viscosity_probe).parameters) == [
-        "op", "trials", "seed"]
+        "sigma", "trials", "seed"]
+    curve = inspect.signature(zero_level_curve).parameters
+    assert [curve[name].default for name in ("heldout_count", "heldout_seed")] \
+        + [inspect.signature(strata_directions).parameters[
+            "count_each"].default] == [inspect.Parameter.empty] * 3
 
     src = pathlib.Path(eigen_mod.__file__).parent
     texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
@@ -405,3 +411,34 @@ def test_source_scan_fixed_settings_are_constants():
         isinstance(node, ast.keyword) and node.arg == "choices"
         and policies(node.value))) == ["main"]
     assert "RunConfig.validate" in _scopes_of(trees["cli.py"], policies)
+
+
+def test_source_scan_one_pair_difference_solver():
+    # F is the graph sample's own and every probe takes the sample; one
+    # function forms and eigensolves a pair's difference of coordinates,
+    # and the pinch floors name both stacks they compare
+    from qcubic import elliptic
+    from qcubic.cones import _PairBounds
+
+    src = pathlib.Path(eigen_mod.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    trees = {name: ast.parse(t) for name, t in texts.items()}
+    assert not [name for name, t in texts.items() if "OperatorF" in t]
+    assert not hasattr(_PairBounds, "solve")
+    assert sorted((name, scope) for name, tree in trees.items()
+                  for scope in _scopes_of(tree, lambda node: (
+                      isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", getattr(
+                          node.func, "id", None)) == "embed_traceless"
+                      and any(isinstance(a, ast.BinOp)
+                              and isinstance(a.op, ast.Sub)
+                              for a in node.args)))) == [
+        ("cones.py", "_pair_spectra")]
+    for method in (_PairBounds.lower, _PairBounds.pinch):
+        params = inspect.signature(method).parameters
+        assert list(params)[-1] == "b"
+        assert all(p.default is inspect.Parameter.empty
+                   for p in params.values()), method.__name__
+    for probe in (elliptic.ellipticity_probe, elliptic.monotonicity_sweep,
+                  elliptic.viscosity_probe, elliptic.zero_level_curve):
+        assert list(inspect.signature(probe).parameters)[0] == "sigma", probe

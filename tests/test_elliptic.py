@@ -12,7 +12,7 @@ from qcubic.cones import (ConeParams, _PairBounds, _gauge, _in_dual, _kappa,
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
-                             CacheError, GraphError, OperatorF,
+                             CacheError, GraphError,
                              g_tilde, operator_cone, zero_level_curve,
                              ellipticity_probe, monotonicity_sweep,
                              viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
@@ -39,11 +39,6 @@ def full_gauges(z, zs, cone):
 @pytest.fixture(scope="module")
 def sigma():
     return build_sigma(150, 5, CONE)
-
-
-@pytest.fixture(scope="module")
-def op(sigma):
-    return OperatorF(sigma)
 
 
 def _at(sigma, cone):
@@ -257,7 +252,7 @@ def test_g_tilde_pruned_equals_full_table(sigma, monkeypatch):
             full = np.min(sigma.s[None, :] + full_gauges(z, sigma.z, cone)[0],
                           axis=1)
             assert g_tilde(z, at).tobytes() == full.tobytes(), name
-    assert g_tilde(far[0], sigma) == float(
+    assert g_tilde(far[0][None], sigma)[0] == float(
         np.min(sigma.s + full_gauges(far[:1], sigma.z, CONE)[0]))
 
     rows = []
@@ -286,34 +281,27 @@ def test_sample_bounds_built_once(monkeypatch):
     assert rows == [60, 7, 7, 60, 7]
 
 
-def test_g_tilde_single_matches_batch(sigma):
-    z = sigma.z[:5] + 0.1
-    batch = g_tilde(z, sigma)
-    for k in range(5):
-        assert abs(float(g_tilde(z[k], sigma)) - batch[k]) < 1e-12
-
-
-def test_operator_zero_on_stored_graph(op, sigma):
-    vals = op.value(hess_w(sigma.sources[:20]))
+def test_operator_zero_on_stored_graph(sigma):
+    vals = sigma.F(hess_w(sigma.sources[:20]))
     assert np.max(np.abs(vals)) == 0.0
 
 
-def test_operator_identity_translation(op, sigma):
+def test_operator_identity_translation(sigma):
     mat = hess_w(sigma.sources[0])
-    base = op.value(mat[None])[0]
+    base = sigma.F(mat[None])[0]
     for t in (-2.0, 0.3, 10.0):
-        shifted = op.value((mat + t * np.eye(12))[None])[0]
+        shifted = sigma.F((mat + t * np.eye(12))[None])[0]
         assert abs(shifted - base - SQ * t) < 1e-10
 
 
-def test_operator_nonpositive_on_true_graph(op):
+def test_operator_nonpositive_on_true_graph(sigma):
     held = unit_sphere(rng_for(7, STREAM_ELLIPTIC), 50)
-    vals = op.value(hess_w(held))
+    vals = sigma.F(hess_w(held))
     assert np.max(vals) <= 1e-12
 
 
-def test_operator_sign_far_from_graph(op):
-    far = op.value(np.array([-30.0, 30.0])[:, None, None] * np.eye(12))
+def test_operator_sign_far_from_graph(sigma):
+    far = sigma.F(np.array([-30.0, 30.0])[:, None, None] * np.eye(12))
     assert far[0] < 0.0 < far[1]
 
 
@@ -337,7 +325,8 @@ def test_zero_level_curve_monotone(sigma):
     assert rep.worst_ratio <= 5.0
     assert np.all(rep.F_full <= 1e-12)
     # each count is at least 2 but never past the sample
-    assert [zero_level_curve(sigma.prefix(n), heldout_count=10).counts
+    assert [zero_level_curve(sigma.prefix(n), heldout_count=10,
+                             heldout_seed=7).counts
             for n in (1, 3)] == [[1], [2, 3]]
 
 
@@ -397,7 +386,7 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
         scaled = SigmaSample(sigma.sources, scale * sigma.z, scale * sigma.s,
                              sigma.seed, cone)
         floors.clear()
-        rep = zero_level_curve(scaled, heldout_count=60)
+        rep = zero_level_curve(scaled, heldout_count=60, heldout_seed=7)
         fwd, rev = full_gauges(z, scaled.z, cone)
         pts, rows = scaled.bounds, _PairBounds(symspace.embed_traceless(z))
         k = _kappa(cone) * SQ
@@ -424,22 +413,22 @@ def test_g_tilde_rows_do_not_depend_on_the_call(sigma):
     assert np.concatenate(parts).tobytes() == full.tobytes()
     perm = rng.permutation(len(z))
     assert g_tilde(z[perm], sigma).tobytes() == full[perm].tobytes()
-    assert [g_tilde(row, sigma) for row in z] == full.tolist()
+    assert [g_tilde(row[None], sigma)[0] for row in z] == full.tolist()
 
 
-def test_operator_rows_do_not_depend_on_a_long_call(op, sigma):
+def test_operator_rows_do_not_depend_on_a_long_call(sigma):
     # F on a stack of 16 rows or more is bitwise those rows of a longer
     # call (shorter stacks take their coordinates by another GEMM path)
     rng = rng_for(12, STREAM_ELLIPTIC)
     mats = np.concatenate([hess_w(unit_sphere(rng, 30)),
                            _random_sym(rng, 30)])
-    full = op.value(mats)
+    full = sigma.F(mats)
     for a, b in ((0, 16), (7, 30), (21, 60), (44, 60)):
-        assert op.value(mats[a:b]).tobytes() == full[a:b].tobytes(), (a, b)
+        assert sigma.F(mats[a:b]).tobytes() == full[a:b].tobytes(), (a, b)
 
 
-def test_ellipticity_probe_small(op):
-    rep = ellipticity_probe(op, 24, 5)
+def test_ellipticity_probe_small(sigma):
+    rep = ellipticity_probe(sigma, 24, 5)
     # F(A + tI) - F(A) = sqrt(12) t exactly, and the gauge is exact, so the
     # difference quotient at t = 1e-3 is off only by rounding in the F values
     assert rep.identity_slope == pytest.approx(SQ, abs=1e-10)
@@ -448,13 +437,13 @@ def test_ellipticity_probe_small(op):
     assert rep.level_violations == []
 
 
-def test_monotonicity_sweep_small(op):
-    worst = monotonicity_sweep(op, 40, 6)
+def test_monotonicity_sweep_small(sigma):
+    worst = monotonicity_sweep(sigma, 40, 6)
     assert worst >= -1e-9
 
 
-def test_viscosity_probe_small(op):
-    rep = viscosity_probe(op, 12, 7)
+def test_viscosity_probe_small(sigma):
+    rep = viscosity_probe(sigma, 12, 7)
     assert rep.passed, rep
     assert rep.minorant_violations == 0
     assert rep.majorant_violations == 0
@@ -462,22 +451,22 @@ def test_viscosity_probe_small(op):
     assert rep.majorant_min_F >= -1e-6
 
 
-class _RecordingOperator:
-    """Stands in for OperatorF in viscosity_probe: keeps every matrix stack
-    it is asked to evaluate and reports F = 0."""
+class _RecordingSample:
+    """Stands in for the sample in viscosity_probe: has its sources, keeps
+    every matrix stack it is asked to evaluate and reports F = 0."""
 
     def __init__(self, sigma):
-        self.sigma = sigma
+        self.sources, self.count = sigma.sources, sigma.count
         self.seen = []
 
-    def value(self, mats):
+    def F(self, mats):
         self.seen.append(np.array(mats))
         return np.zeros(len(mats))
 
 
 def test_viscosity_lifts_match_per_trial_reference(sigma):
     trials, seed, count = 12, 7, VERIFICATION_COUNT
-    stub = _RecordingOperator(sigma)
+    stub = _RecordingSample(sigma)
     viscosity_probe(stub, trials, seed)
     minorants, majorants = stub.seen
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcubic import symspace
-from qcubic.cones import _PairBounds
+from qcubic.cones import _pair_spectra
 from qcubic.cubic import perp_sweep, q_extremes, spectrum_sweep
 from qcubic.hessian import (pair_ratio_sweep, pinch_bounds,
                             third_derivative_sweep, witness_floor,
@@ -64,14 +64,10 @@ def test_pair_solve_rows_match_one_pass(block, monkeypatch):
     ii, jj = np.triu_indices(120, k=1)
     pick = np.sort(rng.choice(ii.size, 2 * ROWS, replace=False))
     ii, jj = ii[pick], jj[pick]
-
-    def diff(i, j):
-        return symspace.embed_traceless(z[i] - z[j])
-
     monkeypatch.setattr("qcubic.eigen.ROW_BLOCK", block)
     for i, j in ((ii[:ROWS], jj[:ROWS]), (ii[::2], jj[::2])):
-        assert _same(_PairBounds.solve(diff, i, j),
-                     np.linalg.eigvalsh(diff(i, j)))
+        assert _same(_pair_spectra(z, z, i, j), np.linalg.eigvalsh(
+            symspace.embed_traceless(z[i] - z[j])))
 
 
 @pytest.mark.parametrize("sweep", [pair_ratio_sweep, witness_sweep,

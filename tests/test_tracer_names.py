@@ -6,7 +6,9 @@ import importlib
 import importlib.util
 import os
 
-from qcubic import elliptic
+from qcubic import cones, elliptic
+from qcubic.hessian import hess_w
+from qcubic.sampling import rng_for, unit_sphere, STREAM_CONE
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
@@ -48,3 +50,29 @@ def test_cache_counters_read_their_calls(tmp_path):
     # uninstalled: no later test runs a wrapper
     assert not any(hasattr(f, "__wrapped__")
                    for f in (elliptic.save_cache, elliptic.load_cache))
+
+
+def test_operator_counters_read_their_calls():
+    # operator-probe's `--trace 1` counts pairs from g_tilde(z, sigma), which
+    # sigma.F calls, validate_graph(sigma) and cone_condition(mats, cone)
+    mod = _tracer_module()
+    sigma = elliptic.build_sigma(12, 3, elliptic.operator_cone("paper"))
+    mats = hess_w(unit_sphere(rng_for(4, STREAM_CONE), 5))
+    tracer = mod.Tracer()
+    undo = mod.install(tracer)
+    try:
+        sigma.F(mats)
+        elliptic.validate_graph(sigma)
+        cones.cone_condition(mats[:4], sigma.cone)
+    finally:
+        mod.uninstall(undo)
+    layers = tracer.layers()
+    assert {name: (layers[name]["calls"], layers[name]["pairs"])
+            for name in ("elliptic.g_tilde", "elliptic.validate_graph",
+                         "cones.cone_condition")} == {
+        "elliptic.g_tilde": (1, 5 * 12),
+        "elliptic.validate_graph": (1, 12 * 11 // 2),
+        "cones.cone_condition": (1, 4 * 3 // 2)}
+    assert not any(hasattr(f, "__wrapped__") for f in (
+        elliptic.g_tilde, elliptic.validate_graph, elliptic.cone_condition,
+        cones.cone_condition))
