@@ -334,7 +334,7 @@ def operator_suite(cfg: RunConfig) -> dict:
                           "violations": len(er.level_violations)},
                          witness={"pairs": er.level_violations[:8]}))
 
-    mono_worst = monotonicity_sweep(sigma, cfg.monotonicity_trials, cfg.seed + 1)
+    mono_worst = monotonicity_sweep(sigma, cfg.monotonicity_trials, cfg.seed)
     checks.append(_check("degenerate_ellipticity", mono_worst >= -1e-9,
                          mono_worst))
 
@@ -472,11 +472,11 @@ def report_cmd(cfg: RunConfig) -> int:
         "suites": suites,
         "constants": constants,
     }
-    _write_json(os.path.join(cfg.out, "report.json"), merged)
-
+    # report.json is written last: a table that cannot be written leaves none
     os.makedirs(os.path.join(cfg.out, "tables"), exist_ok=True)
     for name, text in tables.items():
         _write(os.path.join(cfg.out, "tables", name), text)
+    _write_json(os.path.join(cfg.out, "report.json"), merged)
     print("report: %s" % ("PASS" if merged["passed"] else "FAIL"))
     return 0 if merged["passed"] else 1
 
@@ -509,21 +509,21 @@ def main(argv=None) -> int:
         print("qcubic: %s" % exc, file=sys.stderr)
         return 2
 
+    suite = _SUITES.get(args.command)
+    t0 = time.time()
+    # a suite's only files are its outputs and the graph cache, whose read
+    # raises CacheError: an OSError is an unusable output path
     try:
         os.makedirs(cfg.out, exist_ok=True)
-    except OSError as exc:
-        return _file_error(args.command, cfg.out, exc)
-    if args.command == "report":
-        return report_cmd(cfg)
-
-    suite = _SUITES[args.command]
-    t0 = time.time()
-    try:
+        if suite is None:
+            return report_cmd(cfg)
         rep = suite.run(cfg)
+        _write_json(os.path.join(cfg.out, suite.output + ".json"), rep)
     except (CacheError, GraphError) as exc:
         print("qcubic %s: %s" % (args.command, exc), file=sys.stderr)
         return 2
-    _write_json(os.path.join(cfg.out, suite.output + ".json"), rep)
+    except OSError as exc:
+        return _file_error(args.command, exc.filename or cfg.out, exc)
     status = "PASS" if rep["passed"] else "FAIL"
     print("%s: %s (%d checks, %.1fs)" % (args.command, status,
                                          len(rep["checks"]), time.time() - t0))

@@ -38,23 +38,13 @@ def _row_blocked(kernel):
     of 12x12 stacks stays in cache, and no result depends on the block
     (tests/test_row_blocks.py holds each blocked kernel to one unblocked
     call): LAPACK solves each matrix alone, the kernels' other products act
-    on one 12x12 matrix or row at a time, and symspace.embed_traceless
-    rounds every row alike from two rows up, so a one-row block is padded
-    to two.  Not every GEMM is so: symspace.to_coords' (m, 144) @ (144, 78)
-    product rounds a row alike only from 16 rows up, and no blocked kernel
-    calls it."""
+    on one 12x12 matrix or row at a time, and symspace rounds every row of
+    a coordinate product alike in any stack."""
     @functools.wraps(kernel)
     def blocked(*arrays):
-        n = len(arrays[0])
-        parts = []
-        for start in range(0, max(n, 1), ROW_BLOCK):
-            block = [a[start:start + ROW_BLOCK] for a in arrays]
-            rows = len(block[0])
-            out = kernel(*(np.repeat(a, 2, axis=0) if rows == 1 else a
-                           for a in block))
-            parts.append([o[:rows] for o in out] if isinstance(out, tuple)
-                         else out[:rows])
-        if isinstance(parts[0], list):
+        parts = [kernel(*(a[start:start + ROW_BLOCK] for a in arrays))
+                 for start in range(0, max(len(arrays[0]), 1), ROW_BLOCK)]
+        if isinstance(parts[0], tuple):
             return tuple(map(np.concatenate, zip(*parts)))
         return np.concatenate(parts)
     return blocked

@@ -22,6 +22,7 @@ STREAM_VISCOSITY = 9
 STREAM_CONE = 10
 STREAM_FDCHECK = 11
 STREAM_CHARPOLY = 12
+STREAM_MONOTONE = 13
 
 PAIR_CHUNK = 20_000  # pairs drawn per block by unit_pairs
 

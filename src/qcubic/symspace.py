@@ -41,6 +41,18 @@ _BASIS = _build_basis()
 _BASIS_FLAT = _BASIS.reshape(DIM_Z + 1, N * N)
 
 
+def _rowwise(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat for rows of shape (..., k), each row rounded as in a
+    stack of 16 rows or more, so bitwise the same in any stack: OpenBLAS
+    (0.3.31) takes another GEMM kernel below 16 rows, and a shorter stack
+    is padded with zero rows."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    n = len(flat)
+    if n < 16:
+        flat = np.concatenate([flat, np.zeros((16 - n, flat.shape[1]))])
+    return (flat @ mat)[:n].reshape(rows.shape[:-1] + mat.shape[-1:])
+
+
 def basis() -> np.ndarray:
     """The frozen orthonormal basis, shape (78, 12, 12).  Read-only view."""
     view = _BASIS.view()
@@ -55,8 +67,7 @@ def to_coords(mat: np.ndarray):
     shape (...,); s * sqrt(12) is the trace.
     """
     mat = np.asarray(mat, dtype=float)
-    flat = mat.reshape(mat.shape[:-2] + (N * N,))
-    coords = flat @ _BASIS_FLAT.T
+    coords = _rowwise(mat.reshape(mat.shape[:-2] + (N * N,)), _BASIS_FLAT.T)
     return coords[..., 1:], coords[..., 0]
 
 
@@ -65,12 +76,10 @@ def from_coords(z: np.ndarray, s) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
     coords = np.concatenate([s[..., None], z], axis=-1)
-    flat = coords @ _BASIS_FLAT
-    return flat.reshape(z.shape[:-1] + (N, N))
+    return _rowwise(coords, _BASIS_FLAT).reshape(z.shape[:-1] + (N, N))
 
 
 def embed_traceless(z: np.ndarray) -> np.ndarray:
     """Traceless symmetric matrix with coordinates z (zero s component)."""
     z = np.asarray(z, dtype=float)
-    flat = z @ _BASIS_FLAT[1:]
-    return flat.reshape(z.shape[:-1] + (N, N))
+    return _rowwise(z, _BASIS_FLAT[1:]).reshape(z.shape[:-1] + (N, N))

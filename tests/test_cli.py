@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 import qcubic.cubic as cubic_mod
-from qcubic import cli
+from qcubic import cli, elliptic
 from qcubic.cli import main, parse_config_file, RunConfig
 from qcubic.cones import ConeParams
 from qcubic.cubic import band_slack
 from qcubic.elliptic import PAPER_LAM
 from qcubic.hessian import ratio_bound_estimate
 from qcubic.quaternions import matrix_M
-from qcubic.sampling import rng_for, STREAM_HESSIAN
+from qcubic.sampling import (rng_for, STREAM_ELLIPTIC, STREAM_HESSIAN,
+                             STREAM_MONOTONE)
 
 SMALL = dict(spectral_count=200, strata_count=5, perp_count=500,
              cor4_pairs=10, fd_count=20, witness_pairs=1000,
@@ -356,6 +357,18 @@ def test_out_naming_a_file_exits_2(tmp_path, cmd, extra, capsys):
         cmd, out)
 
 
+def test_suite_output_naming_a_directory_exits_2(tmp_path, capsys):
+    # a suite output that cannot be written is reported on one line, not a
+    # traceback
+    out = os.path.join(tmp_path, "out")
+    os.makedirs(os.path.join(out, "spectral.json"))
+    code, _ = _run(tmp_path, "verify-spectral")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "qcubic verify-spectral: %s: Is a directory\n"
+        % os.path.join(out, "spectral.json"))
+
+
 @pytest.fixture(scope="module")
 def suite_outputs(tmp_path_factory):
     """The texts of the three suite outputs report merges."""
@@ -397,6 +410,49 @@ def test_bad_suite_output_exits_2_before_writing(tmp_path, suite_outputs,
     assert err.count("\n") == 1
     assert sorted(os.listdir(out)) == ["hessian.json", "operator.json",
                                        "spectral.json"]
+
+
+def test_report_tables_naming_a_file_exits_2(tmp_path, suite_outputs,
+                                            capsys):
+    # tables/ is made before report.json is written: a tables path that is
+    # a file exits 2 on one line and leaves no report.json
+    out = os.path.join(tmp_path, "out")
+    os.makedirs(out)
+    for key, text in suite_outputs.items():
+        with open(os.path.join(out, key + ".json"), "w") as fh:
+            fh.write(text)
+    with open(os.path.join(out, "tables"), "w") as fh:
+        fh.write("not a directory\n")
+    capsys.readouterr()
+    assert main(["report", "--out", out]) == 2
+    assert capsys.readouterr().err == "qcubic report: %s: File exists\n" % (
+        os.path.join(out, "tables"))
+    assert sorted(os.listdir(out)) == ["hessian.json", "operator.json",
+                                       "spectral.json", "tables"]
+
+
+def test_monotonicity_sweep_draws_its_own_stream(tmp_path, monkeypatch):
+    # build-operator at seed S: the sweep draws from its own stream, not
+    # from the generator ellipticity_probe draws from at seed S + 1
+    keys = {}
+
+    def spying(probe):
+        def run(sigma, trials, seed):
+            drawn = keys.setdefault(probe.__name__, [])
+            monkeypatch.setattr(elliptic, "rng_for",
+                                lambda *key: drawn.append(key) or rng_for(*key))
+            try:
+                return probe(sigma, trials, seed)
+            finally:
+                monkeypatch.setattr(elliptic, "rng_for", rng_for)
+        return run
+
+    for probe in (elliptic.ellipticity_probe, elliptic.monotonicity_sweep):
+        monkeypatch.setattr(cli, probe.__name__, spying(probe))
+    code, _ = _run(tmp_path, "build-operator", "--seed", "1")
+    assert code == 0
+    assert keys == {"ellipticity_probe": [(1, STREAM_ELLIPTIC)],
+                    "monotonicity_sweep": [(1, STREAM_MONOTONE)]}
 
 
 def test_full_pipeline_and_determinism(tmp_path):

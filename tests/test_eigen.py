@@ -442,3 +442,20 @@ def test_source_scan_one_pair_difference_solver():
     for probe in (elliptic.ellipticity_probe, elliptic.monotonicity_sweep,
                   elliptic.viscosity_probe, elliptic.zero_level_curve):
         assert list(inspect.signature(probe).parameters)[0] == "sigma", probe
+
+
+def test_source_scan_one_coordinate_product():
+    # every coordinate product pads a short stack alike: the only matrix
+    # product in symspace.py is inside _rowwise, and no other module reads
+    # the basis arrays it multiplies by
+    src = pathlib.Path(eigen_mod.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    tree = ast.parse(texts["symspace.py"])
+    assert _scopes_of(tree, lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
+            node.func, "id", None)) in ("dot", "matmul", "einsum", "inner",
+                                        "tensordot", "vdot"))) == [
+        "_rowwise"]
+    assert [name for name, t in texts.items()
+            if re.search(r"\b_BASIS(_FLAT)?\b", t)] == ["symspace.py"]

@@ -417,14 +417,23 @@ def test_g_tilde_rows_do_not_depend_on_the_call(sigma):
 
 
 def test_operator_rows_do_not_depend_on_a_long_call(sigma):
-    # F on a stack of 16 rows or more is bitwise those rows of a longer
-    # call (shorter stacks take their coordinates by another GEMM path)
+    # each row of a coordinate product and of F is bitwise that row of a
+    # 300-row call, in a stack of any size (symspace pads a stack of fewer
+    # than 16 rows, which OpenBLAS would round another way)
     rng = rng_for(12, STREAM_ELLIPTIC)
-    mats = np.concatenate([hess_w(unit_sphere(rng, 30)),
-                           _random_sym(rng, 30)])
-    full = sigma.F(mats)
-    for a, b in ((0, 16), (7, 30), (21, 60), (44, 60)):
-        assert sigma.F(mats[a:b]).tobytes() == full[a:b].tobytes(), (a, b)
+    mats = np.concatenate([hess_w(unit_sphere(rng, 150)),
+                           _random_sym(rng, 150)])
+    z = symspace.to_coords(mats)[0]
+    for name, f, rows in (
+            ("to_coords", lambda m: np.column_stack(symspace.to_coords(m)),
+             mats),
+            ("embed_traceless", symspace.embed_traceless, z),
+            ("F", sigma.F, mats)):
+        full = f(rows)
+        for size in range(1, 41):
+            for a in (0, 7, 130, 300 - size):
+                assert (f(rows[a:a + size]).tobytes()
+                        == full[a:a + size].tobytes()), (name, size, a)
 
 
 def test_ellipticity_probe_small(sigma):
@@ -468,7 +477,8 @@ def test_viscosity_lifts_match_per_trial_reference(sigma):
     trials, seed, count = 12, 7, VERIFICATION_COUNT
     stub = _RecordingSample(sigma)
     viscosity_probe(stub, trials, seed)
-    minorants, majorants = stub.seen
+    (stack,) = stub.seen  # one F call: the minorants, then the majorants
+    minorants, majorants = np.split(stack, 2)
 
     # the same draws as viscosity_probe, in its order
     rng = rng_for(seed, STREAM_VISCOSITY)
