@@ -19,10 +19,9 @@ in the (z, s) coordinates of symspace.  The membership margin is piecewise
 linear and increasing in that multiple, so x has a closed form in the
 sorted spectrum of the traceless part: no iteration and no tolerance.
 
-The membership API (K*, L) tests eigenvalue rows with the one p/q function
-_in_dual, and every gauge value comes from the one kernel _gauge.  As
-M_i - M_j lies in K* iff s_i - s_j >= x(z_i - z_j), the graph invariant and
-the cone condition are one certified pairwise test, breaking_pairs.
+Every gauge value comes from the one kernel _gauge.  As M_i - M_j lies in
+K* iff s_i - s_j >= x(z_i - z_j), the graph invariant and the cone
+condition are one certified pairwise test, breaking_pairs.
 
 Pinch lemma.  For traceless Z with nu = lambda_max(-Z) and
 kappa = (lam^2 - 1)/(lam^2 + 11),
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symspace
-from .eigen import _row_blocked, eigh_asc, eigvalsh_asc, eigvalsh_desc
+from .eigen import _row_blocked, eigh_asc, eigvalsh_asc
 
 _SQRT_N = np.sqrt(12.0)
 _GUARD = 1e-9  # relative rounding allowance folded into each pinch floor
@@ -71,38 +70,6 @@ class ConeParams:
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 1.0:
             raise ValueError("ConeParams: aperture must be >= 1, got %r" % self.lam)
-
-
-def _in_dual(vals: np.ndarray, cone: ConeParams) -> np.ndarray:
-    """Row-wise K*(lam) membership from eigenvalue rows: p >= lam^2 q."""
-    p = np.sum(np.where(vals > 0, vals, 0.0), axis=-1)
-    q = np.sum(np.where(vals < 0, -vals, 0.0), axis=-1)
-    return p >= cone.lam**2 * q
-
-
-def in_K(mat: np.ndarray, cone: ConeParams) -> bool:
-    """Positive definite with eigenvalue ratio at most lam^2."""
-    vals = eigvalsh_desc(np.asarray(mat, dtype=float))
-    lo = vals[..., -1]
-    hi = vals[..., 0]
-    return bool(np.all((lo > 0) & (hi <= cone.lam**2 * lo)))
-
-
-def in_K_star(mat: np.ndarray, cone: ConeParams) -> bool:
-    """Dual-cone membership by the p/q eigenvalue test (boundary included)."""
-    return bool(np.all(_in_dual(eigvalsh_desc(np.asarray(mat, dtype=float)),
-                                cone)))
-
-
-def in_L(mat: np.ndarray, cone: ConeParams) -> bool:
-    """Membership in L(lam): neither mat nor -mat lies in the dual cone."""
-    return bool(np.all(in_L_ratio_batch(
-        eigvalsh_desc(np.asarray(mat, dtype=float)), cone)))
-
-
-def in_L_ratio_batch(vals: np.ndarray, cone: ConeParams) -> np.ndarray:
-    """Vectorized in_L from precomputed eigenvalue rows."""
-    return ~(_in_dual(vals, cone) | _in_dual(-vals, cone))
 
 
 def _gauge(mu: np.ndarray, cone: ConeParams) -> np.ndarray:
@@ -225,19 +192,6 @@ def _pruned_min(floor: np.ndarray, solve) -> np.ndarray:
     return best
 
 
-def support_x(z: np.ndarray, cone: ConeParams):
-    """Support function x(z) for traceless coordinates z (single or stack).
-
-    x(z) = inf{ c : embed(z) + c I/sqrt(12) lies in K*(lam) }.  Convex,
-    positively homogeneous, x(0) = 0.  Shifting by c only shifts the
-    spectrum, so one eigensolve of embed(z) per row settles it, and the
-    threshold is solved in closed form from the sorted spectrum (_gauge).
-    """
-    z = np.asarray(z, dtype=float)
-    out = _gauge(eigvalsh_asc(symspace.embed_traceless(z)), cone)
-    return float(out) if z.ndim == 1 else out
-
-
 def breaking_pairs(bounds: _PairBounds, z: np.ndarray, s: np.ndarray,
                    cone: ConeParams, breaks):
     """Index arrays (i, j), i < j in row-major order, of the pairs of points
@@ -277,7 +231,7 @@ def cone_condition(mats: np.ndarray, cone: ConeParams) -> ConeConditionReport:
 
     With (z, s) the coordinates of mats, D = M_i - M_j lies in K* iff
     ds >= x(z_i - z_j) and in -K* iff -ds >= x(z_j - z_i), boundary
-    included as in _in_dual; breaking_pairs finds those pairs.  The
+    included as in the p/q test; breaking_pairs finds those pairs.  The
     traceless parts have the matrices' eigenvectors, so its bounds cost
     the one eigh of the stack.
     """

@@ -64,7 +64,7 @@ class SigmaSample:
     """Sampled graph points: source unit vectors a_i, the coordinates
     (z_i, s_i) of their Hessians, and the cone whose graph invariant they
     were validated against; F, g_tilde and every probe work at that cone.
-    Built by sigma_from_sources, or as a prefix of a sample it built."""
+    Built by sigma_from_sources."""
 
     sources: np.ndarray
     z: np.ndarray
@@ -94,19 +94,13 @@ class SigmaSample:
         z, s = symspace.to_coords(np.asarray(mats, dtype=float))
         return s - g_tilde(z, self)
 
-    def prefix(self, count: int) -> "SigmaSample":
-        if not 1 <= count <= self.count:
-            raise ValueError("prefix count out of range")
-        return SigmaSample(self.sources[:count], self.z[:count],
-                           self.s[:count], self.seed, self.cone)
-
 
 def _coords_of_sources(sources: np.ndarray):
     return symspace.to_coords(hess_w(sources))
 
 
 def sigma_from_sources(sources: np.ndarray, cone: ConeParams,
-                       seed: int = -1) -> SigmaSample:
+                       seed: int) -> SigmaSample:
     """The sample of explicit unit vectors: checks they are unit length,
     computes their Hessian coordinates and validates the graph invariant at
     the cone.  Raises ValueError, or GraphError with the offending pair."""
@@ -163,13 +157,18 @@ def validate_graph(sigma: SigmaSample) -> None:
 def save_cache(sigma: SigmaSample, path: str) -> None:
     """Write the recipe of a sample build_sigma drew, atomically (temp +
     rename): a versioned header line, then its seed, count and aperture
-    lam.  load_cache redraws the sample from them."""
+    lam.  load_cache redraws the sample from them.  A failed rename
+    removes the temp file and raises the OSError on path."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write("# %s v%d\n" % (CACHE_MAGIC, CACHE_VERSION))
         fh.write("# seed=%d count=%d lam=%s\n"
                  % (sigma.seed, sigma.count, repr(float(sigma.cone.lam))))
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def load_cache(path: str, seed: int, count: int, policy: str) -> SigmaSample:
@@ -183,8 +182,6 @@ def load_cache(path: str, seed: int, count: int, policy: str) -> SigmaSample:
     invariant at lam.  Any failure raises CacheError; no partial sample is
     ever returned.
     """
-    if not os.path.exists(path):
-        raise CacheError("no cache file at %r" % path)
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -344,7 +341,7 @@ def _random_psd(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _random_sym(rng: np.random.Generator, count: int,
-                scale: float = 1.0) -> np.ndarray:
+                scale: float) -> np.ndarray:
     g = rng.standard_normal((count, 12, 12)) * scale
     return 0.5 * (g + np.transpose(g, (0, 2, 1)))
 

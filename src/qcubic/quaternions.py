@@ -37,11 +37,6 @@ def qconj(q) -> np.ndarray:
     return out
 
 
-def qnorm(q) -> np.ndarray:
-    """Euclidean norm."""
-    return np.linalg.norm(np.asarray(q, dtype=float), axis=-1)
-
-
 def matrix_M(s) -> np.ndarray:
     """The 4x4 structure matrix of a quaternion ``s``.
 

@@ -53,13 +53,6 @@ def _rowwise(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (flat @ mat)[:n].reshape(rows.shape[:-1] + mat.shape[-1:])
 
 
-def basis() -> np.ndarray:
-    """The frozen orthonormal basis, shape (78, 12, 12).  Read-only view."""
-    view = _BASIS.view()
-    view.flags.writeable = False
-    return view
-
-
 def to_coords(mat: np.ndarray):
     """Split symmetric matrices into (z, s) coordinates.
 
@@ -69,14 +62,6 @@ def to_coords(mat: np.ndarray):
     mat = np.asarray(mat, dtype=float)
     coords = _rowwise(mat.reshape(mat.shape[:-2] + (N * N,)), _BASIS_FLAT.T)
     return coords[..., 1:], coords[..., 0]
-
-
-def from_coords(z: np.ndarray, s) -> np.ndarray:
-    """Inverse of to_coords: rebuild the symmetric matrix."""
-    z = np.asarray(z, dtype=float)
-    s = np.asarray(s, dtype=float)
-    coords = np.concatenate([s[..., None], z], axis=-1)
-    return _rowwise(coords, _BASIS_FLAT).reshape(z.shape[:-1] + (N, N))
 
 
 def embed_traceless(z: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import pytest
 
 import qcubic.cubic as cubic_mod
 from qcubic.cli import RunConfig, hessian_suite, spectral_suite
-from qcubic.cones import ConeParams, cone_condition, support_x
+from qcubic.cones import ConeParams, cone_condition
 from qcubic.cubic import spectrum_sweep
 from qcubic.elliptic import (build_sigma, zero_level_curve,
                              monotonicity_sweep, viscosity_probe,
@@ -33,6 +33,8 @@ from qcubic.hessian import hess_w, ratio_bound_estimate, RATIO_BOUND
 from qcubic.quaternions import matrix_M as _true_matrix_M
 from qcubic.sampling import (rng_for, directions, STREAM_SPECTRAL,
                              STREAM_HESSIAN, STREAM_CONE)
+
+from oracles import prefix, support_x
 
 SEED = 42
 SQ12 = np.sqrt(12.0)
@@ -166,7 +168,7 @@ def test_a09_zero_level_convergence(sigma2000):
 
 def test_a10_degenerate_ellipticity(sigma2000):
     sigma = sigma2000
-    worst = monotonicity_sweep(sigma.prefix(500), 10_000, SEED)
+    worst = monotonicity_sweep(prefix(sigma, 500), 10_000, SEED)
     assert worst >= -1e-9, \
         "psd increment decreased F by %.3e" % max(0.0, -worst)
 

@@ -357,16 +357,19 @@ def test_out_naming_a_file_exits_2(tmp_path, cmd, extra, capsys):
         cmd, out)
 
 
-def test_suite_output_naming_a_directory_exits_2(tmp_path, capsys):
-    # a suite output that cannot be written is reported on one line, not a
-    # traceback
-    out = os.path.join(tmp_path, "out")
-    os.makedirs(os.path.join(out, "spectral.json"))
-    code, _ = _run(tmp_path, "verify-spectral")
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "qcubic verify-spectral: %s: Is a directory\n"
-        % os.path.join(out, "spectral.json"))
+@pytest.mark.parametrize("cmd, name", [
+    ("verify-spectral", "spectral.json"), ("build-operator", "sigma.cache")],
+    ids=["verify-spectral", "build-operator"])
+def test_output_naming_a_directory_exits_2(tmp_path, cmd, name, capsys):
+    # an output that cannot be written, a suite's or the graph cache, is
+    # reported on one line naming it, not a traceback, and leaves no temp
+    # file behind
+    path = os.path.join(tmp_path, "out", name)
+    os.makedirs(path)
+    assert _run(tmp_path, cmd)[0] == 2
+    assert capsys.readouterr().err == "qcubic %s: %s: Is a directory\n" % (
+        cmd, path)
+    assert os.listdir(os.path.dirname(path)) == [name]
 
 
 @pytest.fixture(scope="module")

@@ -17,12 +17,13 @@ import pytest
 
 from qcubic import symspace
 from qcubic.cones import (ConeParams, _PairBounds, _PRUNE_CANDIDATES,
-                          _kappa, _pair_spectra, _pruned_min, in_K,
-                          in_K_star, in_L, in_L_ratio_batch, support_x,
+                          _kappa, _pair_spectra, _pruned_min,
                           cone_condition, _gauge)
 from qcubic.elliptic import PAPER_LAM
 from qcubic.hessian import RATIO_BOUND, hess_w
 from qcubic.sampling import rng_for, unit_sphere, STREAM_CONE
+
+from oracles import in_dual, in_K, in_L, support_x
 
 SQ = np.sqrt(12.0)
 
@@ -77,9 +78,10 @@ def test_in_K_basics():
 def test_in_K_star_contains_K_and_identity():
     rng = rng_for(81, STREAM_CONE)
     cone = ConeParams(4.0)
-    assert in_K_star(np.eye(12), cone)
+    assert in_dual(np.linalg.eigvalsh(np.eye(12)), cone)
     for m in _sym_in_K(rng, cone.lam, 10):
-        assert in_K_star(m, cone)      # the cone sits inside its dual
+        # the cone sits inside its dual
+        assert in_dual(np.linalg.eigvalsh(m), cone)
 
 
 def test_in_K_star_duality_sampled():
@@ -92,7 +94,7 @@ def test_in_K_star_duality_sampled():
     for z, c in zip(cand, shifts):
         m = z + c * np.eye(12) / SQ
         inner = np.einsum("nij,ij->n", probes, m)
-        if in_K_star(m, cone):
+        if in_dual(np.linalg.eigvalsh(m), cone):
             assert inner.min() >= -1e-9
         else:
             # outside the dual some probe direction must refute it; the
@@ -116,7 +118,7 @@ def test_in_K_star_refuted_by_explicit_probe():
         q = -vals[vals < 0].sum()
         if p - lam2 * q > -1e-6:
             continue
-        assert not in_K_star(z, cone)
+        assert not in_dual(vals, cone)
         w = np.where(vals < 0, lam2 * (1.0 - 1e-9), 1.0)
         k = (vecs * w) @ vecs.T
         assert in_K(k, cone)
@@ -129,18 +131,15 @@ def test_in_L_is_two_sided_strict_dual_complement():
     rng = rng_for(84, STREAM_CONE)
     cone = ConeParams(3.0)
     zs = _traceless(rng, 50)
-    vals = np.linalg.eigvalsh(zs)
-    batch = in_L_ratio_batch(vals, cone)
-    for z, expect in zip(zs, batch):
-        assert in_L(z, cone) == bool(expect)
-        assert in_L(z, cone) == (not in_K_star(z, cone)
-                                 and not in_K_star(-z, cone))
+    batch = in_L(np.linalg.eigvalsh(zs), cone)
+    assert np.array_equal(batch, ~in_dual(np.linalg.eigvalsh(zs), cone)
+                          & ~in_dual(np.linalg.eigvalsh(-zs), cone))
 
 
 def test_in_L_excludes_identity_and_zero():
     cone = ConeParams(3.0)
-    assert not in_L(np.eye(12), cone)
-    assert not in_L(np.zeros((12, 12)), cone)
+    assert not in_L(np.linalg.eigvalsh(np.eye(12)), cone)
+    assert not in_L(np.linalg.eigvalsh(np.zeros((12, 12))), cone)
 
 
 # --- support gauge -----------------------------------------------------------
@@ -164,8 +163,8 @@ def test_support_membership_transition():
     x = float(support_x(z, cone))
     m = symspace.embed_traceless(z)
     eye = np.eye(12) / SQ
-    assert in_K_star(m + (x + 1e-7) * eye, cone)
-    assert not in_K_star(m + (x - 1e-7) * eye, cone)
+    assert in_dual(np.linalg.eigvalsh(m + (x + 1e-7) * eye), cone)
+    assert not in_dual(np.linalg.eigvalsh(m + (x - 1e-7) * eye), cone)
 
 
 def test_support_zero_and_homogeneity():
@@ -363,7 +362,7 @@ def test_pruned_min_is_the_full_tables_minimum():
 def _full_violations(mats, cone):
     """Every pair outside L, eigensolving all pairs: the reference."""
     ii, jj = np.triu_indices(len(mats), k=1)
-    ok = in_L_ratio_batch(np.linalg.eigvalsh(mats[ii] - mats[jj]), cone)
+    ok = in_L(np.linalg.eigvalsh(mats[ii] - mats[jj]), cone)
     return [(int(i), int(j)) for i, j in zip(ii[~ok], jj[~ok])]
 
 

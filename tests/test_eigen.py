@@ -254,38 +254,48 @@ def _calls_by_scope(tree, name):
                       and node.func.id == name)
 
 
+_TEXTS = {p.name: p.read_text() for p in
+          sorted(pathlib.Path(eigen_mod.__file__).parent.glob("*.py"))}
+_TREES = {name: ast.parse(t) for name, t in _TEXTS.items()}
+
+
+def _scopes(match):
+    """(module, scope) of each node under src/qcubic that match accepts."""
+    return {(mod, scope) for mod, tree in _TREES.items()
+            for scope in _scopes_of(tree, match)}
+
+
+def _calls(name):
+    """(module, scope) of each `name(...)` call under src/qcubic, sorted,
+    once per call."""
+    return sorted((mod, scope) for mod, tree in _TREES.items()
+                  for scope in _calls_by_scope(tree, name))
+
+
 def test_source_scan_one_eigensolver_module_one_prune_width():
     # numpy's (or any) linalg eigensolver is called only in eigen.py, the
     # pruned minimum's first-round width is assigned in one module, the
     # paper aperture is written out once, and a graph sample is drawn in
     # one place and cached as its recipe only
-    src = pathlib.Path(eigen_mod.__file__).parent
-    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
     eig = re.compile(r"linalg\s*\.\s*eig|getattr\(\s*np\.linalg"
                      r"|linalg\s+import[^\n]*\beig")
-    assert [name for name, t in texts.items() if eig.search(t)] == ["eigen.py"]
+    assert [mod for mod, t in _TEXTS.items() if eig.search(t)] == ["eigen.py"]
     width = re.compile(r"^\s*_PRUNE_CANDIDATES\s*=", re.M)
-    assert [name for name, t in texts.items()
+    assert [name for name, t in _TEXTS.items()
             if width.search(t)] == ["cones.py"]
     paper = re.compile(r"11\.0\s*\*\s*RATIO_BOUND")
-    assert {name: len(paper.findall(t)) for name, t in texts.items()
+    assert {name: len(paper.findall(t)) for name, t in _TEXTS.items()
             if paper.search(t)} == {"elliptic.py": 1}
-    trees = {name: ast.parse(t) for name, t in texts.items()}
-    assert {(name, scope) for name, tree in trees.items()
-            for scope in _calls_by_scope(tree, "SigmaSample")} == {
-        ("elliptic.py", "sigma_from_sources"),
-        ("elliptic.py", "SigmaSample.prefix")}
-    assert not [name for name, t in texts.items() if "BASIS_HASH" in t]
-    save = next(node for node in ast.walk(trees["elliptic.py"])
+    assert _calls("SigmaSample") == [("elliptic.py", "sigma_from_sources")]
+    assert not [name for name, t in _TEXTS.items() if "BASIS_HASH" in t]
+    save = next(node for node in ast.walk(_TREES["elliptic.py"])
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "save_cache")
-    body = ast.get_source_segment(texts["elliptic.py"], save)
+    body = ast.get_source_segment(_TEXTS["elliptic.py"], save)
     assert not re.search(r"sigma\.(sources|z|s)\b|z\[77\]", body)
-    assert {(name, scope) for name, tree in trees.items()
-            for scope in _scopes_of(tree, lambda node: (
-                isinstance(node, ast.Name) and node.id == "STREAM_SIGMA"
-                and isinstance(node.ctx, ast.Load)))} == {
-        ("elliptic.py", "build_sigma")}
+    assert _scopes(lambda n: (
+        isinstance(n, ast.Name) and n.id == "STREAM_SIGMA"
+        and isinstance(n.ctx, ast.Load))) == {("elliptic.py", "build_sigma")}
 
 
 def test_source_scan_one_run_sample_recipe():
@@ -293,27 +303,19 @@ def test_source_scan_one_run_sample_recipe():
     # only it builds a sample (load_cache redraws a cached one), the
     # aperture is formed there and for the paper-aperture cone check, and
     # the pinch reads its pair count from the config alone
-    src = pathlib.Path(eigen_mod.__file__).parent
-    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
-    trees = {name: ast.parse(t) for name, t in texts.items()}
-
-    def calls(name):
-        return sorted((mod, scope) for mod, tree in trees.items()
-                      for scope in _calls_by_scope(tree, name))
-
-    assert calls("build_sigma") == [("cli.py", "_run_sample"),
-                                    ("elliptic.py", "load_cache")]
-    assert not [name for name, t in texts.items() if "_policy_cone" in t]
-    assert calls("operator_cone") == [("cli.py", "_run_sample"),
-                                      ("cli.py", "operator_suite")]
-    assert _scopes_of(trees["cli.py"], lambda node: (
+    assert _calls("build_sigma") == [("cli.py", "_run_sample"),
+                                     ("elliptic.py", "load_cache")]
+    assert not [name for name, t in _TEXTS.items() if "_policy_cone" in t]
+    assert _calls("operator_cone") == [("cli.py", "_run_sample"),
+                                       ("cli.py", "operator_suite")]
+    assert _scopes_of(_TREES["cli.py"], lambda node: (
         isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "operator_cone"
         and [getattr(a, "value", None) for a in node.args] == ["paper"]
         and not node.keywords)) == ["operator_suite"]
-    assert _calls_by_scope(trees["cli.py"], "operator_cone").count(
+    assert _calls_by_scope(_TREES["cli.py"], "operator_cone").count(
         "operator_suite") == 1
-    pinch = next(node for node in ast.walk(trees["cli.py"])
+    pinch = next(node for node in ast.walk(_TREES["cli.py"])
                  if isinstance(node, ast.FunctionDef)
                  and node.name == "_pinch").args
     assert ([a.arg for a in pinch.posonlyargs + pinch.args
@@ -323,21 +325,9 @@ def test_source_scan_one_run_sample_recipe():
 
 def test_source_scan_one_pairwise_gauge_test():
     # the graph invariant and the cone condition share one certified test,
-    # the p/q dual test serves only the membership API, the pinch factor is
+    # which is the one gauge reader in cones.py, the pinch factor is
     # formed in cones.py alone, and every pruned minimum takes one floor
     # with its rounding allowance folded in where the floor is formed
-    src = pathlib.Path(eigen_mod.__file__).parent
-    trees = {p.name: ast.parse(p.read_text())
-             for p in sorted(src.glob("*.py"))}
-
-    def scopes(match):
-        return {(mod, scope) for mod, tree in trees.items()
-                for scope in _scopes_of(tree, match)}
-
-    def calls(name):
-        return {(mod, scope) for mod, tree in trees.items()
-                for scope in _calls_by_scope(tree, name)}
-
     def names(node):
         return {getattr(n, "id", getattr(n, "attr", None))
                 for n in ast.walk(node)}
@@ -347,24 +337,23 @@ def test_source_scan_one_pairwise_gauge_test():
                 and "_GUARD" in names(node)
                 and bool({"_SQRT_N", "sqrt"} & names(node)))
 
-    assert scopes(lambda node: isinstance(node, ast.Name)
-                  and node.id == "_GUARD"
-                  and isinstance(node.ctx, ast.Load)) == {
+    assert _scopes(lambda node: isinstance(node, ast.Name)
+                   and node.id == "_GUARD"
+                   and isinstance(node.ctx, ast.Load)) == {
         ("cones.py", "_PairBounds.pinch"), ("elliptic.py", "_extension_parts")}
-    assert scopes(pinch_allowance) == {("cones.py", "_PairBounds.pinch")}
-    pruned = next(node for node in ast.walk(trees["cones.py"])
+    assert _scopes(pinch_allowance) == {("cones.py", "_PairBounds.pinch")}
+    pruned = next(node for node in ast.walk(_TREES["cones.py"])
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_pruned_min").args
     assert ([a.arg for a in pruned.posonlyargs + pruned.args
              + pruned.kwonlyargs] == ["floor", "solve"]
             and pruned.vararg is None and pruned.kwarg is None)
 
-    assert calls("_in_dual") == {("cones.py", "in_K_star"),
-                                 ("cones.py", "in_L_ratio_batch")}
-    assert calls("in_L_ratio_batch") == {("cones.py", "in_L")}
-    assert {mod for mod, _ in calls("_kappa")} == {"cones.py"}
-    assert calls("breaking_pairs") == {("cones.py", "cone_condition"),
-                                       ("elliptic.py", "validate_graph")}
+    assert {scope for mod, scope in _calls("_gauge")
+            if mod == "cones.py"} == {"breaking_pairs"}
+    assert {mod for mod, _ in _calls("_kappa")} == {"cones.py"}
+    assert _calls("breaking_pairs") == [("cones.py", "cone_condition"),
+                                        ("elliptic.py", "validate_graph")]
 
 
 def test_source_scan_fixed_settings_are_constants():
@@ -393,24 +382,20 @@ def test_source_scan_fixed_settings_are_constants():
         + [inspect.signature(strata_directions).parameters[
             "count_each"].default] == [inspect.Parameter.empty] * 3
 
-    src = pathlib.Path(eigen_mod.__file__).parent
-    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
-    trees = {name: ast.parse(t) for name, t in texts.items()}
-    assert {(mod, scope) for mod, tree in trees.items()
-            for scope in _scopes_of(tree, lambda node: (
-                isinstance(node, (ast.Tuple, ast.List, ast.Set))
-                and {"paper", "empirical"} <= {getattr(e, "value", None)
-                                               for e in node.elts}))} == {
+    assert _scopes(lambda node: (
+        isinstance(node, (ast.Tuple, ast.List, ast.Set))
+        and {"paper", "empirical"} <= {getattr(e, "value", None)
+                                       for e in node.elts})) == {
         ("elliptic.py", "")}
-    assert not [name for name, t in texts.items() if "paper|empirical" in t]
+    assert not [name for name, t in _TEXTS.items() if "paper|empirical" in t]
 
     def policies(node):
         return isinstance(node, ast.Name) and node.id == "LAMBDA_POLICIES"
 
-    assert _scopes_of(trees["cli.py"], lambda node: (
+    assert _scopes_of(_TREES["cli.py"], lambda node: (
         isinstance(node, ast.keyword) and node.arg == "choices"
         and policies(node.value))) == ["main"]
-    assert "RunConfig.validate" in _scopes_of(trees["cli.py"], policies)
+    assert "RunConfig.validate" in _scopes_of(_TREES["cli.py"], policies)
 
 
 def test_source_scan_one_pair_difference_solver():
@@ -420,12 +405,9 @@ def test_source_scan_one_pair_difference_solver():
     from qcubic import elliptic
     from qcubic.cones import _PairBounds
 
-    src = pathlib.Path(eigen_mod.__file__).parent
-    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
-    trees = {name: ast.parse(t) for name, t in texts.items()}
-    assert not [name for name, t in texts.items() if "OperatorF" in t]
+    assert not [name for name, t in _TEXTS.items() if "OperatorF" in t]
     assert not hasattr(_PairBounds, "solve")
-    assert sorted((name, scope) for name, tree in trees.items()
+    assert sorted((name, scope) for name, tree in _TREES.items()
                   for scope in _scopes_of(tree, lambda node: (
                       isinstance(node, ast.Call)
                       and getattr(node.func, "attr", getattr(
@@ -448,14 +430,68 @@ def test_source_scan_one_coordinate_product():
     # every coordinate product pads a short stack alike: the only matrix
     # product in symspace.py is inside _rowwise, and no other module reads
     # the basis arrays it multiplies by
-    src = pathlib.Path(eigen_mod.__file__).parent
-    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
-    tree = ast.parse(texts["symspace.py"])
-    assert _scopes_of(tree, lambda node: (
+    assert _scopes_of(_TREES["symspace.py"], lambda node: (
         isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
         or (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
             node.func, "id", None)) in ("dot", "matmul", "einsum", "inner",
                                         "tensordot", "vdot"))) == [
         "_rowwise"]
-    assert [name for name, t in texts.items()
+    assert [name for name, t in _TEXTS.items()
             if re.search(r"\b_BASIS(_FLAT)?\b", t)] == ["symspace.py"]
+
+
+def _unread_definitions(trees, entry_points):
+    """'module.qualname' of every def and class that no running code reads.
+
+    Module-level statements and the entry points run; a def or class runs
+    once running code reads it: a method as an attribute, any other def by
+    its name (unless a local of the reading function shadows it) or as an
+    attribute.  Dunder methods are read by the language.
+    """
+    defs, reads = {}, []
+
+    def visit(node, scope, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                qual = scope + "." + child.name
+                defs[qual] = (child.name, isinstance(node, ast.ClassDef))
+                visit(child, qual, local | {
+                    getattr(n, "arg", getattr(n, "id", None))
+                    for n in ast.walk(child) if isinstance(n, ast.arg)
+                    or isinstance(getattr(n, "ctx", None), ast.Store)}
+                    if isinstance(child, ast.FunctionDef) else local)
+                continue
+            if (isinstance(child, ast.Name) and child.id not in local
+                    and isinstance(child.ctx, ast.Load)):
+                reads.append((child.id, False, scope))
+            elif isinstance(child, ast.Attribute):
+                reads.append((child.attr, True, scope))
+            visit(child, scope, local)
+
+    for mod, tree in trees.items():
+        visit(tree, mod[:-3], set())
+    live = set(entry_points) | {mod[:-3] for mod in trees}
+    while True:
+        read = {(name, attr) for name, attr, scope in reads if scope in live}
+        more = {qual for qual, (name, method) in defs.items()
+                if {(name, True), (name, method)} & read
+                or method and name[:2] == name[-2:] == "__"} - live
+        if not more:
+            return sorted(set(defs) - live)
+        live |= more
+
+
+def test_source_scan_every_definition_runs():
+    # src/ holds only what a run executes: every function, class and method
+    # under src/qcubic is read by code that runs from the module-level
+    # statements or the console script cli.main; the test oracles live in
+    # tests/oracles.py
+    assert _unread_definitions(_TREES, {"cli.main"}) == []
+    # code that only dead code reads is dead, and a local of the same name
+    # is no read
+    dead = ast.parse("def leaf(): pass\ndef caller(): return leaf()\n"
+                     "class Box:\n    def __init__(self): pass\n"
+                     "    def unused(self): return Box()\n"
+                     "def run(leaf): return leaf\n")
+    assert _unread_definitions({"m.py": dead}, {"m.run"}) == [
+        "m.Box", "m.Box.unused", "m.caller", "m.leaf"]

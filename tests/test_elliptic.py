@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from qcubic import elliptic, symspace
-from qcubic.cones import (ConeParams, _PairBounds, _gauge, _in_dual, _kappa,
-                          support_x)
+from qcubic.cones import ConeParams, _PairBounds, _gauge, _kappa
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
@@ -21,6 +20,8 @@ from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
 from qcubic.hessian import RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
                              STREAM_HELDOUT, STREAM_VISCOSITY)
+
+from oracles import in_dual, prefix, support_x
 
 CONE = ConeParams(33.0)
 SQ = np.sqrt(12.0)
@@ -52,11 +53,9 @@ def test_build_sigma_deterministic_and_prefix_nested():
     assert np.array_equal(a.sources, b.sources[:80])
     assert np.array_equal(a.z, b.z[:80])
     assert np.array_equal(a.s, b.s[:80])
-    pre = b.prefix(80)
+    pre = prefix(b, 80)
     assert np.array_equal(pre.sources, a.sources)
     assert pre.count == 80
-    with pytest.raises(ValueError):
-        b.prefix(151)
 
 
 def test_sigma_coordinates_consistent(sigma):
@@ -76,14 +75,14 @@ def test_sigma_s_is_scaled_cubic(sigma):
 
 def test_sigma_from_sources_validates():
     pts = unit_sphere(rng_for(6, STREAM_ELLIPTIC), 40)
-    sig = sigma_from_sources(pts, CONE)
+    sig = sigma_from_sources(pts, CONE, -1)
     assert sig.count == 40 and sig.cone == CONE
     with pytest.raises(ValueError):
-        sigma_from_sources(2.0 * pts, CONE)
+        sigma_from_sources(2.0 * pts, CONE, -1)
 
 
 def test_validate_graph_one_point(sigma):
-    validate_graph(sigma.prefix(1))  # no pairs, nothing to raise
+    validate_graph(prefix(sigma, 1))  # no pairs, nothing to raise
 
 
 def _graph_violations(sig):
@@ -94,7 +93,7 @@ def _graph_violations(sig):
     ds = np.abs(sig.s[ii] - sig.s[jj])
     mu = np.linalg.eigvalsh(symspace.embed_traceless(sig.z[ii] - sig.z[jj]))
     t = (ds - GRAPH_TOL)[:, None] / SQ
-    bad = (_in_dual(mu + t, cone) | _in_dual(t - mu, cone)) & (ds > GRAPH_TOL)
+    bad = (in_dual(mu + t, cone) | in_dual(t - mu, cone)) & (ds > GRAPH_TOL)
     return [(int(i), int(j)) for i, j in zip(ii[bad], jj[bad])]
 
 
@@ -190,6 +189,11 @@ def test_cache_corruption_detected(tmp_path, sigma, mangle):
         fh.write(mangle(text))
     with pytest.raises(CacheError):
         load_cache(path, 5, 150, "empirical")
+
+
+def test_missing_cache_is_a_cache_error(tmp_path):
+    with pytest.raises(CacheError, match="unreadable cache file: "):
+        load_cache(os.path.join(tmp_path, "sigma.cache"), 5, 150, "empirical")
 
 
 @pytest.mark.parametrize("header, key", [
@@ -325,7 +329,7 @@ def test_zero_level_curve_monotone(sigma):
     assert rep.worst_ratio <= 5.0
     assert np.all(rep.F_full <= 1e-12)
     # each count is at least 2 but never past the sample
-    assert [zero_level_curve(sigma.prefix(n), heldout_count=10,
+    assert [zero_level_curve(prefix(sigma, n), heldout_count=10,
                              heldout_seed=7).counts
             for n in (1, 3)] == [[1], [2, 3]]
 
@@ -374,7 +378,7 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
     # gauges, closer than 1 - kappa at lam = 33.
     rng = rng_for(9, STREAM_ELLIPTIC)
     z = scale * np.concatenate([
-        symspace.to_coords(_random_sym(rng, 30))[0],
+        symspace.to_coords(_random_sym(rng, 30, scale=1.0))[0],
         sigma.z[:30] + 0.01 * rng.standard_normal((30, 77))])
     held_s = np.zeros(len(z))
     monkeypatch.setattr(elliptic, "_coords_of_sources",
@@ -406,7 +410,7 @@ def test_g_tilde_rows_do_not_depend_on_the_call(sigma):
     # g_tilde's rows are bitwise the same whatever else is evaluated with
     # them: on any split or permutation of a stack, one-row calls included
     rng = rng_for(11, STREAM_ELLIPTIC)
-    z = np.concatenate([symspace.to_coords(_random_sym(rng, 20))[0],
+    z = np.concatenate([symspace.to_coords(_random_sym(rng, 20, scale=1.0))[0],
                         sigma.z[:20] + 0.01 * rng.standard_normal((20, 77))])
     full = g_tilde(z, sigma)
     parts = [g_tilde(z[a:b], sigma) for a, b in ((0, 1), (1, 17), (17, 40))]
@@ -422,7 +426,7 @@ def test_operator_rows_do_not_depend_on_a_long_call(sigma):
     # than 16 rows, which OpenBLAS would round another way)
     rng = rng_for(12, STREAM_ELLIPTIC)
     mats = np.concatenate([hess_w(unit_sphere(rng, 150)),
-                           _random_sym(rng, 150)])
+                           _random_sym(rng, 150, scale=1.0)])
     z = symspace.to_coords(mats)[0]
     for name, f, rows in (
             ("to_coords", lambda m: np.column_stack(symspace.to_coords(m)),
