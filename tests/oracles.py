@@ -1,4 +1,5 @@
-"""Test oracles for the cones of qcubic.cones, and a sample slicer.
+"""Test oracles for the cones of qcubic.cones and for the pruned
+monotonicity sweep, and a sample slicer.
 
 The program decides cone membership only through the certified pairwise
 gauge test cones.breaking_pairs.  The closed-form membership tests below
@@ -8,14 +9,19 @@ are what the tests check that test, and the gauge kernel, against:
 * K*(lam): p >= lam^2 q, with p the sum of the positive eigenvalues and q
   the absolute sum of the negative ones;
 * L(lam): neither the matrix nor its negative lies in K*(lam).
+
+full_monotonicity_sweep evaluates F on every trial of the sweep's draws,
+which elliptic.monotonicity_sweep prunes to the trials its floor leaves
+open.
 """
 
 import numpy as np
 
-from qcubic import symspace
+from qcubic import elliptic, symspace
 from qcubic.cones import _gauge
 from qcubic.eigen import eigvalsh_asc
 from qcubic.elliptic import SigmaSample
+from qcubic.sampling import rng_for, unit_sphere, STREAM_MONOTONE
 
 
 def in_dual(vals, cone):
@@ -47,3 +53,25 @@ def prefix(sigma, count):
     """The first count points of a graph sample, at its seed and cone."""
     return SigmaSample(sigma.sources[:count], sigma.z[:count],
                        sigma.s[:count], sigma.seed, sigma.cone)
+
+
+def full_monotonicity_sweep(sigma, trials, seed):
+    """min F(A + E) - F(A) over every trial of monotonicity_sweep's draws,
+    each block's [A + E; A] evaluated in one F call.  The draw helpers are
+    read from elliptic when called, so a test that patches them patches
+    both sweeps."""
+    rng = rng_for(seed, STREAM_MONOTONE)
+    worst = np.inf
+    block = 500
+    done = 0
+    while done < trials:
+        b = min(block, trials - done)
+        A = elliptic._random_sym(rng, b, scale=1.0)
+        third = max(1, b // 3)
+        pts = unit_sphere(rng, third)
+        A[:third] = elliptic.hess_w(pts)
+        E = elliptic._random_psd(rng, b) * rng.uniform(0.0, 3.0, (b, 1, 1))
+        FAE, FA = np.split(sigma.F(np.concatenate([A + E, A])), 2)
+        worst = min(worst, float(np.min(FAE - FA)))
+        done += b
+    return worst

@@ -327,7 +327,9 @@ def test_source_scan_one_pairwise_gauge_test():
     # the graph invariant and the cone condition share one certified test,
     # which is the one gauge reader in cones.py, the pinch factor is
     # formed in cones.py alone, and every pruned minimum takes one floor
-    # with its rounding allowance folded in where the floor is formed
+    # with its rounding allowance folded in where the floor is formed: the
+    # pinch floors, g_tilde's trace term and the monotonicity sweep's
+    # floor s(E) - x(z(E)), which is no pinch bound
     def names(node):
         return {getattr(n, "id", getattr(n, "attr", None))
                 for n in ast.walk(node)}
@@ -340,8 +342,10 @@ def test_source_scan_one_pairwise_gauge_test():
     assert _scopes(lambda node: isinstance(node, ast.Name)
                    and node.id == "_GUARD"
                    and isinstance(node.ctx, ast.Load)) == {
-        ("cones.py", "_PairBounds.pinch"), ("elliptic.py", "_extension_parts")}
-    assert _scopes(pinch_allowance) == {("cones.py", "_PairBounds.pinch")}
+        ("cones.py", "_PairBounds.pinch"), ("elliptic.py", "_extension_parts"),
+        ("elliptic.py", "monotonicity_sweep")}
+    assert _scopes(pinch_allowance) == {("cones.py", "_PairBounds.pinch"),
+                                        ("elliptic.py", "monotonicity_sweep")}
     pruned = next(node for node in ast.walk(_TREES["cones.py"])
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_pruned_min").args

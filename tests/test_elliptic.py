@@ -16,12 +16,12 @@ from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              ellipticity_probe, monotonicity_sweep,
                              viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
                              PAPER_CHAIN_BOUND, VERIFICATION_COUNT,
-                             _random_psd, _random_sym)
+                             PAPER_LAM, _random_psd, _random_sym)
 from qcubic.hessian import RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
                              STREAM_HELDOUT, STREAM_VISCOSITY)
 
-from oracles import in_dual, prefix, support_x
+from oracles import full_monotonicity_sweep, in_dual, prefix, support_x
 
 CONE = ConeParams(33.0)
 SQ = np.sqrt(12.0)
@@ -453,6 +453,97 @@ def test_ellipticity_probe_small(sigma):
 def test_monotonicity_sweep_small(sigma):
     worst = monotonicity_sweep(sigma, 40, 6)
     assert worst >= -1e-9
+
+
+def _sweep_blocks(monkeypatch):
+    """Record each block monotonicity_sweep prunes: its certified floor
+    row, every trial's F(A + E) - F(A) (solved on all trials while the
+    block's draws are current) and the trials the pruned pass solved."""
+    blocks, pruned_min = [], elliptic._pruned_min
+
+    def recording(floor, solve):
+        if not solve.__qualname__.startswith("monotonicity_sweep."):
+            return pruned_min(floor, solve)  # g_tilde's, inside F
+        n = floor.shape[1]
+        block = {"floor": floor[0], "solved": [],
+                 "d": solve(np.zeros(n, dtype=int), np.arange(n))}
+        blocks.append(block)
+
+        def tracked(e, i):
+            block["solved"] += i.tolist()
+            return solve(e, i)
+        return pruned_min(floor, tracked)
+    monkeypatch.setattr(elliptic, "_pruned_min", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("seed", [6, 42])
+@pytest.mark.parametrize("lam", [33.0, PAPER_LAM], ids=["empirical", "paper"])
+def test_monotonicity_sweep_is_the_full_sweep(sigma, lam, seed):
+    # the pruned worst is bitwise the worst over every trial: fewer trials
+    # than the first round's 8, a 40-trial block, a 1-trial last block
+    # (501) and four full blocks (33 is 11 x M_hat's size, as the
+    # empirical policy sets it)
+    at = _at(sigma, ConeParams(lam))
+    for trials in (5, 40, 501, 2000):
+        worst = monotonicity_sweep(at, trials, seed)
+        assert worst == full_monotonicity_sweep(at, trials, seed), trials
+        assert worst >= -1e-9
+
+
+def test_monotonicity_sweep_solves_a_planted_minimum(sigma, monkeypatch):
+    # an increment shrunk to trace ~1e-9 holds the least difference by
+    # far; its floor is among the lowest, so it is solved, and the sweep
+    # returns its difference
+    plant, random_psd = 150, elliptic._random_psd
+
+    def planted(rng, count):
+        mats = random_psd(rng, count)
+        mats[plant] *= 1e-9
+        return mats
+    monkeypatch.setattr(elliptic, "_random_psd", planted)
+    blocks = _sweep_blocks(monkeypatch)
+    worst = monotonicity_sweep(sigma, 200, 6)
+    (block,) = blocks
+    d = block["d"]
+    assert plant in block["solved"]
+    assert np.argmin(d) == plant and abs(d[plant]) < 1e-8
+    assert worst == d[plant] == full_monotonicity_sweep(sigma, 200, 6)
+    assert np.sort(d)[1] > 1e3 * abs(d[plant])
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e8])
+def test_monotonicity_floor_below_every_difference(sigma, scale, monkeypatch):
+    # the certified floor s(E) - x(z(E)), allowance included, lies at or
+    # below every trial's computed difference of a full sweep, with A and
+    # E scaled far from the sample's unit scale
+    samples = [_at(sigma, cone) for cone in (CONE, ConeParams(PAPER_LAM))]
+    for name in ("_random_sym", "_random_psd", "hess_w"):
+        draw = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name, lambda *args, draw=draw, **kw:
+                            scale * draw(*args, **kw))
+    blocks = _sweep_blocks(monkeypatch)
+    for at in samples:
+        blocks.clear()
+        worst = monotonicity_sweep(at, 600, 42)
+        d = np.concatenate([block["d"] for block in blocks])
+        floor = np.concatenate([block["floor"] for block in blocks])
+        assert len(d) == 600 and np.all(floor <= d), scale
+        assert worst == np.min(d)
+
+
+def test_monotonicity_sweep_evaluates_few_rows(sigma, monkeypatch):
+    # at 200 trials the sweep's 400 F rows (A + E and A per trial) shrink
+    # to fewer than 10%, counted as the rows that reach g_tilde
+    rows, g = [], elliptic.g_tilde
+    monkeypatch.setattr(elliptic, "g_tilde",
+                        lambda z, at: rows.append(len(z)) or g(z, at))
+    for cone in (CONE, ConeParams(PAPER_LAM)):
+        at = _at(sigma, cone)
+        for seed in (6, 42):
+            rows.clear()
+            monotonicity_sweep(at, 200, seed)
+            assert 0 < sum(rows) < 0.1 * 400, (cone.lam, seed, rows)
 
 
 def test_viscosity_probe_small(sigma):
