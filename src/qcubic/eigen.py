@@ -9,16 +9,13 @@ Two routes are kept on purpose:
   (via numpy) for large batches; no other module calls numpy's eigensolvers.
   The test suite pins the two routes against each other.
 
-``_fanned`` splits a stack over the process's CPUs.  Its worker threads run
-only ``np.linalg.eigvalsh``/``eigh``, looked up at call time, so a profiler
-wrapping those two still counts every row: overlapping spans of one name sum
-exactly, while other spans interleaved across threads would not nest.
+numpy's solvers are looked up at call time, so a wrapper on them (perfbench's
+tracer, a test spy) counts every row.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
@@ -26,10 +23,6 @@ import numpy as np
 JACOBI_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 40
 ROW_BLOCK = 1024  # rows per block of a batched 12x12 sweep (_row_blocked)
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_pool = []  # ThreadPoolExecutor(_CPUS - 1) of _fanned, made on first split
-if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
-    os.register_at_fork(after_in_child=_pool.clear)
 
 
 def _row_blocked(kernel):
@@ -112,25 +105,14 @@ def jacobi_eigh(mat):
     return vals[order], v[:, order]
 
 
-def _fanned(name: str, mats):
-    """np.linalg.<name> of mats; a stack of 128 rows or more in one contiguous
-    chunk of >= 64 rows per CPU, joined in order (LAPACK solves each alone)."""
-    solve, mats = getattr(np.linalg, name), np.asarray(mats)
-    chunks = min(_CPUS, len(mats) // 64) if mats.ndim > 2 else 1
-    if chunks < 2:
-        return solve(mats)
-    if not _pool:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool.append(ThreadPoolExecutor(_CPUS - 1))
-    cut = [len(mats) * k // chunks for k in range(chunks + 1)]
-    todo = [_pool[0].submit(solve, mats[a:b]) for a, b in zip(cut[1:], cut[2:])]
-    parts = [solve(mats[:cut[1]])] + [t.result() for t in todo]
-    return (tuple(map(np.concatenate, zip(*parts))) if name == "eigh"
-            else np.concatenate(parts))
+def eigvalsh_asc(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix or a stack of them."""
+    return np.linalg.eigvalsh(mats)
 
 
-eigvalsh_asc = functools.partial(_fanned, "eigvalsh")  # ascending values
-eigh_asc = functools.partial(_fanned, "eigh")  # ascending (values, vectors)
+def eigh_asc(mats: np.ndarray):
+    """Ascending eigendecomposition (values, column vectors) via LAPACK."""
+    return np.linalg.eigh(mats)
 
 
 def eigvalsh_desc(mats: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ import inspect
 import os
 import pathlib
 import re
-import signal
 import subprocess
 import sys
 import threading
@@ -131,94 +130,33 @@ def test_jacobi_power_of_two_scaling_is_exact():
         assert np.array_equal(wk, vecs)
 
 
-# fan-out of a batched LAPACK call over the CPUs (eigen._fanned)
-SPLIT_ROWS = [0, 1, 2, 127, 128, 129, 1024, 1025, 4099]
-
-
-def _stack(n, layout):
-    """n symmetric 12x12 matrices: C-order, with the stack axis strided (a
-    swapaxes(0, 1) view), with the matrix axes swapped, or one 2-D matrix."""
-    rng = np.random.default_rng(n)
-    if layout == "single":
-        return _random_sym(rng)
-    mats = rng.standard_normal((n, 12, 12))
-    mats = mats + np.swapaxes(mats, -1, -2)
-    if layout == "rows":
-        return np.swapaxes(np.ascontiguousarray(np.swapaxes(mats, 0, 1)), 0, 1)
-    return np.swapaxes(mats, -1, -2) if layout == "matrix" else mats
-
-
-@pytest.mark.parametrize("n, layout", [
-    (n, layout) for layout in ("C", "rows", "matrix") for n in SPLIT_ROWS]
-    + [(1, "single")])
-def test_split_never_changes_a_result(n, layout, monkeypatch):
-    mats = _stack(n, layout)
-    monkeypatch.setattr(eigen_mod, "_CPUS", 3)
-    fanned = (eigvalsh_desc(mats),) + eigh_desc(mats)
-    monkeypatch.setattr(eigen_mod, "_CPUS", 1)
-    serial = (eigvalsh_desc(mats),) + eigh_desc(mats)
-    for got, want in zip(fanned, serial):
-        assert got.shape == want.shape and got.strides == want.strides
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n, cpus, rows", [
-    (1025, 3, [341, 342, 342]), (1024, 2, [512, 512]), (128, 3, [64, 64]),
-    (127, 3, [127]), (4099, 1, [4099])])
-def test_split_runs_one_leaf_call_per_chunk(n, cpus, rows, monkeypatch):
-    # each chunk is one np.linalg.eigvalsh call, looked up at call time, and
-    # the calling thread solves the first
+def test_one_lapack_call_per_stack(monkeypatch):
+    # a stack is one np.linalg call, looked up at call time, on the calling
+    # thread, and no eigensolve starts a thread
     calls = []
-    leaf = np.linalg.eigvalsh
 
-    def spy(a):
-        calls.append((threading.current_thread(), len(a)))
-        return leaf(a)
+    def spy(name):
+        leaf = getattr(np.linalg, name)
 
-    monkeypatch.setattr(eigen_mod, "_CPUS", cpus)
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    eigvalsh_desc(_stack(n, "C"))
-    assert sorted(r for _, r in calls) == sorted(rows)
-    assert sum(t is threading.current_thread() for t, _ in calls) == 1
+        def solve(a):
+            calls.append((name, threading.current_thread(), len(a)))
+            return leaf(a)
+        return solve
 
-
-def test_split_under_thread_stress(monkeypatch):
-    # more workers than cores and a short switch interval: still the serial
-    # bits, and the pool's threads end on shutdown
-    mats = _stack(4099, "C")
-    threads = set(threading.enumerate())
-    monkeypatch.setattr(eigen_mod, "_CPUS", 1)
-    want = eigh_desc(mats)
-    monkeypatch.setattr(eigen_mod, "_CPUS", 2 * os.cpu_count() + 1)
-    monkeypatch.setattr(eigen_mod, "_pool", [])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(4):
-            got = eigh_desc(mats)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    finally:
-        sys.setswitchinterval(interval)
-        eigen_mod._pool[0].shutdown(wait=True)
-    assert set(threading.enumerate()) <= threads
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-def test_split_in_forked_child(monkeypatch):
-    # a forked child has none of the pool's threads: it makes its own pool
-    # (without one its first split would wait forever; the alarm ends it)
-    monkeypatch.setattr(eigen_mod, "_CPUS", 2)
-    mats = _stack(1024, "C")
-    want = eigvalsh_desc(mats)
-    pid = os.fork()
-    if pid == 0:
-        signal.alarm(30)
-        os._exit(0 if np.array_equal(eigvalsh_desc(mats), want) else 1)
-    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    mats = np.random.default_rng(6).standard_normal((1025, 12, 12))
+    mats = mats + np.swapaxes(mats, -1, -2)
+    threads = threading.active_count()
+    eigvalsh_desc(mats)
+    eigh_desc(mats)
+    assert calls == [(name, threading.current_thread(), 1025)
+                     for name in ("eigvalsh", "eigh")]
+    assert threading.active_count() == threads
 
 
 def test_import_starts_no_thread():
-    # the pool and concurrent.futures wait for the first split
+    # importing the CLI starts no thread and loads no concurrent.futures
     src = os.path.dirname(os.path.dirname(eigen_mod.__file__))
     code = ("import sys, threading, qcubic.cli; "
             "print('concurrent.futures' in sys.modules, "
