@@ -167,23 +167,30 @@ def _pair_spectra(za: np.ndarray, zb: np.ndarray, ii: np.ndarray,
         symspace.embed_traceless(za[i] - zb[j])))(ii, jj)
 
 
+def _first_round(floor: np.ndarray, solve):
+    """_pruned_min's first round: solve the _PRUNE_CANDIDATES lowest floors
+    of each row.  Returns their rows e, columns i and each row's least
+    solved entry, an upper bound on its minimum."""
+    n_eval, n = floor.shape
+    k = min(_PRUNE_CANDIDATES, n)
+    e1 = np.repeat(np.arange(n_eval), k)
+    i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
+    return e1, i1, solve(e1, i1).reshape(n_eval, k).min(axis=1)
+
+
 def _pruned_min(floor: np.ndarray, solve) -> np.ndarray:
     """Row minima of a table known only through a certified floor, floor <=
     entry with rounding included; solve(e, i) returns the entries at rows e,
     columns i.
 
-    Two batched rounds: the _PRUNE_CANDIDATES lowest floors of each row,
-    then every entry whose floor is at most its row's best so far (no call
-    when there is none); a third could only open entries the second
-    solved.  An unsolved entry cannot be a minimum and min is exact, so
-    when solve returns each entry bitwise as a full pass does
+    Two batched rounds: the _PRUNE_CANDIDATES lowest floors of each row
+    (_first_round), then every entry whose floor is at most its row's best
+    so far (no call when there is none); a third could only open entries
+    the second solved.  An unsolved entry cannot be a minimum and min is
+    exact, so when solve returns each entry bitwise as a full pass does
     (_pair_spectra), the minima are bitwise the full table's.
     """
-    n_eval, n = floor.shape
-    k = min(_PRUNE_CANDIDATES, n)
-    e1 = np.repeat(np.arange(n_eval), k)
-    i1 = np.argpartition(floor, k - 1, axis=1)[:, :k].ravel()
-    best = solve(e1, i1).reshape(n_eval, k).min(axis=1)
+    e1, i1, best = _first_round(floor, solve)
     open_ = floor <= best[:, None]
     open_[e1, i1] = False
     e2, i2 = np.nonzero(open_)

@@ -32,8 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from . import symspace
-from .cones import (_GUARD, ConeParams, _PairBounds, _gauge, _pair_spectra,
-                    _pruned_min, breaking_pairs, cone_condition)
+from .cones import (_GUARD, ConeParams, _PairBounds, _first_round, _gauge,
+                    _pair_spectra, _pruned_min, breaking_pairs,
+                    cone_condition)
 from .eigen import eigvalsh_asc
 from .hessian import RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
@@ -92,8 +93,10 @@ class SigmaSample:
         comes in: symspace pads a stack of fewer than 16 rows, where
         OpenBLAS rounds another way, and g_tilde works row by row
         (tests/test_elliptic.py's
-        test_operator_rows_do_not_depend_on_a_long_call), so the probes
-        evaluate each stack they draw in one call."""
+        test_operator_rows_do_not_depend_on_a_long_call), so a probe may
+        evaluate any part of a stack it draws: the monotonicity sweep and
+        the viscosity probe finish only the rows their floors leave
+        open."""
         z, s = symspace.to_coords(np.asarray(mats, dtype=float))
         return s - g_tilde(z, self)
 
@@ -508,6 +511,29 @@ def viscosity_probe(sigma: SigmaSample, trials: int, seed: int) -> ViscosityRepo
     over the sphere.  F is monotone, so a short majorant lift lowers F(B)
     and a short minorant lift raises it: both checks get stricter, never
     laxer, and a pass is sound.
+
+    The report needs g_tilde on few rows.  A row's computed F = fl(s - g),
+    g the least computed entry T_i = s_i + x(z - z_i), is bracketed by
+
+        fl(s - T_i)  <=  F  <=  fl(s - min_i floor_i)
+
+    for any solved entry T_i, with the certified floors of
+    _extension_parts: each floor is at most its computed entry, min is
+    exact and fl(s - .) is monotone, so both ends hold for the computed F
+    with no further allowance.  The upper end costs no eigensolve, and the
+    minorant max and the F > tol count need only it.  The lower end is
+    _first_round's (_pruned_min's first round), on the majorant rows only.
+    The minorant with the highest upper end and the majorant with the
+    lowest lower end are finished first (g_tilde on those rows, which are
+    bitwise the rows of a call on the whole stack), then, in one call,
+    every row whose bracket could still pass that extreme or straddle
+    +-VISCOSITY_TOL.  A finished row's bracket ends are its F.  An
+    unfinished minorant's upper end is at most the first minorant's F and
+    at most tol; an unfinished majorant's lower end is at least the first
+    majorant's F, and its bracket lies on one side of -tol.  So the max
+    of the minorants' upper ends, the min of the majorants' lower ends
+    and the counts of upper ends past +-tol are bitwise the report of F
+    on the whole stack (tests/test_elliptic.py).
     """
     rng = rng_for(seed, STREAM_VISCOSITY)
     sphere = unit_sphere(rng, VERIFICATION_COUNT)
@@ -525,11 +551,29 @@ def viscosity_probe(sigma: SigmaSample, trials: int, seed: int) -> ViscosityRepo
     tilts[~tilt_on] = 0.0
     hb = hess_w(bases)
     down, up = _lift_sizes(verif, eval_w(verif), bases, hb)
-    F_min, F_maj = np.split(sigma.F(np.concatenate(
+    z, s = symspace.to_coords(np.concatenate(
         [hb - 2.0 * down[:, None, None] * np.eye(12) - tilts,
-         hb + 2.0 * up[:, None, None] * np.eye(12) + tilts])), 2)
+         hb + 2.0 * up[:, None, None] * np.eye(12) + tilts]))
+    _, floor, solve = _extension_parts(z, sigma)
+    minor, major = slice(trials), slice(trials, None)
+    hi = s - floor.min(axis=1)
+    lo = np.full_like(hi, -np.inf)
+    lo[major] = s[major] - _first_round(
+        floor[major], lambda e, i: solve(e + trials, i))[2]
+
+    def finish(rows):
+        lo[rows] = hi[rows] = s[rows] - g_tilde(z[rows], sigma)
+    top, bottom = np.argmax(hi[minor]), trials + np.argmin(lo[major])
+    finish([top, bottom])
+    tol = VISCOSITY_TOL
+    rows = np.flatnonzero(np.concatenate([
+        (hi[minor] > hi[top]) | ((lo[minor] <= tol) & (hi[minor] > tol)),
+        (lo[major] < lo[bottom]) | ((lo[major] < -tol) & (hi[major] >= -tol))
+    ]))
+    if rows.size:
+        finish(rows)
     return ViscosityReport(
-        minorant_max_F=float(np.max(F_min)),
-        majorant_min_F=float(np.min(F_maj)),
-        minorant_violations=int(np.sum(F_min > VISCOSITY_TOL)),
-        majorant_violations=int(np.sum(F_maj < -VISCOSITY_TOL)))
+        minorant_max_F=float(np.max(hi[minor])),
+        majorant_min_F=float(np.min(lo[major])),
+        minorant_violations=int(np.sum(hi[minor] > tol)),
+        majorant_violations=int(np.sum(hi[major] < -tol)))

@@ -1,5 +1,5 @@
 """Test oracles for the cones of qcubic.cones and for the pruned
-monotonicity sweep, and a sample slicer.
+monotonicity sweep and viscosity probe, and a sample slicer.
 
 The program decides cone membership only through the certified pairwise
 gauge test cones.breaking_pairs.  The closed-form membership tests below
@@ -12,7 +12,9 @@ are what the tests check that test, and the gauge kernel, against:
 
 full_monotonicity_sweep evaluates F on every trial of the sweep's draws,
 which elliptic.monotonicity_sweep prunes to the trials its floor leaves
-open.
+open; full_viscosity_probe evaluates F on every minorant and majorant,
+which elliptic.viscosity_probe finishes only on the rows its brackets
+leave open.
 """
 
 import numpy as np
@@ -21,7 +23,8 @@ from qcubic import elliptic, symspace
 from qcubic.cones import _gauge
 from qcubic.eigen import eigvalsh_asc
 from qcubic.elliptic import SigmaSample
-from qcubic.sampling import rng_for, unit_sphere, STREAM_MONOTONE
+from qcubic.sampling import (rng_for, unit_sphere, STREAM_MONOTONE,
+                             STREAM_VISCOSITY)
 
 
 def in_dual(vals, cone):
@@ -75,3 +78,29 @@ def full_monotonicity_sweep(sigma, trials, seed):
         worst = min(worst, float(np.min(FAE - FA)))
         done += b
     return worst
+
+
+def full_viscosity_probe(sigma, trials, seed):
+    """viscosity_probe's report from F on every minorant and majorant of its
+    draws, the whole stack in one F call.  _lift_sizes is read from
+    elliptic when called, so a test that patches it patches both probes."""
+    rng = rng_for(seed, STREAM_VISCOSITY)
+    verif = np.concatenate([unit_sphere(rng, elliptic.VERIFICATION_COUNT),
+                            sigma.sources], axis=0)
+    n_half = trials // 2
+    bases = unit_sphere(rng, trials)
+    bases[:n_half] = sigma.sources[rng.integers(0, sigma.count, n_half)]
+    tilts = (elliptic._random_psd(rng, trials)
+             * rng.uniform(0.0, 0.5, (trials, 1, 1)))
+    tilts[~(rng.uniform(size=trials) < 0.5)] = 0.0
+    hb = elliptic.hess_w(bases)
+    down, up = elliptic._lift_sizes(verif, elliptic.eval_w(verif), bases, hb)
+    F_min, F_maj = np.split(sigma.F(np.concatenate(
+        [hb - 2.0 * down[:, None, None] * np.eye(12) - tilts,
+         hb + 2.0 * up[:, None, None] * np.eye(12) + tilts])), 2)
+    tol = elliptic.VISCOSITY_TOL
+    return elliptic.ViscosityReport(
+        minorant_max_F=float(np.max(F_min)),
+        majorant_min_F=float(np.min(F_maj)),
+        minorant_violations=int(np.sum(F_min > tol)),
+        majorant_violations=int(np.sum(F_maj < -tol)))

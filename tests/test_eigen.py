@@ -290,6 +290,13 @@ def test_source_scan_one_pairwise_gauge_test():
     assert ([a.arg for a in pruned.posonlyargs + pruned.args
              + pruned.kwonlyargs] == ["floor", "solve"]
             and pruned.vararg is None and pruned.kwarg is None)
+    # one first round: the k lowest floors are picked in _first_round,
+    # which the pruned minimum and the viscosity probe's brackets read
+    assert _calls("_first_round") == [("cones.py", "_pruned_min"),
+                                      ("elliptic.py", "viscosity_probe")]
+    assert _scopes(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "argpartition") == {
+        ("cones.py", "_first_round")}
 
     assert {scope for mod, scope in _calls("_gauge")
             if mod == "cones.py"} == {"breaking_pairs"}

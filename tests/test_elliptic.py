@@ -1,5 +1,6 @@
 """Graph sample, inf-convolution extension, and operator probes."""
 
+import dataclasses
 import os
 import re
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from qcubic import elliptic, symspace
-from qcubic.cones import ConeParams, _PairBounds, _gauge, _kappa
+from qcubic.cones import (ConeParams, _PairBounds, _first_round, _gauge,
+                          _kappa)
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
@@ -16,12 +18,14 @@ from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              ellipticity_probe, monotonicity_sweep,
                              viscosity_probe, GRAPH_TOL, MINORANT_MARGIN,
                              PAPER_CHAIN_BOUND, VERIFICATION_COUNT,
-                             PAPER_LAM, _random_psd, _random_sym)
+                             VISCOSITY_TOL, PAPER_LAM, _random_psd,
+                             _random_sym)
 from qcubic.hessian import RATIO_BOUND, eval_w, hess_w
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_ELLIPTIC,
                              STREAM_HELDOUT, STREAM_VISCOSITY)
 
-from oracles import full_monotonicity_sweep, in_dual, prefix, support_x
+from oracles import (full_monotonicity_sweep, full_viscosity_probe, in_dual,
+                     prefix, support_x)
 
 CONE = ConeParams(33.0)
 SQ = np.sqrt(12.0)
@@ -555,24 +559,23 @@ def test_viscosity_probe_small(sigma):
     assert rep.majorant_min_F >= -1e-6
 
 
-class _RecordingSample:
-    """Stands in for the sample in viscosity_probe: has its sources, keeps
-    every matrix stack it is asked to evaluate and reports F = 0."""
+def _probe_stacks(monkeypatch):
+    """Record each minorant-then-majorant stack viscosity_probe forms, from
+    the one coordinate product it takes, with the real sample."""
+    stacks, to_coords = [], symspace.to_coords
 
-    def __init__(self, sigma):
-        self.sources, self.count = sigma.sources, sigma.count
-        self.seen = []
-
-    def F(self, mats):
-        self.seen.append(np.array(mats))
-        return np.zeros(len(mats))
+    def recording(mats):
+        stacks.append(np.array(mats))
+        return to_coords(mats)
+    monkeypatch.setattr(elliptic.symspace, "to_coords", recording)
+    return stacks
 
 
-def test_viscosity_lifts_match_per_trial_reference(sigma):
+def test_viscosity_lifts_match_per_trial_reference(sigma, monkeypatch):
     trials, seed, count = 12, 7, VERIFICATION_COUNT
-    stub = _RecordingSample(sigma)
-    viscosity_probe(stub, trials, seed)
-    (stack,) = stub.seen  # one F call: the minorants, then the majorants
+    stacks = _probe_stacks(monkeypatch)
+    viscosity_probe(sigma, trials, seed)
+    (stack,) = stacks  # one stack: the minorants, then the majorants
     minorants, majorants = np.split(stack, 2)
 
     # the same draws as viscosity_probe, in its order
@@ -606,3 +609,124 @@ def test_viscosity_lifts_match_per_trial_reference(sigma):
     q_hi = 0.5 * np.einsum("ni,kij,nj->kn", pts, majorants, pts)
     assert np.min(w - q_lo) >= MINORANT_MARGIN - 1e-12
     assert np.min(q_hi - w) >= MINORANT_MARGIN - 1e-12
+
+
+@pytest.fixture(scope="module")
+def sigma500():
+    return build_sigma(500, 42, CONE)
+
+
+def _bitwise(rep):
+    """A ViscosityReport's fields, floats by their bits."""
+    return [v.hex() if isinstance(v, float) else v
+            for v in dataclasses.astuple(rep)]
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("lam", [33.0, PAPER_LAM], ids=["empirical", "paper"])
+def test_viscosity_probe_is_the_full_probe(sigma500, lam, seed):
+    # every reported number is bitwise the one F on the whole stack gives,
+    # on stacks of 4 and 10 rows (below symspace's 16-row padding), 154
+    # and 500
+    at = _at(sigma500, ConeParams(lam))
+    for trials in (2, 5, 77, 250):
+        assert (_bitwise(viscosity_probe(at, trials, seed))
+                == _bitwise(full_viscosity_probe(at, trials, seed))), trials
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_viscosity_probe_is_the_full_probe_on_failing_majorants(seed):
+    # a 77-point sample leaves majorants below -VISCOSITY_TOL (the elliptic
+    # docstring's sampling-density gap): nonzero counts match too
+    small = build_sigma(77, seed, CONE)
+    rep = viscosity_probe(small, 77, seed)
+    assert rep.majorant_violations > 0 and rep.majorant_min_F < -0.1
+    assert _bitwise(rep) == _bitwise(full_viscosity_probe(small, 77, seed))
+
+
+def _brackets(sigma, stack):
+    """F on each row of a viscosity_probe stack and the ends of its bracket
+    lo <= F <= hi: hi = s - min floor, lo = s - the least first-round
+    entry (viscosity_probe's docstring)."""
+    z, s = symspace.to_coords(stack)
+    _, floor, solve = elliptic._extension_parts(z, sigma)
+    return (sigma.F(stack), s - _first_round(floor, solve)[2],
+            s - floor.min(axis=1))
+
+
+@pytest.mark.parametrize("case", ["violations", "passes"])
+def test_viscosity_probe_finishes_planted_rows(sigma500, case, monkeypatch):
+    # shifted lifts plant F values (F(A + tI) = F(A) + sqrt(12) t) where
+    # one bracket end alone decides a reported number: rows straddling
+    # +-tol inside the extremes' brackets, and rows whose bracket can hold
+    # the extreme on the side of tol that needs no count.  Each planted row
+    # is finished, and the report is the full probe's
+    trials, seed, tol = 250, 7, VISCOSITY_TOL
+    stacks = _probe_stacks(monkeypatch)
+    lifts, lift_sizes = [], elliptic._lift_sizes
+    monkeypatch.setattr(elliptic, "_lift_sizes",
+                        lambda *a: lifts.append(lift_sizes(*a)) or lifts[-1])
+    viscosity_probe(sigma500, trials, seed)
+    (stack,) = stacks
+    F, lo, hi = _brackets(sigma500, stack)
+    loose, gap = (hi - F)[:trials], (F - lo)[trials:]
+    top = int(np.argmax(loose))  # the minorant seed, planted the largest
+    narrow = np.flatnonzero((loose > 1e-6) & (loose < 0.4))[:2]
+    tight = np.flatnonzero(loose < 1e-6)[0]
+    q, r = trials + np.argsort(gap)[::-1][:2]  # the widest majorant gaps
+    if case == "violations":
+        plants = {top: 0.5, narrow[0]: tol + 1e-9, narrow[1]: tol - 1e-9,
+                  trials + np.flatnonzero(gap == 0)[0]: -0.5,
+                  q: -tol - 1e-9, r: -tol + 1e-9}
+    else:
+        g_q, g_r = F[q] - lo[q], F[r] - lo[r]
+        plants = {top: tol - 1e-3, tight: tol - 1e-7,
+                  q: g_r + (g_q - g_r) / 2, r: g_r}
+    down, up = lifts.pop()
+    for row, target in plants.items():
+        if row < trials:
+            down[row] += (F[row] - target) / (2 * SQ)
+        else:
+            up[row - trials] += (target - F[row]) / (2 * SQ)
+    monkeypatch.setattr(elliptic, "_lift_sizes", lambda *a: (down, up))
+
+    stacks.clear()
+    finished, g = [], elliptic.g_tilde
+    monkeypatch.setattr(elliptic, "g_tilde",
+                        lambda z, at: finished.extend(z) or g(z, at))
+    rep = viscosity_probe(sigma500, trials, seed)
+    (stack,) = stacks
+    z = symspace.to_coords(stack)[0]
+    F, lo, hi = _brackets(sigma500, stack)
+    if case == "violations":
+        # straddling rows inside the extremes: hi alone (minorants) or lo
+        # alone (majorants) cannot settle them
+        assert F[top] > tol and np.all(tol < hi[narrow])
+        assert np.all(hi[narrow] < F[top])
+        assert [F[row] > tol for row in narrow] == [True, False]
+        assert np.all((lo[[q, r]] < -tol) & (-tol <= hi[[q, r]]))
+        assert [F[row] < -tol for row in (q, r)] == [True, False]
+        counts = (2, 2)
+    else:
+        # every F on the passing side; a row below the seed's F whose
+        # bracket still reaches past it
+        assert F[top] < F[tight] <= hi[tight] <= tol
+        assert lo[r] < F[r] < F[q] <= hi[r] and -tol <= lo[r]
+        counts = (0, 0)
+    for row in plants:
+        assert any(np.array_equal(z[row], f) for f in finished), row
+    assert (rep.minorant_violations, rep.majorant_violations) == counts
+    assert _bitwise(rep) == _bitwise(
+        full_viscosity_probe(sigma500, trials, seed))
+
+
+def test_viscosity_probe_solves_few_pairs(sigma500, monkeypatch):
+    # at 250 trials the 500 minorant and majorant rows against the
+    # 500-point sample are 250,000 pairs; fewer than 2% are eigensolved
+    pairs, pair_spectra = [], elliptic._pair_spectra
+    monkeypatch.setattr(elliptic, "_pair_spectra", lambda za, zb, e, i: (
+        pairs.append(len(e)) or pair_spectra(za, zb, e, i)))
+    for lam in (33.0, PAPER_LAM):
+        pairs.clear()
+        viscosity_probe(_at(sigma500, ConeParams(lam)), 250, 42)
+        assert 0 < sum(pairs) < 0.02 * 250_000, (lam, sum(pairs))
