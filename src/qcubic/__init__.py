@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
     eigen        self-contained Jacobi eigensolver (reference oracle)
-    quaternions  quaternion products and their 4x4 matrix representations
+    quaternions  the Hamilton sign table, products, 4x4 structure matrices
     symspace     the 78-dim space of symmetric 12x12 matrices, trace split
     sampling     seeded generator streams used by every sweep
     numdiff      central finite differences

@@ -133,13 +133,24 @@ def closed_spectrum(dirs: np.ndarray) -> np.ndarray:
                            -l1], axis=1)
 
 
+def charpoly_ints(mat) -> list:
+    """Coefficients of det(xI - mat) from the top degree down, for a square
+    matrix of Python ints, by Faddeev-LeVerrier: every division is exact."""
+    eye = np.eye(len(mat), dtype=np.int64).astype(object)
+    am, coef = 0 * eye, [1]  # mat M_k, and the coefficients so far
+    for k in range(1, len(mat) + 1):
+        am = mat @ (am + coef[-1] * eye)
+        coef.append(-np.trace(am) // k)
+    return coef
+
+
 def charpoly_identity() -> np.ndarray:
     """The characteristic-polynomial identity of the module docstring,
     checked exactly at CHARPOLY_POINTS points drawn uniformly from
     [-2^31, 2^31)^12 (seed 0, stream STREAM_CHARPOLY): one flag per point.
 
     At integer d every entry of q_matrix(d) is +-d_i, exact in float64, so
-    Faddeev-LeVerrier runs over Python ints and divides exactly; n comes
+    charpoly_ints runs over Python ints and divides exactly; n comes
     from qmul in ints.  Each coefficient of x^k on either side is a
     polynomial of degree 12 - k in d, so by Schwartz-Zippel (Schwartz, JACM
     27, 1980) a false identity holds at one uniform point with probability
@@ -148,14 +159,9 @@ def charpoly_identity() -> np.ndarray:
     """
     pts = rng_for(0, STREAM_CHARPOLY).integers(-2**31, 2**31,
                                               (CHARPOLY_POINTS, 12))
-    eye = np.eye(12, dtype=np.int64).astype(object)
     out = []
     for d in pts:
-        a = q_matrix(d).astype(np.int64).astype(object)
-        am, coef = 0 * eye, [1]  # A M_k, and the coefficients from x^12 down
-        for k in range(1, 13):
-            am = a @ (am + coef[-1] * eye)
-            coef.append(-np.trace(am) // k)
+        coef = charpoly_ints(q_matrix(d).astype(np.int64).astype(object))
         blocks = d.astype(object).reshape(3, 1, 4)
         na, nb, nc = (np.sum(x * x) for x in blocks)
         n = qmul(qmul(blocks[0], blocks[1]), blocks[2])[0, 0]

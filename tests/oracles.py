@@ -1,5 +1,6 @@
-"""Test oracles for the cones of qcubic.cones and for the pruned
-monotonicity sweep and viscosity probe, and a sample slicer.
+"""Test oracles for the cones of qcubic.cones, for the pruned
+monotonicity sweep and viscosity probe, and for the quaternion sign
+table, and a sample slicer.
 
 The program decides cone membership only through the certified pairwise
 gauge test cones.breaking_pairs.  The closed-form membership tests below
@@ -15,6 +16,12 @@ which elliptic.monotonicity_sweep prunes to the trials its floor leaves
 open; full_viscosity_probe evaluates F on every minorant and majorant,
 which elliptic.viscosity_probe finishes only on the rows its brackets
 leave open.
+
+cayley_dickson builds the sign tables of R, C, H and O by doubling from
+the reals, with no table written out: cd_product is the product of the
+doubling, and algebra_q_matrix the Hessian of P(X, Y, Z) = Re(XYZ) over
+any of the four algebras, read from a sign table.  At k = 4 they are the
+independent oracle for quaternions.SIGNS and cubic.q_matrix.
 """
 
 import numpy as np
@@ -104,3 +111,57 @@ def full_viscosity_probe(sigma, trials, seed):
         majorant_min_F=float(np.min(F_maj)),
         minorant_violations=int(np.sum(F_min > tol)),
         majorant_violations=int(np.sum(F_maj < -tol)))
+
+
+def cd_conj(x):
+    """Conjugate of a Cayley-Dickson coordinate vector: the real part
+    kept, every other coordinate negated."""
+    out = -x
+    out[0] = x[0]
+    return out
+
+
+def cd_product(x, y):
+    """Product of two coordinate vectors of length k = 2^j (any dtype) in
+    the k-dimensional Cayley-Dickson algebra, doubling from R by
+    (a, b)(c, d) = (ac - conj(d) b, da + b conj(c))."""
+    if len(x) == 1:
+        return x * y
+    h = len(x) // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    return np.concatenate([cd_product(a, c) - cd_product(cd_conj(d), b),
+                           cd_product(d, a) + cd_product(b, cd_conj(c))])
+
+
+def cayley_dickson(k):
+    """The k x k sign table of the Cayley-Dickson algebra of dimension k
+    (1, 2, 4 or 8): entry (i, j) is coordinate i XOR j of e_i e_j, which
+    is all of e_i e_j (the tests check that XOR rule)."""
+    eye = np.eye(k, dtype=np.int64)
+    return np.array([[cd_product(eye[i], eye[j])[i ^ j] for j in range(k)]
+                     for i in range(k)])
+
+
+def algebra_q_matrix(sigma, d):
+    """The Hessian of P(X, Y, Z) = Re(XYZ) at rows d (..., 3k), over the
+    algebra with k x k sign table sigma, in d's dtype.
+
+    With C_ijl = Re(e_i e_j e_l) = sigma[i, j] sigma[l, l] at l = i XOR j
+    and 0 elsewhere, P = sum C_ijl X_i Y_j Z_l, so each off-diagonal block
+    is one einsum of C with the third block of d = (a, b, c).
+    """
+    k = len(sigma)
+    i, j = np.indices((k, k))
+    tensor = np.zeros((k, k, k), dtype=np.int64)
+    tensor[i, j, i ^ j] = sigma * sigma[i ^ j, i ^ j]
+    d = np.asarray(d)
+    a, b, c = d[..., :k], d[..., k:2 * k], d[..., 2 * k:]
+    xy = np.einsum("ijl,...l->...ij", tensor, c)
+    xz = np.einsum("ijl,...j->...il", tensor, b)
+    yz = np.einsum("ijl,...i->...jl", tensor, a)
+    out = np.zeros(d.shape[:-1] + (3 * k, 3 * k), dtype=xy.dtype)
+    for (r, s), block in (((0, 1), xy), ((0, 2), xz), ((1, 2), yz)):
+        out[..., r * k:(r + 1) * k, s * k:(s + 1) * k] = block
+        out[..., s * k:(s + 1) * k, r * k:(r + 1) * k] = np.swapaxes(
+            block, -1, -2)
+    return out

@@ -389,6 +389,23 @@ def test_source_scan_one_coordinate_product():
             if re.search(r"\b_BASIS(_FLAT)?\b", t)] == ["symspace.py"]
 
 
+def test_source_scan_one_sign_table():
+    # Hamilton's convention is written once: quaternions.SIGNS is assigned
+    # once, at module level, and read only by qmul and matrix_M, whose
+    # products and entries it signs; q_matrix calls matrix_M by name, once
+    # per block, which is what the sign-flip tests patch
+    def sign_table(ctx):
+        return lambda node: (isinstance(node, ast.Name) and node.id == "SIGNS"
+                             and isinstance(node.ctx, ctx))
+
+    assert _scopes(sign_table(ast.Store)) == {("quaternions.py", "")}
+    assert _scopes(sign_table(ast.Load)) == {("quaternions.py", "qmul"),
+                                             ("quaternions.py", "matrix_M")}
+    assert [name for name, t in _TEXTS.items()
+            if re.search(r"\bSIGNS\b", t)] == ["quaternions.py"]
+    assert _calls("matrix_M") == [("cubic.py", "q_matrix")] * 3
+
+
 def _unread_definitions(trees, entry_points):
     """'module.qualname' of every def and class that no running code reads.
 

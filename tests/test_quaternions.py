@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 from numpy.linalg import norm
 
@@ -43,6 +46,24 @@ def test_qmul_broadcasts():
 
 
 # --- structure matrix -------------------------------------------------------
+
+def test_matrix_M_is_its_docstring_rows():
+    # every entry is +-s_j as displayed, sign bit included: signed zeros
+    # and NaNs take the displayed sign, so the signs are negations, never
+    # products with -1 (which leave a NaN's sign bit alone)
+    rows = re.findall(r"^\s*\((.*)\)\s*$", matrix_M.__doc__, re.M)
+    shown = [[e.strip() for e in r.split(",")] for r in rows]
+    assert len(shown) == 4 and all(len(r) == 4 for r in shown)
+    s = np.array(list(itertools.product([0.0, -0.0, 1.5, np.nan, -np.nan],
+                                        repeat=4)))
+    expect = np.stack([np.stack([-s[:, int(e[-1])] if e[0] == "-"
+                                 else s[:, int(e[-1])] for e in r], axis=-1)
+                       for r in shown], axis=-2)
+    got = matrix_M(s)
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+    assert np.array_equal(matrix_M(s[7]), got[7])
+
 
 def test_matrix_M_orthogonality_property():
     # M_s M_s^t = M_s^t M_s = |s|^2 I, for any s
