@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symspace
+from . import eigen, symspace
 from .eigen import _row_blocked, eigh_asc, eigvalsh_asc
 
 _SQRT_N = np.sqrt(12.0)
@@ -117,8 +117,10 @@ class _PairBounds:
     the pairs within a stack), from two (n, 144) @ (144, m) GEMMs; the
     bound on lambda_max(b_j - a_i) = -lambda_min(a_i - b_j) is b.lower(a)
     transposed.  pinch() turns it into certified floors of the gauges, less
-    sqrt(12) _GUARD (|a_i|_F + |b_j|_F).  Every rounding error on either
-    side of a floor -- the cached eigenpairs, the GEMMs, the matrix a
+    sqrt(12) _GUARD (|a_i|_F + |b_j|_F).  A slice bounds[r:r + k] is the
+    bounds of those matrices as views, so a table can be formed tile by
+    tile (breaking_pairs).  Every rounding error on either side of a floor
+    -- the cached eigenpairs, the GEMMs in any shape or tiling, the matrix a
     pair's difference is formed as, its eigenvalues (backward stable) and
     the gauge's closed form -- is below 1e3 eps (|a_i|_F + |b_j|_F), eps =
     2.2e-16, so the allowance covers it more than four thousand times over
@@ -138,9 +140,22 @@ class _PairBounds:
         self.bottom_outer = (bottom[:, :, None]
                              * bottom[:, None, :]).reshape(n, 144)
 
+    def __getitem__(self, rows: slice) -> "_PairBounds":
+        """The bounds of a slice of the stack, as views of this one's
+        arrays: a tile of a pair table costs no copy."""
+        part = object.__new__(_PairBounds)
+        part.__dict__.update((k, v[rows]) for k, v in vars(self).items())
+        return part
+
     def lower(self, b: "_PairBounds") -> np.ndarray:
-        return np.maximum(self.top[:, None] - self.top_outer @ b.flat.T,
-                          self.flat @ b.bottom_outer.T - b.bottom[None, :])
+        """The (len(self), len(b)) table, built in the first GEMM's output:
+        two tables are live at its peak, and each entry is rounded as
+        np.maximum(top - G1, G2 - bottom) rounds it."""
+        table = self.top_outer @ b.flat.T
+        np.subtract(self.top[:, None], table, out=table)
+        other = self.flat @ b.bottom_outer.T
+        other -= b.bottom[None, :]
+        return np.maximum(table, other, out=table)
 
     def pinch(self, cone: ConeParams, b: "_PairBounds") -> np.ndarray:
         """Certified floors of the gauges x(b_j - a_i) at the cone: the
@@ -206,15 +221,38 @@ def breaking_pairs(bounds: _PairBounds, z: np.ndarray, s: np.ndarray,
     and xr = x(z_j - z_i) at the cone; bounds is _PairBounds(embed(z)).
 
     breaks must be monotone: a pair it flags stays flagged as xf and xr
-    fall.  So a pair it passes at the certified pinch floors (floor[j, i]
-    under xf, floor[i, j] under xr) passes, and only the others are
-    eigensolved, in pair order and on bitwise the spectra a full pass
-    computes; x(-dz) is read from the negated, reversed spectrum of dz.
+    fall.  So a pair it passes at the certified pinch floors passes, and
+    only the others are eigensolved, in pair order and on bitwise the
+    spectra a full pass computes; x(-dz) is read from the negated, reversed
+    spectrum of dz.
+
+    The floors are formed in tiles of eigen.ROW_BLOCK rows by ROW_BLOCK
+    columns of the upper triangle, so the working set is a few tiles
+    whatever the count.  A diagonal tile is one pinch table, floor[j, i]
+    under xf and floor[i, j] under xr; an off-diagonal tile forms both
+    orders, cols.pinch(rows) transposed under xf and rows.pinch(cols)
+    under xr.  A row block's tiles are joined before np.nonzero, which keeps
+    the pairs in row-major order.  Every floor is certified whatever the
+    GEMM shape, so the pairs flagged, and their order, are those of one
+    table over all pairs (tests/oracles.py's full_breaking_pairs); only
+    which pairs a floor settles can move, and not at count <= ROW_BLOCK,
+    where the one tile is that table.
     """
-    floor = bounds.pinch(cone, bounds)
-    ii, jj = np.nonzero(np.triu(
-        breaks(s[:, None] - s[None, :], floor.T, floor), 1))
-    del floor
+    n, block = len(s), eigen.ROW_BLOCK
+    found = []
+    for r in range(0, max(n, 1), block):  # an empty stack is one empty tile
+        rows, sr = bounds[r:r + block], s[r:r + block, None]
+        floor = rows.pinch(cone, rows)
+        tiles = [np.triu(breaks(sr - s[None, r:r + block], floor.T, floor), 1)]
+        del floor
+        for c in range(r + block, n, block):
+            cols = bounds[c:c + block]
+            tiles.append(breaks(sr - s[None, c:c + block],
+                                cols.pinch(cone, rows).T,
+                                rows.pinch(cone, cols)))
+        i, j = np.nonzero(np.concatenate(tiles, axis=1))
+        found.append((i + r, j + r))
+    ii, jj = map(np.concatenate, zip(*found))
     mu = _pair_spectra(z, z, ii, jj)
     bad = breaks(s[ii] - s[jj], _gauge(mu, cone), _gauge(-mu[:, ::-1], cone))
     return ii[bad], jj[bad]

@@ -38,7 +38,7 @@ from . import symspace
 from .cones import (_GUARD, ConeParams, _PairBounds, _first_round, _gauge,
                     _pair_spectra, _pruned_min, breaking_pairs,
                     cone_condition)
-from .eigen import eigvalsh_asc
+from .eigen import _row_blocked, eigvalsh_asc
 from .hessian import RATIO_BOUND, eval_w, hess_w
 from .sampling import (rng_for, unit_sphere, STREAM_SIGMA, STREAM_HELDOUT,
                        STREAM_ELLIPTIC, STREAM_VISCOSITY, STREAM_MONOTONE)
@@ -474,17 +474,34 @@ def _lift_sizes(verif: np.ndarray, wv: np.ndarray, bases: np.ndarray,
                 hb: np.ndarray):
     """Lift sizes (down, up) per trial k: the max of T_k - w and of w - T_k
     over the verification points (w = wv there) and bases[k], plus
-    MINORANT_MARGIN, where T_k(x) = x.hb[k].x / 2.  One GEMM evaluates every
-    T_k at every point; its (points, trials) table dies with this frame,
-    before the caller builds the operator's gauge table."""
-    n = verif.shape[0]
-    excess = (verif[:, :, None] * verif[:, None, :]).reshape(n, 144) \
-        @ hb.reshape(-1, 144).T
-    excess *= 0.5
-    excess -= wv[:, None]
+    MINORANT_MARGIN, where T_k(x) = x.hb[k].x / 2.
+
+    The verification points are taken in eigen._row_blocked blocks: one
+    GEMM per block evaluates every T_k at its points, and the block
+    returns its column max and min, so the working set is one block's
+    (points x 144) outer products and (points x trials) table, not the
+    whole sample's.  max and min are exact, so the lifts are the one-GEMM
+    lifts whenever each block's GEMM rounds its entries as one GEMM over
+    every point does.  OpenBLAS's edge kernels need not: on a block's edge
+    rows and the last (trials mod 4) columns an entry may differ from the
+    one-GEMM entry, by at most 2 * 144 eps |hb[k]|_F (eps = 2.2e-16; each
+    is a 144-term dot product of unit-norm x x^T with hb[k]).
+    tests/test_row_blocks.py holds every lift to the one-GEMM body
+    (tests/oracles.py's full_lift_sizes) within that bound.  With OpenBLAS
+    0.3.31 every lift measured, five seeds at 2 to 1,001 trials, was
+    bitwise the one-GEMM lift.
+    """
+    hb_flat = hb.reshape(-1, 144)
+
+    def extremes(v, w):
+        excess = (v[:, :, None] * v[:, None, :]).reshape(-1, 144) @ hb_flat.T
+        excess *= 0.5
+        excess -= w[:, None]
+        return excess.max(axis=0)[None], excess.min(axis=0)[None]
+    high, low = _row_blocked(extremes)(verif, wv)
     at_base = 0.5 * np.einsum("ni,nij,nj->n", bases, hb, bases) - eval_w(bases)
-    down = np.maximum(excess.max(axis=0), at_base) + MINORANT_MARGIN
-    up = np.maximum(-excess.min(axis=0), -at_base) + MINORANT_MARGIN
+    down = np.maximum(high.max(axis=0), at_base) + MINORANT_MARGIN
+    up = np.maximum(-low.min(axis=0), -at_base) + MINORANT_MARGIN
     return down, up
 
 

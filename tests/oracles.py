@@ -11,6 +11,11 @@ are what the tests check that test, and the gauge kernel, against:
   the absolute sum of the negative ones;
 * L(lam): neither the matrix nor its negative lies in K*(lam).
 
+full_breaking_pairs is cones.breaking_pairs in one pinch table over all
+pairs, which breaking_pairs forms tile by tile; full_lift_sizes is
+elliptic._lift_sizes in one GEMM over every verification point, which
+_lift_sizes takes block by block.
+
 full_monotonicity_sweep evaluates F on every trial of the sweep's draws,
 which elliptic.monotonicity_sweep prunes to the trials its floor leaves
 open; full_viscosity_probe evaluates F on every minorant and majorant,
@@ -27,7 +32,7 @@ independent oracle for quaternions.SIGNS and cubic.q_matrix.
 import numpy as np
 
 from qcubic import elliptic, symspace
-from qcubic.cones import _gauge
+from qcubic.cones import _gauge, _pair_spectra
 from qcubic.eigen import eigvalsh_asc
 from qcubic.elliptic import SigmaSample
 from qcubic.sampling import (rng_for, unit_sphere, STREAM_MONOTONE,
@@ -63,6 +68,32 @@ def prefix(sigma, count):
     """The first count points of a graph sample, at its seed and cone."""
     return SigmaSample(sigma.sources[:count], sigma.z[:count],
                        sigma.s[:count], sigma.seed, sigma.cone)
+
+
+def full_breaking_pairs(bounds, z, s, cone, breaks):
+    """cones.breaking_pairs with one pinch table of every pair, read through
+    its transpose for the other order."""
+    floor = bounds.pinch(cone, bounds)
+    ii, jj = np.nonzero(np.triu(
+        breaks(s[:, None] - s[None, :], floor.T, floor), 1))
+    mu = _pair_spectra(z, z, ii, jj)
+    bad = breaks(s[ii] - s[jj], _gauge(mu, cone), _gauge(-mu[:, ::-1], cone))
+    return ii[bad], jj[bad]
+
+
+def full_lift_sizes(verif, wv, bases, hb):
+    """elliptic._lift_sizes with one (points, trials) GEMM over every
+    verification point."""
+    n = verif.shape[0]
+    excess = (verif[:, :, None] * verif[:, None, :]).reshape(n, 144) \
+        @ hb.reshape(-1, 144).T
+    excess *= 0.5
+    excess -= wv[:, None]
+    at_base = (0.5 * np.einsum("ni,nij,nj->n", bases, hb, bases)
+               - elliptic.eval_w(bases))
+    margin = elliptic.MINORANT_MARGIN
+    return (np.maximum(excess.max(axis=0), at_base) + margin,
+            np.maximum(-excess.min(axis=0), -at_base) + margin)
 
 
 def full_monotonicity_sweep(sigma, trials, seed):
