@@ -160,10 +160,12 @@ class _PairBounds:
     def pinch(self, cone: ConeParams, b: "_PairBounds") -> np.ndarray:
         """Certified floors of the gauges x(b_j - a_i) at the cone: the
         pinch-lemma bound kappa sqrt(12) lower(b) less its rounding
-        allowance sqrt(12) _GUARD (|a_i|_F + |b_j|_F)."""
+        allowance sqrt(12) _GUARD (|a_i|_F + |b_j|_F), a table scaled in
+        place: two tables are live at its peak, as in lower."""
         floor = self.lower(b)
         floor *= _kappa(cone) * _SQRT_N
-        floor -= _SQRT_N * _GUARD * (self.norm[:, None] + b.norm[None, :])
+        allowance = np.add.outer(self.norm, b.norm)
+        floor -= np.multiply(allowance, _SQRT_N * _GUARD, out=allowance)
         return floor
 
 

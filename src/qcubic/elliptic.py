@@ -86,7 +86,8 @@ class SigmaSample:
     @cached_property
     def bounds(self) -> _PairBounds:
         """Extreme eigenpairs of the sample's traceless parts, built once
-        and shared by validate_graph and every g_tilde call."""
+        and shared by validate_graph and every floor table formed against
+        the sample (_extension_parts, and zero_level_curve's certificate)."""
         return _PairBounds(symspace.embed_traceless(self.z))
 
     def F(self, mats: np.ndarray) -> np.ndarray:
@@ -97,9 +98,8 @@ class SigmaSample:
         OpenBLAS rounds another way, and g_tilde works row by row
         (tests/test_elliptic.py's
         test_operator_rows_do_not_depend_on_a_long_call), so a probe may
-        evaluate any part of a stack it draws: the monotonicity sweep and
-        the viscosity probe finish only the rows their floors leave
-        open."""
+        evaluate any part of a stack it draws: the monotonicity sweep
+        evaluates only the rows its floors leave open."""
         z, s = symspace.to_coords(np.asarray(mats, dtype=float))
         return s - g_tilde(z, self)
 
@@ -311,12 +311,16 @@ def zero_level_curve(sigma: SigmaSample, heldout_count: int,
     on the true graph satisfies F <= 0 exactly, so |F| shrinks pointwise.
     The per-point certificate min_i (x(z - z_i) + x(z_i - z)) bounds |F|.
 
-    Every minimum is pruned as g_tilde's (cones._pruned_min), the prefix minima
-    on the leading columns of one floor table.  The certificate's floor is
-    the sum of both orders' certified floors (_PairBounds.pinch), and both
-    gauges come from one eigenvalue row: each floor's allowance covers its
-    order's Rayleigh bound and gauge, as in g_tilde, and the two sums round
-    below 1e3 eps of the same scale, far inside either allowance.
+    Every minimum is pruned as g_tilde's (cones._pruned_min).  The g_tilde
+    minima are taken over the column blocks [0, c_1), [c_1, c_2), ... of
+    one floor table, c_1 < c_2 < ... the counts, and each prefix's minimum
+    is the running minimum of the block minima (np.minimum.accumulate):
+    min is exact, so it is bitwise the prefix's own minimum, and no pair
+    is solved for two counts.  The certificate's floor is the sum of both
+    orders' certified floors (_PairBounds.pinch), and both gauges come from
+    one eigenvalue row: each floor's allowance covers its order's Rayleigh
+    bound and gauge, as in g_tilde, and the two sums round below 1e3 eps of
+    the same scale, far inside either allowance.
     """
     n = sigma.count
     counts = sorted({min(n, max(2, n // k)) for k in (8, 4, 2, 1)})
@@ -325,10 +329,9 @@ def zero_level_curve(sigma: SigmaSample, heldout_count: int,
     pts, cone = sigma.bounds, sigma.cone
 
     rows, floor, solve = _extension_parts(zh, sigma)
-    max_abs = []
-    for c in counts:
-        g = _pruned_min(floor[:, :c], solve)
-        max_abs.append(float(np.max(np.abs(sh - g))))
+    F = sh - np.minimum.accumulate([
+        _pruned_min(floor[:, a:b], lambda e, i: solve(e, i + a))
+        for a, b in zip([0] + counts, counts)])
 
     def both_orders(e, i):
         mu = _pair_spectra(zh, sigma.z, e, i)
@@ -336,8 +339,8 @@ def zero_level_curve(sigma: SigmaSample, heldout_count: int,
     floor = rows.pinch(cone, pts)
     floor += pts.pinch(cone, rows).T
     nn = _pruned_min(floor, both_orders)
-    return ZeroLevelReport(counts=counts, max_abs_F=max_abs,
-                           nn_bound=nn, F_full=sh - g)
+    return ZeroLevelReport(counts=counts, max_abs_F=np.abs(F).max(1).tolist(),
+                           nn_bound=nn, F_full=F[-1])
 
 
 def _random_psd(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -547,16 +550,17 @@ def viscosity_probe(sigma: SigmaSample, trials: int, seed: int) -> ViscosityRepo
     minorant max and the F > tol count need only it.  The lower end is
     _first_round's (_pruned_min's first round), on the majorant rows only.
     The minorant with the highest upper end and the majorant with the
-    lowest lower end are finished first (g_tilde on those rows, which are
-    bitwise the rows of a call on the whole stack), then, in one call,
-    every row whose bracket could still pass that extreme or straddle
-    +-VISCOSITY_TOL.  A finished row's bracket ends are its F.  An
-    unfinished minorant's upper end is at most the first minorant's F and
-    at most tol; an unfinished majorant's lower end is at least the first
-    majorant's F, and its bracket lies on one side of -tol.  So the max
-    of the minorants' upper ends, the min of the majorants' lower ends
-    and the counts of upper ends past +-tol are bitwise the report of F
-    on the whole stack (tests/test_elliptic.py).
+    lowest lower end are finished first, then every row whose bracket
+    could still pass that extreme or straddle +-VISCOSITY_TOL.  A row is
+    finished by the pruned minimum (cones._pruned_min) of its row of the
+    same floor table with the same solve, which is its computed g, min
+    being exact; a finished row's bracket ends are its F.  An unfinished
+    minorant's upper end is at most the first minorant's F and at most
+    tol; an unfinished majorant's lower end is at least the first
+    majorant's F, and its bracket lies on one side of -tol.  So the max of
+    the minorants' upper ends, the min of the majorants' lower ends and
+    the counts of upper ends past +-tol are bitwise the report of F on the
+    whole stack (tests/test_elliptic.py).
     """
     rng = rng_for(seed, STREAM_VISCOSITY)
     sphere = unit_sphere(rng, VERIFICATION_COUNT)
@@ -585,16 +589,16 @@ def viscosity_probe(sigma: SigmaSample, trials: int, seed: int) -> ViscosityRepo
         floor[major], lambda e, i: solve(e + trials, i))[2]
 
     def finish(rows):
-        lo[rows] = hi[rows] = s[rows] - g_tilde(z[rows], sigma)
+        lo[rows] = hi[rows] = s[rows] - _pruned_min(
+            floor[rows], lambda e, i: solve(rows[e], i))
     top, bottom = np.argmax(hi[minor]), trials + np.argmin(lo[major])
-    finish([top, bottom])
+    finish(np.array([top, bottom]))
     tol = VISCOSITY_TOL
     rows = np.flatnonzero(np.concatenate([
         (hi[minor] > hi[top]) | ((lo[minor] <= tol) & (hi[minor] > tol)),
         (lo[major] < lo[bottom]) | ((lo[major] < -tol) & (hi[major] >= -tol))
     ]))
-    if rows.size:
-        finish(rows)
+    finish(rows)
     return ViscosityReport(
         minorant_max_F=float(np.max(hi[minor])),
         majorant_min_F=float(np.min(lo[major])),

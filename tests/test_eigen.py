@@ -297,6 +297,9 @@ def test_source_scan_one_pairwise_gauge_test():
     assert _scopes(lambda node: isinstance(node, ast.Attribute)
                    and node.attr == "argpartition") == {
         ("cones.py", "_first_round")}
+    # g_tilde is the operator's own: a probe finishes rows from the floor
+    # table it already holds, not through a second table
+    assert _calls("g_tilde") == [("elliptic.py", "SigmaSample.F")]
 
     assert {scope for mod, scope in _calls("_gauge")
             if mod == "cones.py"} == {"breaking_pairs"}

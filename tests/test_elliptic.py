@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from qcubic import elliptic, symspace
+from qcubic import cli, elliptic, symspace
+from qcubic.cli import RunConfig
 from qcubic.cones import (ConeParams, _PairBounds, _first_round, _gauge,
                           _kappa)
 from qcubic.cubic import eval_P
@@ -401,13 +402,40 @@ def test_summed_pinch_floor_below_both_gauges(sigma, scale, monkeypatch):
         assert np.all(scaled.s + (pts.lower(rows) * k).T <= scaled.s + fwd)
         assert np.all(rows.lower(pts) * k + (pts.lower(rows) * k).T
                       <= fwd + rev)
-        # the whole sample's and nn_bound's, certified: allowance folded in
-        g_floor, nn_floor = floors[-2:]
-        assert np.all(g_floor <= scaled.s + fwd)
+        # g_tilde's column blocks' and nn_bound's, certified: allowance
+        # folded in.  The blocks tile the sample's columns, one block
+        # ending at each count
+        *blocks, nn_floor = floors
+        assert np.cumsum([b.shape[1] for b in blocks]).tolist() == rep.counts
+        for a, block in zip([0] + rep.counts, blocks):
+            assert np.all(block <= (scaled.s + fwd)[:, a:a + block.shape[1]])
         assert np.all(nn_floor <= fwd + rev)
         assert rep.nn_bound.tobytes() == np.min(fwd + rev, 1).tobytes()
         g = np.min(scaled.s + fwd, axis=1)
         assert rep.F_full.tobytes() == (held_s - g).tobytes()
+
+
+def test_zero_level_minima_solve_each_pair_once(tmp_path, monkeypatch):
+    # the run's sample at seed 42 and default counts (500 points, empirical
+    # aperture, 200 held-out points): the curve's g_tilde minima take
+    # disjoint column blocks, so no (held-out, sample) pair is solved
+    # twice.  Minima over the leading columns of each count re-solved
+    # 29,340 rows, and the whole curve 44,054
+    cfg = RunConfig(out=str(tmp_path))
+    sample = cli._run_sample(cfg)[1]
+    phases, pruned_min = [], elliptic._pruned_min
+    pair_spectra = elliptic._pair_spectra
+    monkeypatch.setattr(elliptic, "_pruned_min", lambda floor, solve: (
+        phases.append([]) or pruned_min(floor, solve)))
+    monkeypatch.setattr(elliptic, "_pair_spectra", lambda za, zb, e, i: (
+        phases[-1].append(np.stack([e, i], axis=1))
+        or pair_spectra(za, zb, e, i)))
+    rep = zero_level_curve(sample, cfg.heldout_count, cfg.heldout_seed)
+    *minima, nn = [np.concatenate(phase) for phase in phases]
+    assert len(minima) == len(rep.counts) == 4
+    pairs = np.concatenate(minima)
+    assert len(np.unique(pairs, axis=0)) == len(pairs) <= 21_200, len(pairs)
+    assert len(pairs) + len(nn) <= 36_000, len(pairs) + len(nn)
 
 
 def test_g_tilde_rows_do_not_depend_on_the_call(sigma):
@@ -691,12 +719,21 @@ def test_viscosity_probe_finishes_planted_rows(sigma500, case, monkeypatch):
     monkeypatch.setattr(elliptic, "_lift_sizes", lambda *a: (down, up))
 
     stacks.clear()
-    finished, g = [], elliptic.g_tilde
-    monkeypatch.setattr(elliptic, "g_tilde",
-                        lambda z, at: finished.extend(z) or g(z, at))
+    finished, pruned_min = [], elliptic._pruned_min
+    pair_spectra = elliptic._pair_spectra
+
+    def finishing(floor, solve):
+        # the stack rows a pruned minimum of the probe solves, which are
+        # the rows it finishes (each has a first-round entry)
+        monkeypatch.setattr(elliptic, "_pair_spectra", lambda za, zb, e, i: (
+            finished.extend(e.tolist()) or pair_spectra(za, zb, e, i)))
+        best = pruned_min(floor, solve)
+        monkeypatch.setattr(elliptic, "_pair_spectra", pair_spectra)
+        return best
+    monkeypatch.setattr(elliptic, "_pruned_min", finishing)
     rep = viscosity_probe(sigma500, trials, seed)
+    monkeypatch.setattr(elliptic, "_pruned_min", pruned_min)
     (stack,) = stacks
-    z = symspace.to_coords(stack)[0]
     F, lo, hi = _brackets(sigma500, stack)
     if case == "violations":
         # straddling rows inside the extremes: hi alone (minorants) or lo
@@ -713,11 +750,23 @@ def test_viscosity_probe_finishes_planted_rows(sigma500, case, monkeypatch):
         assert F[top] < F[tight] <= hi[tight] <= tol
         assert lo[r] < F[r] < F[q] <= hi[r] and -tol <= lo[r]
         counts = (0, 0)
-    for row in plants:
-        assert any(np.array_equal(z[row], f) for f in finished), row
+    assert set(plants) <= set(finished), set(plants) - set(finished)
     assert (rep.minorant_violations, rep.majorant_violations) == counts
     assert _bitwise(rep) == _bitwise(
         full_viscosity_probe(sigma500, trials, seed))
+
+
+def test_viscosity_probe_finishes_from_its_own_table(sigma500, monkeypatch):
+    # one _PairBounds per call, the stack's, whose floor table serves the
+    # brackets and the finished rows alike: the probe never calls g_tilde
+    built, pair_bounds = [], elliptic._PairBounds
+    monkeypatch.setattr(elliptic, "_PairBounds", lambda mats: (
+        built.append(len(mats)) or pair_bounds(mats)))
+    called, g = [], elliptic.g_tilde
+    monkeypatch.setattr(elliptic, "g_tilde",
+                        lambda z, at: called.append(len(z)) or g(z, at))
+    viscosity_probe(sigma500, 1000, 42)
+    assert (built, called) == ([2000], [])
 
 
 def test_viscosity_probe_solves_few_pairs(sigma500, monkeypatch):

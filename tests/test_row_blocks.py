@@ -166,6 +166,17 @@ def test_pair_table_memory_is_a_few_tiles():
     assert peak <= 64 * 2**20, peak / 2**20
 
 
+def test_pinch_memory_is_two_tables():
+    # 801 x 2,000 floors, the ellipticity probe's F stack against a
+    # 2,000-point sample: the floor table and its allowance, scaled in
+    # place, are live at the peak, as lower's two tables are.  An allowance
+    # formed as a sum table and then a scaled copy peaks at three
+    rng = rng_for(13, STREAM_CONE)
+    a, b = (_PairBounds(hess_w(unit_sphere(rng, n))) for n in (801, 2000))
+    peak = _peak(a.pinch, CONE, b) / (801 * 2000 * 8)
+    assert peak <= 2.1, peak
+
+
 # --- lift blocks of _lift_sizes ---------------------------------------------
 
 def _lift_inputs(trials):
