@@ -191,9 +191,10 @@ def spectral_suite(cfg: RunConfig) -> dict:
     checks.append(_check("eigenvalue_bands", bool(np.all(slack >= 0)),
                          float(slack.min()), witness={"index": k}))
 
-    # per-direction reference path (reference solver + band report)
+    # per-direction reference path (reference solver, its ascending rows
+    # read from the end, + band report)
     worst_report = float(np.min(band_slack(np.stack(
-        [jacobi_eigh(q_matrix(d * (np.sqrt(3.0) / np.linalg.norm(d))))[0]
+        [jacobi_eigh(q_matrix(d * (np.sqrt(3.0) / np.linalg.norm(d))))[0][::-1]
          for d in dirs[:8]]))))
     checks.append(_check("band_report_path", worst_report >= 0.0,
                          worst_report))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigen import _row_blocked, eigvalsh_asc, eigvalsh_desc
+from .eigen import _row_blocked, eigvalsh_asc
 from .quaternions import matrix_M, qconj, qmul
 from .sampling import STREAM_CHARPOLY, rng_for, unit_sphere
 
@@ -190,7 +190,7 @@ def q_extremes(dirs: np.ndarray) -> np.ndarray:
     for nonzero direction rows d of any norm: closed_spectrum's while
     closed_form_certified(), LAPACK's otherwise."""
     if not closed_form_certified():
-        return eigvalsh_desc(q_matrix(dirs))[:, [0, 2, 9, 11]]
+        return eigvalsh_asc(q_matrix(dirs))[:, [11, 9, 2, 0]]
     return closed_spectrum(dirs)[:, [0, 2, 9, 11]]
 
 
@@ -199,7 +199,7 @@ def spectrum_sweep(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK's descending eigenvalues and closed_spectrum's for a stack of
     nonzero direction rows of any norm, shape (count, 12)."""
     dirs = np.asarray(dirs, dtype=float)
-    return eigvalsh_desc(q_matrix(dirs)), closed_spectrum(dirs)
+    return eigvalsh_asc(q_matrix(dirs))[:, ::-1], closed_spectrum(dirs)
 
 
 def band_slack(vals) -> np.ndarray:

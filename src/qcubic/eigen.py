@@ -1,13 +1,15 @@
 """Symmetric eigensolvers.
 
-Two routes are kept on purpose:
+Two routes are kept on purpose, and both return eigenvalues in ascending
+order, with the matching eigenvector columns:
 
 * ``jacobi_eigh`` is a self-contained cyclic Jacobi rotation solver.  It is
   the reference implementation: deterministic, dependency-free, and easy to
   audit.  verify-spectral's ``band_report_path`` check and the tests run it.
-* ``eigvalsh_desc`` / ``eigh_desc`` and the ascending ``*_asc`` wrap LAPACK
-  (via numpy) for large batches; no other module calls numpy's eigensolvers.
-  The test suite pins the two routes against each other.
+* ``eigvalsh_asc`` / ``eigh_asc`` wrap LAPACK (via numpy) for large
+  batches; no other module calls numpy's eigensolvers.  A caller that
+  wants the paper's descending labels l1 >= ... >= l12 reads the rows from
+  the end.  The test suite pins the two routes against each other.
 
 numpy's solvers are looked up at call time, so a wrapper on them (perfbench's
 tracer, a test spy) counts every row.
@@ -51,8 +53,10 @@ def _offdiag_norm(a: np.ndarray) -> float:
 def jacobi_eigh(mat):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Returns ``(values, vectors)`` with eigenvalues sorted in descending
-    order and eigenvectors as the matching columns of an orthogonal matrix.
+    Returns ``(values, vectors)`` with eigenvalues sorted in ascending
+    order, as LAPACK returns them, and eigenvectors as the matching columns
+    of an orthogonal matrix (a stable sort: tied eigenvalues keep their
+    diagonal order).
     At most JACOBI_MAX_SWEEPS sweeps, stopping at off-diagonal Frobenius
     norm <= ``JACOBI_TOL * 2**(e - 3)``, with ``2**(e-1) <= |mat|_F < 2**e``,
     so ``2**k * mat`` rotates as ``mat``.
@@ -101,7 +105,7 @@ def jacobi_eigh(mat):
                 v[:, q] = s * vp + c * vq
 
     vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
+    order = np.argsort(vals, kind="stable")
     return vals[order], v[:, order]
 
 
@@ -114,12 +118,3 @@ def eigh_asc(mats: np.ndarray):
     """Ascending eigendecomposition (values, column vectors) via LAPACK."""
     return np.linalg.eigh(mats)
 
-
-def eigvalsh_desc(mats: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a symmetric matrix or a stack of them."""
-    return eigvalsh_asc(mats)[..., ::-1]
-
-
-def eigh_desc(mats: np.ndarray):
-    """Descending eigendecomposition (values, column vectors) via LAPACK."""
-    return tuple(part[..., ::-1] for part in eigh_asc(mats))

@@ -237,7 +237,8 @@ def _extension_parts(z: np.ndarray, sigma: SigmaSample):
     lambda_max(Z_i - Z), and _PairBounds.pinch floors that for every pair
     at once, its rounding allowance sqrt(12) _GUARD (|z_i| + |z|)
     included.  The s-term's own allowance _GUARD |s_i| covers the rounding
-    of the sum.
+    of the sum on the s side, below 1e3 eps |s_i| as in _PairBounds, more
+    than four thousand times over.
     """
     pts, cone = sigma.bounds, sigma.cone
     rows = _PairBounds(symspace.embed_traceless(z))
@@ -436,10 +437,8 @@ def monotonicity_sweep(sigma: SigmaSample, trials: int, seed: int) -> float:
     sample_scale = 2.0 * np.max(np.abs(sigma.s)
                                 + np.linalg.norm(sigma.z, axis=1))
     worst = np.inf
-    block = 500
-    done = 0
-    while done < trials:
-        b = min(block, trials - done)
+    for start in range(0, trials, 500):
+        b = min(500, trials - start)
         A = _random_sym(rng, b, scale=1.0)
         third = max(1, b // 3)
         pts = unit_sphere(rng, third)
@@ -457,7 +456,6 @@ def monotonicity_sweep(sigma: SigmaSample, trials: int, seed: int) -> float:
             FAE, FA = np.split(sigma.F(np.concatenate([AE[i], A[i]])), 2)
             return FAE - FA
         worst = min(worst, float(_pruned_min(floor[None], differences)[0]))
-        done += b
     return worst
 
 

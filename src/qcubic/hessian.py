@@ -22,7 +22,7 @@ import numpy as np
 
 from .cones import _pruned_min
 from .cubic import eval_P, grad_P, q_extremes, q_matrix
-from .eigen import _row_blocked, eigh_desc, eigvalsh_desc
+from .eigen import _row_blocked, eigh_asc, eigvalsh_asc
 from .sampling import unit_pairs, unit_sphere
 
 # Pinch constant for the extreme-eigenvalue ratio of Hessian differences.
@@ -92,8 +92,8 @@ def hess_w(x) -> np.ndarray:
 def pair_ratio_sweep(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
     """Eigenvalue ratios -mu1/mu12 for stacks of unit-point pairs, mu1 and
     mu12 the largest and least eigenvalues of D2w(a) - D2w(b)."""
-    vals = eigvalsh_desc(hess_w(a_pts) - hess_w(b_pts))
-    return -vals[:, 0] / vals[:, -1]
+    vals = eigvalsh_asc(hess_w(a_pts) - hess_w(b_pts))
+    return -vals[:, -1] / vals[:, 0]
 
 
 def witness_directions(a, b):
@@ -116,9 +116,11 @@ def witness_directions(a, b):
     gap = np.linalg.norm(a - b, axis=-1)
     if np.any(gap < MIN_SEPARATION):
         raise ValueError("witness_directions: pairs closer than 1e-9")
-    _, vecs = eigh_desc(q_matrix((a - b) * (np.sqrt(3.0) / gap)[..., None]))
+    _, vecs = eigh_asc(q_matrix((a - b) * (np.sqrt(3.0) / gap)[..., None]))
     out = []
-    for cols in (vecs[..., 0:3], vecs[..., 9:12]):
+    # top three columns, then bottom three, each from the outer one in: as
+    # views, not copies, since einsum rounds by memory layout
+    for cols in (vecs[..., :8:-1], vecs[..., 2::-1]):
         pa = np.einsum("...i,...ik->...k", a, cols)
         pb = np.einsum("...i,...ik->...k", b, cols)
         y = np.cross(pa, pb)
@@ -269,8 +271,8 @@ def ratio_bound_estimate(rng: np.random.Generator, pairs: int):
     r = -mu1/mu12 and M_hat = max(r_max, 1/r_min).  Per block, one
     cones._pruned_min over two rows, pinch_bounds' r_lo and -r_hi less
     rel (1 + |bound|), solves pair_ratio_sweep only on the pairs that could
-    be r_min or r_max, ROW_BLOCK pairs at a time: its rows do not depend on
-    the block, so both extremes are bitwise a full pass's.
+    be r_min or r_max, one call a round: its rows do not depend on the
+    stack they come in, so both extremes are bitwise a full pass's.
     """
     r_min, r_max = np.inf, 0.0
     for a, b in unit_pairs(rng, pairs, MIN_SEPARATION):
@@ -279,7 +281,6 @@ def ratio_bound_estimate(rng: np.random.Generator, pairs: int):
         floor -= rel * (1.0 + np.abs(floor))
         del r_lo, r_hi, rel  # round 2 sets the peak memory: keep the floors
 
-        @_row_blocked
         def signed_ratios(e, i):  # r on row 0, -r on row 1
             return pair_ratio_sweep(a[i], b[i]) * (1 - 2 * e)
 

@@ -334,7 +334,9 @@ def test_band_report_path_runs_reference_solver(tmp_path, monkeypatch):
     with open(os.path.join(out, "spectral.json")) as fh:
         rep = json.load(fh)
     [check] = [c for c in rep["checks"] if c["name"] == "band_report_path"]
-    assert check["worst"] == float(np.min(band_slack(np.stack(spectra))))
+    # ascending Jacobi rows, read from the end for the descending bands
+    assert check["worst"] == float(np.min(band_slack(
+        np.stack(spectra)[:, ::-1])))
 
 
 def test_report_requires_suites(tmp_path):

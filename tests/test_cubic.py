@@ -13,7 +13,7 @@ from qcubic.cubic import (closed_spectrum, eval_P, grad_P, q_matrix,
                           cor4_check, strata_directions, charpoly_identity,
                           closed_form_certified, q_extremes, CHARPOLY_POINTS,
                           SLACK_TOL)
-from qcubic.eigen import eigh_desc, eigvalsh_desc, jacobi_eigh
+from qcubic.eigen import eigh_asc, eigvalsh_asc, jacobi_eigh
 from qcubic.numdiff import fd_gradient
 from qcubic.quaternions import matrix_M, qmul
 from qcubic.sampling import (rng_for, directions, unit_sphere,
@@ -113,10 +113,10 @@ def test_direction_spectrum_solvers_agree():
     # the closed form
     d = _on_sphere(np.arange(1.0, 13.0))
     vals, _ = jacobi_eigh(q_matrix(d))
-    ref, _ = eigh_desc(q_matrix(d))
+    ref, _ = eigh_asc(q_matrix(d))
     assert np.max(np.abs(vals - ref)) < 1e-12
-    _, closed = spectrum_sweep(d[None])
-    assert np.max(np.abs(vals - closed[0])) < 1e-10
+    _, closed = spectrum_sweep(d[None])  # descending: l1 first
+    assert np.max(np.abs(vals - closed[0, ::-1])) < 1e-10
 
 
 def test_direction_spectrum_vector_contract():
@@ -139,12 +139,12 @@ def test_spectrum_traceless_and_extremes_paired():
 
 
 def test_verify_cor2_on_random_direction():
-    # Corollary 2's band bounds and the descending order on one Jacobi
-    # spectrum
+    # Corollary 2's band bounds on one Jacobi spectrum, whose ascending
+    # values read from the end are the descending l1, ..., l12
     d = _on_sphere(rng_for(10, STREAM_SPECTRAL).standard_normal(12))
     lam, _ = jacobi_eigh(q_matrix(d))
-    assert band_slack(lam) >= 0.0
-    assert np.all(np.diff(lam) <= 0.0)
+    assert band_slack(lam[::-1]) >= 0.0
+    assert np.all(np.diff(lam) >= 0.0)
 
 
 def test_strata_spectra_hit_band_edges():
@@ -178,7 +178,7 @@ def test_spectrum_closed_form_degenerate_arccos():
     assert vals.shape == (4, 12) and np.all(np.isfinite(vals))
     assert abs(vals[0, 0] - np.sqrt(3.0)) < 1e-15
     assert np.all(vals[1:, 0] == 2.0)
-    assert np.max(np.abs(vals - eigvalsh_desc(q_matrix(rows)))) < 1e-14
+    assert np.max(np.abs(vals - eigvalsh_asc(q_matrix(rows))[:, ::-1])) < 1e-14
 
 
 # --- complement compression --------------------------------------------------
@@ -200,7 +200,7 @@ def test_lambda_perp_interlaces():
     # Cauchy interlacing for a codimension-1 compression, on every row
     dirs = directions(rng_for(12, STREAM_SPECTRAL), 200)
     rows = perp_sweep(dirs)
-    vals = eigvalsh_desc(q_matrix(dirs))
+    vals = eigvalsh_asc(q_matrix(dirs))[:, ::-1]
     assert np.all(vals[:, 1] - 1e-12 <= rows[:, 2])
     assert np.all(rows[:, 2] <= vals[:, 0] + 1e-12)
     assert np.all(vals[:, 11] - 1e-12 <= rows[:, 3])
@@ -215,11 +215,11 @@ def test_perp_sweep_matches_single_route():
         mat = q_matrix(dirs[k])
         p = perp_basis(dirs[k])
         comp, _ = jacobi_eigh(p.T @ mat @ p)
-        vals, _ = jacobi_eigh(mat)
-        assert abs(rows[k, 0] - vals[2]) < 1e-12
-        assert abs(rows[k, 1] - vals[9]) < 1e-12
-        assert abs(rows[k, 2] - comp[0]) < 1e-10
-        assert abs(rows[k, 3] - comp[-1]) < 1e-10
+        vals, _ = jacobi_eigh(mat)  # ascending: l3 is vals[9], l10 vals[2]
+        assert abs(rows[k, 0] - vals[9]) < 1e-12
+        assert abs(rows[k, 1] - vals[2]) < 1e-12
+        assert abs(rows[k, 2] - comp[-1]) < 1e-10
+        assert abs(rows[k, 3] - comp[0]) < 1e-10
 
 
 def test_perp_sweep_matches_einsum_oracle():
@@ -232,7 +232,7 @@ def test_perp_sweep_matches_einsum_oracle():
     assert np.max(np.abs(rows[:, 2] - comp[:, -1])) <= 1e-13
     assert np.max(np.abs(rows[:, 3] - comp[:, 0])) <= 1e-13
     assert np.array_equal(rows[:, :2], q_extremes(dirs)[:, [1, 2]])
-    vals = eigvalsh_desc(mats)
+    vals = eigvalsh_asc(mats)[:, ::-1]
     scale = 1e-14 * np.linalg.norm(dirs, axis=1)
     assert np.all(np.abs(rows[:, 0] - vals[:, 2]) <= scale)
     assert np.all(np.abs(rows[:, 1] - vals[:, 9]) <= scale)
@@ -344,12 +344,14 @@ def test_q_extremes_take_lapack_under_a_flip(monkeypatch):
 
     def eigvalsh_spy(mats):
         rows.append(len(mats))
-        return eigvalsh_desc(mats)
+        return eigvalsh_asc(mats)
 
-    monkeypatch.setattr(cubic_mod, "eigvalsh_desc", eigvalsh_spy)
+    monkeypatch.setattr(cubic_mod, "eigvalsh_asc", eigvalsh_spy)
     got = q_extremes(d)
     assert sum(rows) == len(d)
-    assert np.array_equal(got, eigvalsh_desc(q_matrix(d))[:, [0, 2, 9, 11]])
+    # l1, l3, l10 and l12 of the descending spectrum
+    assert np.array_equal(
+        got, eigvalsh_asc(q_matrix(d))[:, ::-1][:, [0, 2, 9, 11]])
 
 
 @pytest.mark.parametrize("flip", range(len(SIGN_FLIPS)))

@@ -16,7 +16,7 @@ import pytest
 
 import qcubic.eigen as eigen_mod
 from qcubic.cubic import q_matrix
-from qcubic.eigen import (jacobi_eigh, eigvalsh_desc, eigh_desc,
+from qcubic.eigen import (jacobi_eigh, eigvalsh_asc, eigh_asc,
                           JACOBI_MAX_SWEEPS)
 from qcubic.sampling import rng_for, directions, STREAM_SPECTRAL
 
@@ -31,17 +31,17 @@ def test_jacobi_matches_lapack():
     for _ in range(50):
         m = _random_sym(rng)
         vals, vecs = jacobi_eigh(m)
-        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+        ref = np.linalg.eigvalsh(m)
         assert np.max(np.abs(vals - ref)) < 1e-12
         # eigenvector residual
         assert np.max(np.abs(m @ vecs - vecs * vals[None, :])) < 1e-10
 
 
-def test_jacobi_descending_and_orthogonal():
+def test_jacobi_ascending_and_orthogonal():
     rng = np.random.default_rng(2)
     m = _random_sym(rng)
     vals, vecs = jacobi_eigh(m)
-    assert np.all(np.diff(vals) <= 0)
+    assert np.all(np.diff(vals) >= 0)
     assert np.max(np.abs(vecs.T @ vecs - np.eye(12))) < 1e-12
 
 
@@ -50,33 +50,35 @@ def test_jacobi_small_sizes():
     for n in (1, 2, 3, 5):
         m = _random_sym(rng, n)
         vals, _ = jacobi_eigh(m)
-        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+        ref = np.linalg.eigvalsh(m)
         assert np.max(np.abs(vals - ref)) < 1e-12
 
 
 def test_jacobi_already_diagonal():
     vals, vecs = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(vals, [3.0, 2.0, -1.0])
-    assert np.allclose(np.abs(vecs), np.abs(np.eye(3)[:, [0, 2, 1]]))
+    assert np.allclose(vals, [-1.0, 2.0, 3.0])
+    assert np.allclose(np.abs(vecs), np.abs(np.eye(3)[:, [1, 2, 0]]))
 
 
-def test_batched_descending():
+def test_batched_ascending():
+    # the batched LAPACK rows in Jacobi's order, row by row
     rng = np.random.default_rng(4)
     mats = rng.standard_normal((40, 12, 12))
     mats = mats + np.swapaxes(mats, -1, -2)
-    vals = eigvalsh_desc(mats)
+    vals = eigvalsh_asc(mats)
     assert vals.shape == (40, 12)
-    assert np.all(np.diff(vals, axis=1) <= 0)
+    assert np.all(np.diff(vals, axis=1) >= 0)
     for k in (0, 17, 39):
-        ref = np.sort(np.linalg.eigvalsh(mats[k]))[::-1]
+        ref, _ = jacobi_eigh(mats[k])
         assert np.max(np.abs(vals[k] - ref)) < 1e-12
 
 
-def test_eigh_desc_vectors_consistent():
+def test_eigh_asc_vectors_consistent():
     rng = np.random.default_rng(5)
     mats = rng.standard_normal((7, 12, 12))
     mats = mats + np.swapaxes(mats, -1, -2)
-    vals, vecs = eigh_desc(mats)
+    vals, vecs = eigh_asc(mats)
+    assert np.all(np.diff(vals, axis=1) >= 0)
     recon = np.einsum("nik,nk,njk->nij", vecs, vals, vecs)
     assert np.max(np.abs(recon - mats)) < 1e-11
 
@@ -114,7 +116,7 @@ def test_jacobi_scale_aware(scale, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, vecs = jacobi_eigh(m)
-        ref = np.linalg.eigvalsh(m)[::-1]
+        ref = np.linalg.eigvalsh(m)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-12 * scale
         assert len(sweeps) < JACOBI_MAX_SWEEPS
@@ -148,8 +150,8 @@ def test_one_lapack_call_per_stack(monkeypatch):
     mats = np.random.default_rng(6).standard_normal((1025, 12, 12))
     mats = mats + np.swapaxes(mats, -1, -2)
     threads = threading.active_count()
-    eigvalsh_desc(mats)
-    eigh_desc(mats)
+    eigvalsh_asc(mats)
+    eigh_asc(mats)
     assert calls == [(name, threading.current_thread(), 1025)
                      for name in ("eigvalsh", "eigh")]
     assert threading.active_count() == threads
@@ -211,13 +213,24 @@ def _calls(name):
 
 
 def test_source_scan_one_eigensolver_module_one_prune_width():
-    # numpy's (or any) linalg eigensolver is called only in eigen.py, the
-    # pruned minimum's first-round width is assigned in one module, the
-    # paper aperture is written out once, and a graph sample is drawn in
-    # one place and cached as its recipe only
+    # numpy's (or any) linalg eigensolver is called only in eigen.py, whose
+    # public solvers all return one order, ascending, so no descending
+    # alias is defined or read anywhere; the pruned minimum's first-round
+    # width is assigned in one module, the paper aperture is written out
+    # once, and a graph sample is drawn in one place and cached as its
+    # recipe only
     eig = re.compile(r"linalg\s*\.\s*eig|getattr\(\s*np\.linalg"
                      r"|linalg\s+import[^\n]*\beig")
     assert [mod for mod, t in _TEXTS.items() if eig.search(t)] == ["eigen.py"]
+    assert sorted(node.name for node in _TREES["eigen.py"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")) == [
+        "eigh_asc", "eigvalsh_asc", "jacobi_eigh"]
+    assert not [(mod, name) for mod, tree in _TREES.items()
+                for node in ast.walk(tree)
+                for name in (getattr(node, field, None) for field in
+                             ("id", "attr", "name", "asname", "arg"))
+                if isinstance(name, str) and name.endswith("_desc")]
     width = re.compile(r"^\s*_PRUNE_CANDIDATES\s*=", re.M)
     assert [name for name, t in _TEXTS.items()
             if width.search(t)] == ["cones.py"]

@@ -1,5 +1,6 @@
 """Graph sample, inf-convolution extension, and operator probes."""
 
+import copy
 import dataclasses
 import os
 import re
@@ -9,8 +10,8 @@ import pytest
 
 from qcubic import cli, elliptic, symspace
 from qcubic.cli import RunConfig
-from qcubic.cones import (ConeParams, _PairBounds, _first_round, _gauge,
-                          _kappa)
+from qcubic.cones import (ConeParams, _PRUNE_CANDIDATES, _PairBounds,
+                          _first_round, _gauge, _kappa)
 from qcubic.cubic import eval_P
 from qcubic.elliptic import (SigmaSample, sigma_from_sources, build_sigma,
                              validate_graph, save_cache, load_cache,
@@ -270,6 +271,33 @@ def test_g_tilde_pruned_equals_full_table(sigma, monkeypatch):
                         lambda a: rows.append(len(a)) or eigvalsh(a))
     g_tilde(far, sigma)
     assert sum(rows) < 0.2 * far.shape[0] * sigma.count
+
+
+def test_s_term_allowance_covers_a_worst_case_floor(sigma, monkeypatch):
+    # pinch floors at the gauges themselves, each floor s_i + x raised by
+    # the s-term's worst-case rounding 1e3 eps |s_i| (_extension_parts),
+    # and copies of the least column with s raised within that error,
+    # which round 1 takes in its place: the allowance _GUARD |s_i| must
+    # still open the least column (without it a copy's entry is returned)
+    z = symspace.to_coords(hess_w(unit_sphere(rng_for(5, STREAM_ELLIPTIC),
+                                              1)))[0]
+    k = int(np.argmin(sigma.s + full_gauges(z, sigma.z, CONE)[0]))
+    n = sigma.count
+    cols = np.r_[np.arange(n), np.full(_PRUNE_CANDIDATES, k)]
+    error = 1e3 * np.finfo(float).eps * np.abs(sigma.s[cols])
+    s = sigma.s[cols]
+    s[n:] += error[k] * np.arange(1, _PRUNE_CANDIDATES + 1) / 16.0
+    planted = SigmaSample(sigma.sources[cols], sigma.z[cols], s,
+                          sigma.seed, CONE)
+    gauges = full_gauges(z, planted.z, CONE)[0]
+    entries = s + gauges[0]
+    assert np.argmin(entries) == k and abs(s[k]) > 0.5
+    assert np.all((entries[k] < entries[n:])
+                  & (entries[n:] < entries[k] + error[k]))
+    floor = gauges + error
+    floor[:, n:] = -1.0
+    monkeypatch.setattr(_PairBounds, "pinch", lambda self, cone, b: floor.T)
+    assert g_tilde(z, planted).tolist() == [entries.min()] == [entries[k]]
 
 
 def test_sample_bounds_built_once(monkeypatch):
@@ -542,6 +570,45 @@ def test_monotonicity_sweep_solves_a_planted_minimum(sigma, monkeypatch):
     assert np.argmin(d) == plant and abs(d[plant]) < 1e-8
     assert worst == d[plant] == full_monotonicity_sweep(sigma, 200, 6)
     assert np.sort(d)[1] > 1e3 * abs(d[plant])
+
+
+def test_monotonicity_allowance_covers_a_worst_case_floor(sigma,
+                                                        monkeypatch):
+    # scalar increments c I, whose floor s(cI) - x(0) = sqrt(12) c is their
+    # difference up to rounding: the least trial is one, eight decoys raise
+    # c within the docstring's worst-case error (sqrt(12) 1e3 eps of the
+    # scale, its sample term here), every floor is raised by that error and
+    # round 1 takes the decoys: the allowance must still open the least
+    # trial (without it a decoy's difference is returned)
+    trials, plant = 40, np.arange(_PRUNE_CANDIDATES + 1)
+    error = np.sqrt(12.0) * 1e3 * np.finfo(float).eps * 2.0 * np.max(
+        np.abs(sigma.s) + np.linalg.norm(sigma.z, axis=1))
+    c = 1e-6 + plant * error / (16.0 * np.sqrt(12.0))
+    random_psd, pruned_min = elliptic._random_psd, elliptic._pruned_min
+    blocks = []
+
+    def planted(rng, count):
+        mats = random_psd(rng, count)
+        # the sweep's next draw scales each increment
+        scale = copy.deepcopy(rng).uniform(0.0, 3.0, count)
+        mats[plant] = (c / scale[plant])[:, None, None] * np.eye(12)
+        return mats
+
+    def raised(floor, solve):
+        if not solve.__qualname__.startswith("monotonicity_sweep."):
+            return pruned_min(floor, solve)  # g_tilde's, inside F
+        blocks.append(solve(np.zeros(trials, dtype=int), np.arange(trials)))
+        floor = floor + error
+        floor[0, plant[1:]] = -np.inf
+        return pruned_min(floor, solve)
+
+    monkeypatch.setattr(elliptic, "_random_psd", planted)
+    monkeypatch.setattr(elliptic, "_pruned_min", raised)
+    worst = monotonicity_sweep(sigma, trials, 6)
+    (d,) = blocks
+    assert np.argmin(d) == 0
+    assert np.all((d[0] < d[plant[1:]]) & (d[plant[1:]] < d[0] + error))
+    assert worst == d[0] == full_monotonicity_sweep(sigma, trials, 6)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e8])

@@ -9,7 +9,7 @@ import qcubic.cubic as cubic_mod
 import qcubic.hessian as hessian_mod
 from qcubic.cones import _PRUNE_CANDIDATES
 from qcubic.cubic import eval_P, grad_P, q_matrix, strata_directions
-from qcubic.eigen import eigvalsh_desc, jacobi_eigh
+from qcubic.eigen import eigvalsh_asc, jacobi_eigh
 from qcubic.hessian import (eval_w, grad_w, hess_w, pair_ratio_sweep,
                             witness_directions, witness_floor, witness_sweep,
                             witness_worst, third_derivative_sweep,
@@ -157,7 +157,7 @@ def test_pair_spectrum_matches_ratio_sweep():
     r = pair_ratio_sweep(a, b)
     for k in range(3):
         vals, _ = jacobi_eigh(hess_w(a[k]) - hess_w(b[k]))
-        assert abs(-vals[0] / vals[-1] - r[k]) < 1e-10
+        assert abs(-vals[-1] / vals[0] - r[k]) < 1e-10
 
 
 def test_witness_pair_properties():
@@ -199,13 +199,17 @@ def test_witness_sweep_matches_pairs():
         witness_sweep(a, a)
 
 
-def _full_worst(seed, pairs):
+def _worst_of(blocks):
     """The unpruned minimum: both witness_sweep slacks of every pair."""
     worst = np.inf
-    for a, b in unit_pairs(rng_for(seed, STREAM_WITNESS), pairs, 1e-6):
+    for a, b in blocks:
         top, bottom = witness_sweep(a, b)
         worst = min(worst, float(top.min()), float(bottom.min()))
     return worst
+
+
+def _full_worst(seed, pairs):
+    return _worst_of(unit_pairs(rng_for(seed, STREAM_WITNESS), pairs, 1e-6))
 
 
 _cached_full_worst = functools.lru_cache(_full_worst)
@@ -318,6 +322,78 @@ def test_witness_worst_second_round_reaches_a_planted_minimum(monkeypatch):
     assert (solved[1] == a[k]).all(axis=1).any()
 
 
+def _with_decoys(a, b, k, step, value):
+    """The block (a, b) and _PRUNE_CANDIDATES near copies of its pair k
+    after it, a_k moved by step along random tangents, each the way that
+    raises value(a, b) (one entry per pair); and the copies' rows."""
+    n = _PRUNE_CANDIDATES
+    ak, bk = np.repeat(a[k:k + 1], n, 0), np.repeat(b[k:k + 1], n, 0)
+    move = step * _tangent(ak, np.random.default_rng(95))
+    up, down = _unit(ak + move), _unit(ak - move)
+    near = np.where((value(up, bk) > value(down, bk))[:, None], up, down)
+    return (np.concatenate([a, near]), np.concatenate([b, bk]),
+            np.arange(len(a), len(a) + n))
+
+
+# witness_worst's docstring: a floor exceeds its slack by < 5.7e-5 + 1e-12
+WITNESS_ERROR = 5.7e-5 + 1e-12
+
+
+def test_witness_guard_covers_a_worst_case_floor(monkeypatch):
+    # every floor raised by its worst-case error, and decoys within that
+    # error above the least slack, which round 1 takes in its place:
+    # WITNESS_GUARD must still open the least pair (at 0 a decoy's slack
+    # is returned)
+    def slack(x, y):
+        return np.minimum(*witness_sweep(x, y))
+
+    a, b = next(unit_pairs(rng_for(42, STREAM_WITNESS), 1000, 1e-6))
+    k = int(np.argmin(slack(a, b)))
+    a, b, decoys = _with_decoys(a, b, k, 1e-7, slack)
+    s = slack(a, b)
+    assert np.argmin(s) == k
+    assert np.all((s[k] < s[decoys])
+                  & (s[decoys] < s[k] + 0.1 * WITNESS_ERROR))
+
+    def raised(x, y):
+        floors = tuple(f + WITNESS_ERROR for f in witness_floor(x, y))
+        for floor in floors:
+            floor[decoys] = -1.0
+        return floors
+
+    monkeypatch.setattr(hessian_mod, "unit_pairs", lambda *args: [(a, b)])
+    monkeypatch.setattr(hessian_mod, "witness_floor", raised)
+    assert witness_worst(None, len(a)) == _worst_of([(a, b)]) == s[k]
+
+
+def test_ratio_guard_covers_a_worst_case_floor(monkeypatch):
+    # r_lo at each pair's own ratio plus its worst-case error 2 E r / lo1
+    # (pinch_bounds' docstring: E < 5e-12, lo1 = s l3 - dP, the witness
+    # floor's top side before the slope), and decoys within that error
+    # above r_min, which round 1 takes in its place: RATIO_GUARD must
+    # still open the least pair (at 1e-300 a decoy's ratio is returned)
+    a, b = next(unit_pairs(rng_for(42, STREAM_HESSIAN), 1000, 1e-9))
+    k = int(np.argmin(pair_ratio_sweep(a, b)))
+    a, b, decoys = _with_decoys(a, b, k, 1e-13, pair_ratio_sweep)
+    r = pair_ratio_sweep(a, b)
+    lo1 = (witness_floor(a, b)[0]
+           + np.linalg.norm(a - b, axis=1) * WITNESS_SLOPE)
+    error = 2.0 * 5e-12 * r / lo1
+    assert np.argmin(r) == k
+    assert np.all((r[k] < r[decoys]) & (r[decoys] < r[k] + 0.5 * error[k]))
+
+    def raised(x, y):
+        _, r_hi, rel = pinch_bounds(x, y)
+        r_lo = r + error
+        r_lo[decoys] = -1.0
+        return r_lo, r_hi, rel
+
+    monkeypatch.setattr(hessian_mod, "unit_pairs", lambda *args: [(a, b)])
+    monkeypatch.setattr(hessian_mod, "pinch_bounds", raised)
+    got = ratio_bound_estimate(None, len(a))
+    assert got == _pinch_of([(a, b)]) and got[1] == r[k]
+
+
 def test_witness_slope_constant():
     assert abs(WITNESS_SLOPE - 1.0 / (4.0 * np.sqrt(3.0))) < 1e-15
 
@@ -335,13 +411,17 @@ def test_third_derivative_sweep_bounded():
     assert np.max(vals) <= THIRD_DERIVATIVE_BOUND + 1e-3
 
 
-def _full_pinch(seed, pairs):
+def _pinch_of(blocks):
     """The unpruned extremes: pair_ratio_sweep over every pair."""
     r_min, r_max = np.inf, 0.0
-    for a, b in unit_pairs(rng_for(seed, STREAM_HESSIAN), pairs, 1e-9):
+    for a, b in blocks:
         r = pair_ratio_sweep(a, b)
         r_min, r_max = min(r_min, float(r.min())), max(r_max, float(r.max()))
     return max(r_max, 1.0 / r_min), r_min, r_max
+
+
+def _full_pinch(seed, pairs):
+    return _pinch_of(unit_pairs(rng_for(seed, STREAM_HESSIAN), pairs, 1e-9))
 
 
 _cached_full_pinch = functools.lru_cache(_full_pinch)
@@ -383,12 +463,11 @@ def test_ratio_bound_estimate_second_round_reaches_planted_extremes(
     monkeypatch.setattr(hessian_mod, "pair_ratio_sweep", sweep)
     _, r_min, r_max = ratio_bound_estimate(None, 1000)
     assert (r_min, r_max) == (pool[bottom], pool[top])
-    # round 1 is one call; round 2 is solved in ROW_BLOCK-row calls
-    assert len(solved) >= 2 and len(solved[0]) == 2 * _PRUNE_CANDIDATES
-    second = np.concatenate(solved[1:])
+    # one call a round (pair_ratio_sweep blocks its own rows)
+    assert len(solved) == 2 and len(solved[0]) == 2 * _PRUNE_CANDIDATES
     for k in (100, 200):
         assert not (solved[0] == a[k]).all(axis=1).any()
-        assert (second == a[k]).all(axis=1).any()
+        assert (solved[1] == a[k]).all(axis=1).any()
 
 
 @pytest.mark.parametrize("flip", range(len(SIGN_FLIPS)))
@@ -400,9 +479,9 @@ def test_pruned_extremes_under_every_sign_flip(flip, monkeypatch):
 
     def eigvalsh_spy(mats):
         lapack.append(len(mats))
-        return eigvalsh_desc(mats)
+        return eigvalsh_asc(mats)
 
-    monkeypatch.setattr(cubic_mod, "eigvalsh_desc", eigvalsh_spy)
+    monkeypatch.setattr(cubic_mod, "eigvalsh_asc", eigvalsh_spy)
     got = ratio_bound_estimate(rng_for(42, STREAM_HESSIAN), 2000)
     assert sum(lapack) == 2000
     assert got == _full_pinch(42, 2000)

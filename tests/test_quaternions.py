@@ -195,5 +195,5 @@ def test_spectrum_N_closed_form():
         o = matrix_M(r) @ matrix_M(s) @ matrix_M(t) / m
         vals, _ = jacobi_eigh(o + o.T)
         p = float(qmul(qmul(r, s), t)[0]) / m
-        closed = np.sort([2.0, -2.0, -2.0 * p, -2.0 * p])[::-1]
+        closed = np.sort([2.0, -2.0, -2.0 * p, -2.0 * p])
         assert np.max(np.abs(vals - closed)) < 1e-12
